@@ -590,7 +590,8 @@ let micro_results () =
           probes,
           List.map
             (fun backend ->
-              let c = Nezha_tables.Classifier.of_acl ~backend (Nezha_tables.Acl.copy acl) in
+              let policy = Nezha_tables.Classifier.Fixed backend in
+              let c = Nezha_tables.Classifier.of_acl ~policy (Nezha_tables.Acl.copy acl) in
               ignore (Nezha_tables.Classifier.lookup c tuple : Nezha_tables.Classifier.verdict);
               (backend, c))
             Nezha_tables.Classifier.[ Linear; Tuple_space; Learned ] ))
@@ -769,8 +770,7 @@ let micro_batch_results () =
     rs
   in
   let tss =
-    Nezha_tables.Classifier.of_acl ~backend:Nezha_tables.Classifier.Tuple_space
-      (micro_make_acl ())
+    Nezha_tables.Classifier.(of_acl ~policy:(Fixed Tuple_space)) (micro_make_acl ())
   in
   Array.iter
     (fun f -> ignore (Nezha_tables.Classifier.lookup tss f : Nezha_tables.Classifier.verdict))

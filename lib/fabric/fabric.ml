@@ -194,77 +194,108 @@ let deliver_batch_at_server t target batch =
     Pbatch.iter batch (fun _ -> count_lost t No_vswitch);
     Pbatch.recycle batch
 
+(* The run [deliver_batch_to_server] has open: packets bound for one
+   server under one delay.  While every packet so far belongs to it,
+   the run is that prefix of the burst and nothing is copied. *)
+type run = No_run | Prefix of int * float | Run of int * float * Pbatch.t
+
+let send_run t ~src ~target ~delay rb =
+  Sim.cross t.sims.(src) t.sims.(target) ~delay (fun _ -> deliver_batch_at_server t target rb)
+
+(* The open run as a batch of its own, [i] being the current position:
+   needed once a packet at [i] leaves the prefix. *)
+let detach batch i = function
+  | Prefix (target, delay) -> Run (target, delay, Pbatch.sub batch 0 i)
+  | (No_run | Run _) as run -> run
+
+let flush_run t ~src batch i run =
+  match detach batch i run with
+  | Run (target, delay, rb) -> send_run t ~src ~target ~delay rb
+  | No_run | Prefix _ -> ()
+
+(* Add packet [i] to the open run when it shares the destination and
+   delay; otherwise flush the run and open a new one. *)
+let join_run t ~src batch i run ~target ~delay =
+  match run with
+  | No_run when i = 0 -> Prefix (target, delay)
+  | Prefix (tgt, d) when tgt = target && d = delay -> run
+  | Run (tgt, d, rb) when tgt = target && d = delay ->
+    Pbatch.push rb (Pbatch.get batch i);
+    run
+  | No_run | Prefix _ | Run _ ->
+    flush_run t ~src batch i run;
+    Run (target, delay, Pbatch.singleton (Pbatch.get batch i))
+
+let trace_hop t ~src ~target ~dur pkt =
+  if pkt.Packet.trace_id <> 0 then
+    trace_wire t ~src:(Faults.Server src) ~dst:(Faults.Server target) ~dur pkt
+
 (* Batched egress: one pass in arrival order carves the burst into
    maximal consecutive runs bound for the same server under the same
    delay; each run crosses the wire as one scheduled delivery into
-   [Vswitch.from_net_batch].  The impairment plane is consulted per
-   packet, in order — fault RNG draws line up exactly with a
-   packet-at-a-time burst — and any packet it deflects (drop, extra
-   delay, duplicate twin) flushes or bypasses the run so arrival order
-   and delivery times match the single path.  Owns [batch]. *)
+   [Vswitch.from_net_batch], and a run that is the whole burst crosses
+   as the burst itself.  The impairment plane is consulted per packet,
+   in order — fault RNG draws line up exactly with a packet-at-a-time
+   burst — and any packet it deflects (drop, extra delay, duplicate
+   twin) flushes or bypasses the run so arrival order and delivery
+   times match a packet-at-a-time burst.  Owns [batch]. *)
 let deliver_batch_to_server t ~src batch =
-  let run = ref None in
-  let flush () =
-    match !run with
-    | None -> ()
-    | Some (target, delay, rb) ->
-      run := None;
-      Sim.cross t.sims.(src) t.sims.(target) ~delay (fun _ ->
-          deliver_batch_at_server t target rb)
-  in
-  Pbatch.iter batch (fun pkt ->
-      (match t.tap with Some tap -> tap ~time:(Sim.now t.sims.(src)) pkt | None -> ());
-      match pkt.Packet.vxlan with
-      | None -> count_lost t No_vxlan
-      | Some v -> (
-        let outer_dst = v.Packet.outer_dst in
-        if Ipv4.equal outer_dst (Topology.gateway_ip t.topology) then begin
-          flush ();
-          let delay = Topology.latency_to_gateway t.topology src in
-          transit t ~src:(Faults.Server src) ~dst:Faults.Gateway ~delay pkt (fun pkt ->
-              Gateway.handle t.gateway pkt)
-        end
-        else
-          match Topology.server_of_ip t.topology outer_dst with
-          | None -> count_lost t No_such_server
-          | Some target -> (
-            let delay = Topology.latency t.topology src target in
-            let fsrc = Faults.Server src and fdst = Faults.Server target in
-            let push_run pkt =
-              match !run with
-              | Some (tgt, d, rb) when tgt = target && d = delay -> Pbatch.push rb pkt
-              | Some _ | None ->
-                flush ();
-                let rb = Pbatch.alloc () in
-                Pbatch.push rb pkt;
-                run := Some (target, delay, rb)
-            in
-            let outcome =
-              match t.faults with
-              | None -> Faults.Pass
-              | Some f -> Faults.consult f ~src:fsrc ~dst:fdst
-            in
-            match outcome with
-            | Faults.Drop ->
-              trace_fault_drop t ~src:fsrc ~dst:fdst pkt;
-              count_lost t Fault_injected
-            | Faults.Pass ->
-              trace_wire t ~src:fsrc ~dst:fdst ~dur:delay pkt;
-              push_run pkt
-            | Faults.Delay extra ->
-              flush ();
-              trace_wire t ~src:fsrc ~dst:fdst ~dur:(delay +. extra) pkt;
-              Sim.cross t.sims.(src) t.sims.(target) ~delay:(delay +. extra)
-                (fun _ -> deliver_at_server t target pkt)
-            | Faults.Duplicate extra ->
-              let twin = Packet.copy pkt in
-              twin.Packet.trace_id <- 0;
-              trace_wire t ~src:fsrc ~dst:fdst ~dur:delay pkt;
-              push_run pkt;
-              Sim.cross t.sims.(src) t.sims.(target) ~delay:(delay +. extra)
-                (fun _ -> deliver_at_server t target twin))));
-  flush ();
-  Pbatch.recycle batch
+  let run = ref No_run in
+  for i = 0 to Pbatch.length batch - 1 do
+    let pkt = Pbatch.get batch i in
+    (match t.tap with Some tap -> tap ~time:(Sim.now t.sims.(src)) pkt | None -> ());
+    match pkt.Packet.vxlan with
+    | None ->
+      run := detach batch i !run;
+      count_lost t No_vxlan
+    | Some v -> (
+      let outer_dst = v.Packet.outer_dst in
+      if Ipv4.equal outer_dst (Topology.gateway_ip t.topology) then begin
+        flush_run t ~src batch i !run;
+        run := No_run;
+        let delay = Topology.latency_to_gateway t.topology src in
+        transit t ~src:(Faults.Server src) ~dst:Faults.Gateway ~delay pkt (fun pkt ->
+            Gateway.handle t.gateway pkt)
+      end
+      else
+        match Topology.server_of_ip t.topology outer_dst with
+        | None ->
+          run := detach batch i !run;
+          count_lost t No_such_server
+        | Some target -> (
+          let delay = Topology.latency t.topology src target in
+          let outcome =
+            match t.faults with
+            | None -> Faults.Pass
+            | Some f -> Faults.consult f ~src:(Faults.Server src) ~dst:(Faults.Server target)
+          in
+          match outcome with
+          | Faults.Drop ->
+            run := detach batch i !run;
+            trace_fault_drop t ~src:(Faults.Server src) ~dst:(Faults.Server target) pkt;
+            count_lost t Fault_injected
+          | Faults.Pass ->
+            trace_hop t ~src ~target ~dur:delay pkt;
+            run := join_run t ~src batch i !run ~target ~delay
+          | Faults.Delay extra ->
+            flush_run t ~src batch i !run;
+            run := No_run;
+            trace_hop t ~src ~target ~dur:(delay +. extra) pkt;
+            Sim.cross t.sims.(src) t.sims.(target) ~delay:(delay +. extra) (fun _ ->
+                deliver_at_server t target pkt)
+          | Faults.Duplicate extra ->
+            let twin = Packet.copy pkt in
+            twin.Packet.trace_id <- 0;
+            trace_hop t ~src ~target ~dur:delay pkt;
+            run := join_run t ~src batch i !run ~target ~delay;
+            Sim.cross t.sims.(src) t.sims.(target) ~delay:(delay +. extra) (fun _ ->
+                deliver_at_server t target twin)))
+  done;
+  match !run with
+  | Prefix (target, delay) -> send_run t ~src ~target ~delay batch
+  | No_run | Run _ ->
+    flush_run t ~src batch (Pbatch.length batch) !run;
+    Pbatch.recycle batch
 
 (* Liveness probe (§4.4), as a wire round-trip through the monitor's
    vantage point (the gateway side): request leg, vSwitch check at the
@@ -376,16 +407,20 @@ let register_telemetry t reg =
       Gateway.forwarded t.gateway);
   T.register_counter reg ~name:"fabric/gateway/dropped" (fun () ->
       Gateway.dropped t.gateway);
-  (* Arena health of the shared packet-batch pool: allocation vs reuse
-     tells whether the batched dataplane is recycling (reuse should
-     dominate once warm). *)
-  T.register_counter reg ~name:"pbatch/pool/allocs" (fun () ->
-      let a, _, _ = Pbatch.pool_stats () in
-      a);
-  T.register_counter reg ~name:"pbatch/pool/reuses" (fun () ->
-      let _, r, _ = Pbatch.pool_stats () in
-      r);
-  T.register_counter reg ~name:"pbatch/pool/recycles" (fun () ->
-      let _, _, c = Pbatch.pool_stats () in
-      c);
+  (* Arena traffic of the shared packet-batch pool since registration:
+     batches taken and returned.  Once the run is quiescent the two
+     agree, or the dataplane leaked.  Only this run's share is
+     published: the pool is process-global, and whether a take finds a
+     recycled batch depends on what earlier runs left behind. *)
+  let taken () =
+    let fresh, reused, _ = Pbatch.pool_stats () in
+    fresh + reused
+  in
+  let recycled () =
+    let _, _, r = Pbatch.pool_stats () in
+    r
+  in
+  let taken0 = taken () and recycled0 = recycled () in
+  T.register_counter reg ~name:"pbatch/pool/taken" (fun () -> taken () - taken0);
+  T.register_counter reg ~name:"pbatch/pool/recycled" (fun () -> recycled () - recycled0);
   match t.faults with Some f -> Faults.register_telemetry f reg | None -> ()

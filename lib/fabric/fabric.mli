@@ -96,7 +96,8 @@ val deliver_batch_to_server :
 (** Batched form of {!deliver_to_server} (the sink installed on every
     vSwitch): takes ownership of the burst, consults the fault plane per
     packet in arrival order, and ships maximal same-destination runs as
-    single scheduled deliveries into [Vswitch.from_net_batch]. *)
+    single scheduled deliveries into [Vswitch.from_net_batch] (a run
+    spanning the whole burst travels as the burst itself). *)
 
 val ping : t -> dst:Topology.server_id -> reply:(unit -> unit) -> unit
 (** A liveness probe round-trip from the gateway side: request leg,
@@ -115,6 +116,8 @@ val lost_by : t -> drop_reason -> int
 
 val register_telemetry : t -> Nezha_telemetry.Telemetry.t -> unit
 (** [fabric/delivered_to_vms], per-reason [fabric/lost/...], gateway
-    forwarded/dropped, the shared [pbatch/pool/...] arena counters
-    (allocs/reuses/recycles), and — when a fault plane is attached —
-    the [fabric/faults/...] counters. *)
+    forwarded/dropped, the [pbatch/pool/taken] and
+    [pbatch/pool/recycled] batches of the shared arena since
+    registration (equal at quiescence unless batches leaked), and —
+    when a fault plane is attached — the [fabric/faults/...]
+    counters. *)

@@ -122,6 +122,19 @@ let recycle t =
     pool := t :: !pool
   end
 
+let sub t pos len =
+  if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Pbatch.sub";
+  let b = alloc () in
+  for i = pos to pos + len - 1 do
+    push b t.pkts.(i)
+  done;
+  b
+
+let singleton pkt =
+  let t = alloc () in
+  push t pkt;
+  t
+
 let pool_stats () = (!pool_allocs, !pool_reuses, !pool_recycles)
 
 let reset_pool () =

@@ -48,6 +48,15 @@ val alloc : unit -> t
 val recycle : t -> unit
 (** Clear and return the batch to the freelist.  Idempotent. *)
 
+val sub : t -> int -> int -> t
+(** [sub b pos len]: a batch from the arena holding [b]'s packets
+    [pos .. pos+len-1], in order.  [b] is left as it was.
+    @raise Invalid_argument when the range is not within [b]. *)
+
+val singleton : Packet.t -> t
+(** A batch from the arena holding only the given packet: how a
+    single-packet entry point enters the batched dataplane. *)
+
 val pool_stats : unit -> int * int * int
 (** [(fresh_allocs, reuses, recycles)] since the last {!reset_pool}. *)
 

@@ -83,7 +83,8 @@ let key_of pkt = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.
 let params t = Vswitch.params t.vs
 
 let trace_stage t pkt ~name ?args ~t0 () =
-  Vswitch.trace_span t.vs pkt ~name ~component:("be/" ^ Vswitch.name t.vs) ?args ~t0 ()
+  if pkt.Packet.trace_id <> 0 then
+    Vswitch.trace_span t.vs pkt ~name ~component:("be/" ^ Vswitch.name t.vs) ?args ~t0 ()
 
 (* The gap between the last (re)transmission and this timer (or teardown)
    firing is latency the flow really experienced; account it as a stage so
@@ -325,72 +326,11 @@ let handle_ack t nsh =
       end;
       Stats.Counter.incr t.counters.offload_acked)
 
-let handle_tx t pkt =
-  let t0 = Sim.now (Vswitch.sim t.vs) in
-  let key = key_of pkt in
-  let p = params t in
-  let fresh = Vswitch.find_session t.vs t.vnic.Vnic.id key = None in
-  let cycles =
-    Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-    + p.Params.split_fast_path_cycles + p.Params.encap_cycles
-    + (if fresh then p.Params.state_init_cycles else 0)
-  in
-  Vswitch.charge t.vs ~cycles (fun sim ->
-      trace_stage t pkt ~name:"be_tx" ~t0 ();
-      let flags = pkt.Packet.flags and proto = pkt.Packet.flow.Five_tuple.proto in
-      let st =
-        match Vswitch.find_session t.vs t.vnic.Vnic.id key with
-        | Some { Vswitch.state = Some st; _ } ->
-          step_state_tx st ~flags ~proto ~wire_bytes:(Packet.wire_size pkt)
-        | Some { Vswitch.state = None; _ } | None ->
-          State.init ~first_dir:Packet.Tx ?tcp:(Nf.tcp_phase_of_flags flags ~proto) ()
-      in
-      store_state t key st;
-      if all_suspect t && local_ruleset t <> None then begin
-        (* Every FE looks unreachable: skip the hop entirely rather than
-           queue a retransmission dance per packet. *)
-        Stats.Counter.incr t.counters.local_bypass;
-        ignore (local_slow_path t pkt : bool)
-      end
-      else begin
-        Stats.Counter.incr t.counters.tx_via_fe;
-        let base_nsh =
-          { Packet.empty_nsh with Packet.carried_state = Some (State.encode st) }
-        in
-        let fe = pick_fe t pkt.Packet.flow in
-        if Hashtbl.length t.outstanding < p.Params.offload_track_capacity then begin
-          let seq = t.next_seq in
-          t.next_seq <- t.next_seq + 1;
-          let nsh = { base_nsh with Packet.hop_seq = Some seq } in
-          let pd =
-            {
-              seq;
-              clean = Packet.copy pkt;
-              nsh;
-              last_fe = fe;
-              retries = 0;
-              tried = [];
-              timer = None;
-              sent_at = Sim.now sim;
-            }
-          in
-          Hashtbl.replace t.outstanding seq pd;
-          arm_timer t pd;
-          Stats.Counter.incr t.counters.offload_tracked;
-          send_to_fe t pkt ~fe ~nsh
-        end
-        else begin
-          Stats.Counter.incr t.counters.offload_untracked;
-          send_to_fe t pkt ~fe ~nsh:base_nsh
-        end
-      end)
-
-(* Vectored twin of [handle_tx]: one SmartNIC submission covers the
-   whole burst (freshness — hence the state-init surcharge — is sampled
-   per packet at submit time, as the back-to-back single calls would),
-   and the continuation replays the per-packet sequence in order,
-   collecting the FE-bound packets into one outgoing burst.  Owns
-   [batch]. *)
+(* TX workflow: one SmartNIC submission covers the whole burst
+   (freshness — hence the state-init surcharge — is sampled per packet
+   at submit time), and the continuation steps each packet's state in
+   order, collecting the FE-bound packets into one outgoing burst.  A
+   single packet is a burst of one.  Owns [batch]. *)
 let handle_tx_batch t batch =
   let n = Pbatch.length batch in
   if n = 0 then Pbatch.recycle batch
@@ -398,17 +338,19 @@ let handle_tx_batch t batch =
     let t0 = Sim.now (Vswitch.sim t.vs) in
     let p = params t in
     let cycles = ref 0 in
-    Pbatch.iter batch (fun pkt ->
-        let fresh = Vswitch.find_session t.vs t.vnic.Vnic.id (key_of pkt) = None in
-        cycles :=
-          !cycles
-          + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-          + p.Params.split_fast_path_cycles + p.Params.encap_cycles
-          + if fresh then p.Params.state_init_cycles else 0);
+    for i = 0 to n - 1 do
+      let pkt = Pbatch.get batch i in
+      let fresh = Vswitch.find_session t.vs t.vnic.Vnic.id (key_of pkt) = None in
+      cycles :=
+        !cycles
+        + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
+        + p.Params.split_fast_path_cycles + p.Params.encap_cycles
+        + if fresh then p.Params.state_init_cycles else 0
+    done;
     let accepted =
       Vswitch.charge_batch t.vs ~cycles:!cycles ~npkts:n (fun sim ->
-          let out = Pbatch.alloc () in
-          Pbatch.iter batch (fun pkt ->
+          (* The batch keeps the FE-bound packets, in order. *)
+          Pbatch.filter_in_place batch (fun pkt ->
               trace_stage t pkt ~name:"be_tx" ~t0 ();
               let key = key_of pkt in
               let flags = pkt.Packet.flags and proto = pkt.Packet.flow.Five_tuple.proto in
@@ -421,8 +363,11 @@ let handle_tx_batch t batch =
               in
               store_state t key st;
               if all_suspect t && local_ruleset t <> None then begin
+                (* Every FE looks unreachable: skip the hop entirely rather
+                   than queue a retransmission dance per packet. *)
                 Stats.Counter.incr t.counters.local_bypass;
-                ignore (local_slow_path t pkt : bool)
+                ignore (local_slow_path t pkt : bool);
+                false
               end
               else begin
                 Stats.Counter.incr t.counters.tx_via_fe;
@@ -461,10 +406,9 @@ let handle_tx_batch t batch =
                 Packet.set_nsh pkt nsh;
                 Packet.encap_vxlan pkt ~vni:t.vni ~outer_src:(Vswitch.underlay_ip t.vs)
                   ~outer_dst:fe;
-                Pbatch.push out pkt
+                true
               end);
-          Vswitch.emit_batch t.vs out;
-          Pbatch.recycle batch)
+          Vswitch.emit_batch t.vs batch)
     in
     if not accepted then Pbatch.recycle batch
   end
@@ -568,6 +512,16 @@ let rx_dispatch t pkt =
       handle_rx_bare t pkt)
   | None -> handle_rx_bare t pkt
 
+(* The BE intercept as one entry point; [ctx] is the packet direction. *)
+module Ingress_impl = struct
+  let ingest t ~ctx pkt =
+    match ctx with
+    | Packet.Tx ->
+      handle_tx_batch t (Pbatch.singleton pkt);
+      `Handled
+    | Packet.Rx -> rx_dispatch t pkt
+end
+
 let install ~vs ~vnic ~vni ~fes ?fallback_ruleset () =
   if Array.length fes = 0 then invalid_arg "Be.install: empty FE set";
   let p = Vswitch.params vs in
@@ -616,41 +570,11 @@ let install ~vs ~vnic ~vni ~fes ?fallback_ruleset () =
   Vswitch.set_intercept vs vnic.Vnic.id
     (Some
        {
-         Vswitch.on_tx =
-           (fun pkt ->
-             handle_tx t pkt;
-             `Handled);
-         on_rx = (fun pkt -> rx_dispatch t pkt);
+         Vswitch.on_tx = Ingress_impl.ingest t ~ctx:Packet.Tx;
+         on_rx = Ingress_impl.ingest t ~ctx:Packet.Rx;
          on_tx_batch = Some (fun batch -> handle_tx_batch t batch);
        });
   t
-
-(* The BE intercept in the shared ingress shape; [ctx] is the packet
-   direction.  RX batches dispatch per packet — acks, notifies and
-   finalizations are control-plane-sized traffic — and a declined bare
-   packet (dual stage) re-enters the vSwitch's net ingress, which runs
-   the traditional RX path for it. *)
-module Ingress_impl = struct
-  type nonrec t = t
-  type ctx = Packet.direction
-
-  let ingest t ~ctx pkt =
-    match ctx with
-    | Packet.Tx ->
-      handle_tx t pkt;
-      `Handled
-    | Packet.Rx -> rx_dispatch t pkt
-
-  let ingest_batch t ~ctx batch =
-    match ctx with
-    | Packet.Tx -> handle_tx_batch t batch
-    | Packet.Rx ->
-      Pbatch.iter batch (fun pkt ->
-          match rx_dispatch t pkt with
-          | `Handled -> ()
-          | `Continue -> Vswitch.from_net t.vs pkt);
-      Pbatch.recycle batch
-end
 
 let uninstall t =
   t.closed <- true;

@@ -55,16 +55,18 @@ val crash : t -> unit
 val closed : t -> bool
 
 val handle_tx_batch : t -> Pbatch.t -> unit
-(** Vectored TX workflow (also wired as the intercept's [on_tx_batch]):
-    one SmartNIC submission for the burst, per-packet state stepping in
-    order, FE-bound packets leaving as one batch.  Takes ownership. *)
+(** The TX workflow (wired as the intercept's [on_tx_batch]; its
+    [on_tx] is this on a one-slot batch): one SmartNIC submission for
+    the burst, per-packet state stepping in order, FE-bound packets
+    leaving as one batch.  Takes ownership. *)
 
-module Ingress_impl : Nezha_vswitch.Ingress.S with type t = t and type ctx = Packet.direction
-(** The BE intercept in the shared ingress shape; [ctx] is the packet
-    direction.  TX maps to the offload workflow; RX classifies acks,
-    notifies, FE-finalized and bare traffic.  A batched RX dispatches
-    per packet (control-plane-sized traffic) and re-injects declined
-    dual-stage bare packets through the vSwitch's net ingress. *)
+module Ingress_impl : sig
+  val ingest : t -> ctx:Packet.direction -> Packet.t -> [ `Handled | `Continue ]
+end
+(** The BE intercept as one entry point; [ctx] is the packet direction.
+    TX runs {!handle_tx_batch} on a one-slot batch; RX classifies acks,
+    notifies, FE-finalized and bare traffic, and [`Continue]s a bare
+    dual-stage packet to the traditional local RX path. *)
 
 val set_fallback_ruleset : t -> Ruleset.t option -> unit
 

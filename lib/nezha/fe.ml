@@ -33,22 +33,17 @@ let params t = Vswitch.params t.vs
 
 let flow_entry_bytes t = (params t).Params.session_entry_overhead
 
-(* All FE work is charged through here so the controller can attribute
-   this vSwitch's load to remote serving vs. local vNICs. *)
-let charge t ~cycles k =
-  Stats.Counter.add t.counters.remote_cycles cycles;
-  Vswitch.charge t.vs ~cycles k
-
 let key_of pkt = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow
 
 (* FE stage spans are the remote share of a flow's latency — the work that
    exists only because the vNIC is load-shared.  The [cached] detail says
    whether pre-actions came from the cached-flow table or a rule lookup. *)
 let trace_stage t pkt ~name ~cached ~t0 =
-  Vswitch.trace_span t.vs pkt ~name ~component:("fe/" ^ Vswitch.name t.vs)
-    ~site:Nezha_telemetry.Trace.Remote
-    ~args:[ ("cached", if cached then "true" else "false") ]
-    ~t0 ()
+  if pkt.Packet.trace_id <> 0 then
+    Vswitch.trace_span t.vs pkt ~name ~component:("fe/" ^ Vswitch.name t.vs)
+      ~site:Nezha_telemetry.Trace.Remote
+      ~args:[ ("cached", if cached then "true" else "false") ]
+      ~t0 ()
 
 (* Resolve the pre-actions for a packet of a served vNIC.  [flow_tx] is
    the session tuple in TX orientation (source = the served vNIC). *)
@@ -74,42 +69,6 @@ let resolve_pre t s ~flow_tx ~key =
       (* Creating the bidirectional cached flow is the expensive share of
          session setup, and it now happens here, not at the BE. *)
       Some (pre, cycles + (params t).Params.flow_cache_cycles, true))
-
-let forward_to_be t s pkt ~nsh =
-  Packet.set_nsh pkt nsh;
-  Packet.encap_vxlan pkt ~vni:(Ruleset.vni s.ruleset)
-    ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst:s.be;
-  Vswitch.emit t.vs (Vswitch.To_net pkt)
-
-(* RX workflow (§3.2.1 blue flow): query pre-actions, piggyback them and
-   the preserved outer source, forward to the BE. *)
-let handle_rx t s pkt ~outer =
-  let t0 = Sim.now (Vswitch.sim t.vs) in
-  let key = key_of pkt in
-  let flow_tx = Five_tuple.reverse pkt.Packet.flow in
-  match resolve_pre t s ~flow_tx ~key with
-  | None ->
-    charge t ~cycles:(params t).Params.table_base_cycles (fun _ ->
-        Vswitch.count_drop t.vs Nf.No_route)
-  | Some (pre, lookup_cycles, fresh) ->
-    let p = params t in
-    let cycles =
-      Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-      + lookup_cycles + p.Params.encap_cycles
-    in
-    charge t ~cycles (fun _ ->
-        trace_stage t pkt ~name:"fe_rx" ~cached:(not fresh) ~t0;
-        let orig_outer_src =
-          match outer with Some v -> Some v.Packet.outer_src | None -> None
-        in
-        Stats.Counter.incr t.counters.rx_forwarded;
-        forward_to_be t s pkt
-          ~nsh:
-            {
-              Packet.empty_nsh with
-              Packet.carried_pre_actions = Some (Pre_action.encode pre);
-              orig_outer_src;
-            })
 
 let send_notify t s pkt pre =
   Stats.Counter.incr t.counters.notify_sent;
@@ -141,286 +100,198 @@ let send_hop_ack t s pkt seq =
     ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst:s.be;
   Vswitch.emit t.vs (Vswitch.To_net ack)
 
-(* TX workflow (§3.2.1 red flow): the packet carries the state; combine
-   with pre-actions and finalize. *)
-let handle_tx t s pkt nsh state_blob =
-  let t0 = Sim.now (Vswitch.sim t.vs) in
-  match State.decode state_blob with
-  | Error _ -> Vswitch.count_drop t.vs Nf.No_route
-  | Ok state -> (
-    let key = key_of pkt in
-    match resolve_pre t s ~flow_tx:pkt.Packet.flow ~key with
-    | None ->
-      charge t ~cycles:(params t).Params.table_base_cycles (fun _ ->
-          Vswitch.count_drop t.vs Nf.No_route)
-    | Some (pre, lookup_cycles, fresh) ->
-      let p = params t in
-      let ack_cycles =
-        match nsh.Packet.hop_seq with None -> 0 | Some _ -> p.Params.encap_cycles
+(* What the classification pass decided for one packet of a burst.
+
+   RX workflow (§3.2.1 blue flow): query pre-actions, piggyback them
+   (encoded) and the preserved outer source, forward to the BE.
+
+   TX workflow (§3.2.1 red flow): the packet carries the state; combine
+   it with the pre-actions and finalize.
+
+   [fresh] marks a rule lookup rather than a cached-flow hit. *)
+type job =
+  | To_be of {
+      pkt : Packet.t;
+      s : served;
+      blob : bytes;
+      fresh : bool;
+      outer_src : Ipv4.t option;
+    }
+  | Finalize of {
+      pkt : Packet.t;
+      s : served;
+      pre : Pre_action.t;
+      fresh : bool;
+      state : State.t;
+      nsh : Packet.nsh;
+    }
+  | No_route
+
+let commit t ~t0 out = function
+  | No_route -> Vswitch.count_drop t.vs Nf.No_route
+  | To_be { pkt; s; blob; fresh; outer_src } ->
+    trace_stage t pkt ~name:"fe_rx" ~cached:(not fresh) ~t0;
+    Stats.Counter.incr t.counters.rx_forwarded;
+    Packet.set_nsh pkt
+      { Packet.empty_nsh with Packet.carried_pre_actions = Some blob; orig_outer_src = outer_src };
+    Packet.encap_vxlan pkt ~vni:(Ruleset.vni s.ruleset) ~outer_src:(Vswitch.underlay_ip t.vs)
+      ~outer_dst:s.be;
+    Pbatch.push out pkt
+  | Finalize { pkt; s; pre; fresh; state; nsh } -> (
+    trace_stage t pkt ~name:"fe_tx" ~cached:(not fresh) ~t0;
+    (match nsh.Packet.hop_seq with Some seq -> send_hop_ack t s pkt seq | None -> ());
+    (* Notify the BE when the rule lookup's rule-table-involved state
+       disagrees with what the packet carried (§3.2.2): a notify fires
+       only on fresh lookups, and only on an actual difference — both
+       conditions keep the notify rate low. *)
+    (if fresh then begin
+       let be_has_stats = state.State.stats <> None in
+       let rules_want_stats = pre.Pre_action.stats <> None in
+       if be_has_stats <> rules_want_stats then send_notify t s pkt pre
+     end);
+    let verdict, _state_out =
+      Nf.process ~pre ~state:(Some state) ~dir:Packet.Tx ~flags:pkt.Packet.flags
+        ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
+    in
+    Stats.Counter.incr t.counters.tx_finalized;
+    match verdict with
+    | Nf.Deliver ->
+      Vswitch.maybe_mirror t.vs pre pkt;
+      let outer_dst =
+        match pre.Pre_action.peer_server with
+        | Some server -> server
+        | None -> Vswitch.gateway t.vs
       in
-      let cycles =
-        Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-        + lookup_cycles + p.Params.encap_cycles + ack_cycles
-      in
-      charge t ~cycles (fun _ ->
-          trace_stage t pkt ~name:"fe_tx" ~cached:(not fresh) ~t0;
-          (match nsh.Packet.hop_seq with
-          | Some seq -> send_hop_ack t s pkt seq
-          | None -> ());
-          (* Notify the BE when the rule lookup's rule-table-involved
-             state disagrees with what the packet carried (§3.2.2): a
-             notify fires only on fresh lookups, and only on an actual
-             difference — both conditions keep the notify rate low. *)
-          (if fresh then begin
-             let be_has_stats = state.State.stats <> None in
-             let rules_want_stats = pre.Pre_action.stats <> None in
-             if be_has_stats <> rules_want_stats then send_notify t s pkt pre
-           end);
-          let verdict, _state_out =
-            Nf.process ~pre ~state:(Some state) ~dir:Packet.Tx ~flags:pkt.Packet.flags
-              ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
-          in
-          Stats.Counter.incr t.counters.tx_finalized;
-          match verdict with
-          | Nf.Deliver ->
-            ignore (Packet.clear_nsh pkt : Packet.nsh option);
-            Vswitch.maybe_mirror t.vs pre pkt;
-            let vni = pre.Pre_action.vni in
-            let outer_dst =
-              match pre.Pre_action.peer_server with
-              | Some server -> server
-              | None -> Vswitch.gateway t.vs
-            in
-            Packet.encap_vxlan pkt ~vni ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst;
-            Vswitch.emit t.vs (Vswitch.To_net pkt)
-          | Nf.Drop reason -> Vswitch.count_drop t.vs reason))
+      Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni ~outer_src:(Vswitch.underlay_ip t.vs)
+        ~outer_dst;
+      Pbatch.push out pkt
+    | Nf.Drop reason -> Vswitch.count_drop t.vs reason)
 
-let hook t pkt ~outer =
-  let dst_addr = { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst } in
-  match Vnic.Addr.Table.find_opt t.served dst_addr with
-  | Some s ->
-    handle_rx t s pkt ~outer;
-    `Handled
-  | None -> (
-    let src_addr = { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.src } in
-    match Vnic.Addr.Table.find_opt t.served src_addr with
-    | Some s -> (
-      match Packet.clear_nsh pkt with
-      | Some ({ Packet.carried_state = Some blob; _ } as nsh) ->
-        handle_tx t s pkt nsh blob;
-        `Handled
-      | Some _ | None -> `Continue)
-    | None -> `Continue)
+(* Commit the jobs oldest first; the list is newest first. *)
+let rec commit_all t ~t0 out = function
+  | [] -> ()
+  | job :: older ->
+    commit_all t ~t0 out older;
+    commit t ~t0 out job
 
-let process t pkt ~outer = hook t pkt ~outer
-
-(* Vectored net-hook entry.  [batch] arrives still encapsulated; the
-   classification pass reads the inner/NSH fields (visible without
-   decapping), decides each packet's workflow, resolves pre-actions per
-   packet — the cached-flow table itself memoizes a burst's flow-key
-   groups, because the first packet of a group inserts synchronously and
-   the rest hit — and decaps only the packets it keeps.  The
-   still-encapsulated leftover returns to the caller.  One SmartNIC
-   charge covers the burst; the continuation replays the per-packet
-   workflows in order, sharing each group's encoded pre-action blob and
-   collecting outgoing packets into one burst for the sink. *)
-let act_skip = 0
-let act_rx = 1
-let act_tx = 2
-let act_noroute = 3
-
+(* The FE's net-hook entry, vectored.  [batch] arrives still
+   encapsulated; the classification pass reads the inner/NSH fields
+   (visible without decapping), decides each packet's workflow, resolves
+   pre-actions per packet — the cached-flow table itself memoizes a
+   burst's flow-key groups, because the first packet of a group inserts
+   synchronously and the rest hit — and decaps only the packets it
+   keeps.  The still-encapsulated leftover returns to the caller.  One
+   SmartNIC charge covers the burst; the commit replays the per-packet
+   workflows in order and refills the batch with the outgoing packets,
+   one burst for the sink. *)
 let process_batch t batch =
-  let n = Pbatch.length batch in
-  if n = 0 then begin
-    Pbatch.recycle batch;
-    None
-  end
-  else begin
-    let t0 = Sim.now (Vswitch.sim t.vs) in
-    let p = params t in
-    let act = Array.make n act_skip in
-    let srv = Array.make n None in
-    let pre_a = Array.make n None in
-    let fresh_a = Array.make n false in
-    let sta = Array.make n None in
-    let meta = Array.make n None in
-    let outs = Array.make n None in
-    let leftover = ref None in
-    let total = ref 0 in
-    let handled = ref 0 in
-    for i = 0 to n - 1 do
-      let pkt = Pbatch.get batch i in
-      let dst_addr =
+  let p = params t in
+  let jobs = ref [] and handled = ref 0 and total = ref 0 in
+  let leftover = ref None in
+  (* Members of a flow group carry physically-equal pre-actions, so a run
+     of the same resolution shares one encoded blob. *)
+  let last_pre = ref None and last_blob = ref Bytes.empty in
+  for i = 0 to Pbatch.length batch - 1 do
+    let pkt = Pbatch.get batch i in
+    match
+      Vnic.Addr.Table.find_opt t.served
         { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst }
+    with
+    | Some s -> (
+      let outer_src =
+        match Packet.decap_vxlan pkt with Some v -> Some v.Packet.outer_src | None -> None
       in
-      match Vnic.Addr.Table.find_opt t.served dst_addr with
-      | Some s -> (
-        let outer = Packet.decap_vxlan pkt in
-        outs.(i) <- (match outer with Some v -> Some v.Packet.outer_src | None -> None);
-        srv.(i) <- Some s;
-        let key = key_of pkt in
-        incr handled;
-        match resolve_pre t s ~flow_tx:(Five_tuple.reverse pkt.Packet.flow) ~key with
-        | None ->
-          act.(i) <- act_noroute;
-          total := !total + p.Params.table_base_cycles
-        | Some (pre, lookup_cycles, fresh) ->
-          act.(i) <- act_rx;
-          pre_a.(i) <- Some pre;
-          fresh_a.(i) <- fresh;
-          total :=
-            !total
-            + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-            + lookup_cycles + p.Params.encap_cycles)
-      | None -> (
-        let src_addr =
-          { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.src }
-        in
-        let declined () =
-          let lb =
-            match !leftover with
-            | Some lb -> lb
-            | None ->
-              let lb = Pbatch.alloc () in
-              leftover := Some lb;
-              lb
-          in
-          Pbatch.push lb pkt
-        in
-        match (Vnic.Addr.Table.find_opt t.served src_addr, pkt.Packet.nsh) with
-        | Some s, Some { Packet.carried_state = Some blob; _ } -> (
-          ignore (Packet.decap_vxlan pkt : Packet.vxlan option);
-          let nsh =
-            match Packet.clear_nsh pkt with Some m -> m | None -> Packet.empty_nsh
-          in
-          match State.decode blob with
-          | Error _ ->
-            (* Malformed carried state: counted now, as the single path
-               would, with no cycles charged. *)
-            Vswitch.count_drop t.vs Nf.No_route
-          | Ok state -> (
-            srv.(i) <- Some s;
-            sta.(i) <- Some state;
-            meta.(i) <- Some nsh;
-            let key = key_of pkt in
-            incr handled;
-            match resolve_pre t s ~flow_tx:pkt.Packet.flow ~key with
-            | None ->
-              act.(i) <- act_noroute;
-              total := !total + p.Params.table_base_cycles
-            | Some (pre, lookup_cycles, fresh) ->
-              act.(i) <- act_tx;
-              pre_a.(i) <- Some pre;
-              fresh_a.(i) <- fresh;
-              let ack_cycles =
-                match nsh.Packet.hop_seq with None -> 0 | Some _ -> p.Params.encap_cycles
-              in
-              total :=
-                !total
-                + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-                + lookup_cycles + p.Params.encap_cycles + ack_cycles))
-        | (Some _ | None), _ -> declined ())
-    done;
-    if !handled = 0 then Pbatch.recycle batch
-    else begin
-      Stats.Counter.add t.counters.remote_cycles !total;
-      (* Shared per-group blob: members carry physically-equal
-         pre-actions, so encode once per run of the same resolution. *)
-      let last_pre = ref None in
-      let last_blob = ref Bytes.empty in
-      let encode_pre pre =
+      incr handled;
+      match
+        resolve_pre t s ~flow_tx:(Five_tuple.reverse pkt.Packet.flow) ~key:(key_of pkt)
+      with
+      | None ->
+        jobs := No_route :: !jobs;
+        total := !total + p.Params.table_base_cycles
+      | Some (pre, lookup_cycles, fresh) ->
         (match !last_pre with
         | Some lp when lp == pre -> ()
         | Some _ | None ->
           last_pre := Some pre;
           last_blob := Pre_action.encode pre);
-        !last_blob
-      in
-      let accepted =
-        Vswitch.charge_batch t.vs ~cycles:!total ~npkts:!handled (fun _ ->
-            let out = Pbatch.alloc () in
-            for i = 0 to n - 1 do
-              let pkt = Pbatch.get batch i in
-              let a = act.(i) in
-              if a = act_rx then begin
-                let s = Option.get srv.(i) in
-                let pre = Option.get pre_a.(i) in
-                trace_stage t pkt ~name:"fe_rx" ~cached:(not fresh_a.(i)) ~t0;
-                Stats.Counter.incr t.counters.rx_forwarded;
-                Packet.set_nsh pkt
-                  {
-                    Packet.empty_nsh with
-                    Packet.carried_pre_actions = Some (encode_pre pre);
-                    orig_outer_src = outs.(i);
-                  };
-                Packet.encap_vxlan pkt ~vni:(Ruleset.vni s.ruleset)
-                  ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst:s.be;
-                Pbatch.push out pkt
-              end
-              else if a = act_tx then begin
-                let s = Option.get srv.(i) in
-                let pre = Option.get pre_a.(i) in
-                let state = Option.get sta.(i) in
-                let nsh = Option.get meta.(i) in
-                trace_stage t pkt ~name:"fe_tx" ~cached:(not fresh_a.(i)) ~t0;
-                (match nsh.Packet.hop_seq with
-                | Some seq -> send_hop_ack t s pkt seq
-                | None -> ());
-                (if fresh_a.(i) then begin
-                   let be_has_stats = state.State.stats <> None in
-                   let rules_want_stats = pre.Pre_action.stats <> None in
-                   if be_has_stats <> rules_want_stats then send_notify t s pkt pre
-                 end);
-                let verdict, _state_out =
-                  Nf.process ~pre ~state:(Some state) ~dir:Packet.Tx
-                    ~flags:pkt.Packet.flags ~proto:pkt.Packet.flow.Five_tuple.proto
-                    ~wire_bytes:(Packet.wire_size pkt) ()
-                in
-                Stats.Counter.incr t.counters.tx_finalized;
-                match verdict with
-                | Nf.Deliver ->
-                  Vswitch.maybe_mirror t.vs pre pkt;
-                  let outer_dst =
-                    match pre.Pre_action.peer_server with
-                    | Some server -> server
-                    | None -> Vswitch.gateway t.vs
-                  in
-                  Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni
-                    ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst;
-                  Pbatch.push out pkt
-                | Nf.Drop reason -> Vswitch.count_drop t.vs reason
-              end
-              else if a = act_noroute then Vswitch.count_drop t.vs Nf.No_route
-            done;
-            Vswitch.emit_batch t.vs out;
-            Pbatch.recycle batch)
-      in
-      if not accepted then Pbatch.recycle batch
-    end;
-    !leftover
-  end
+        jobs := To_be { pkt; s; blob = !last_blob; fresh; outer_src } :: !jobs;
+        total :=
+          !total
+          + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
+          + lookup_cycles + p.Params.encap_cycles)
+    | None -> (
+      match
+        ( Vnic.Addr.Table.find_opt t.served
+            { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.src },
+          pkt.Packet.nsh )
+      with
+      | Some s, Some { Packet.carried_state = Some blob; _ } -> (
+        ignore (Packet.decap_vxlan pkt : Packet.vxlan option);
+        let nsh = match Packet.clear_nsh pkt with Some m -> m | None -> Packet.empty_nsh in
+        match State.decode blob with
+        | Error _ ->
+          (* Malformed carried state: counted now, with no cycles
+             charged. *)
+          Vswitch.count_drop t.vs Nf.No_route
+        | Ok state -> (
+          incr handled;
+          match resolve_pre t s ~flow_tx:pkt.Packet.flow ~key:(key_of pkt) with
+          | None ->
+            jobs := No_route :: !jobs;
+            total := !total + p.Params.table_base_cycles
+          | Some (pre, lookup_cycles, fresh) ->
+            jobs := Finalize { pkt; s; pre; fresh; state; nsh } :: !jobs;
+            let ack_cycles =
+              match nsh.Packet.hop_seq with None -> 0 | Some _ -> p.Params.encap_cycles
+            in
+            total :=
+              !total
+              + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
+              + lookup_cycles + p.Params.encap_cycles + ack_cycles))
+      | (Some _ | None), _ ->
+        (* A packet from a served source whose NSH carries no state is
+           not FE work: it goes back untouched, header included. *)
+        let lb =
+          match !leftover with
+          | Some lb -> lb
+          | None ->
+            let lb = Pbatch.alloc () in
+            leftover := Some lb;
+            lb
+        in
+        Pbatch.push lb pkt)
+  done;
+  (if !handled = 0 then Pbatch.recycle batch
+   else begin
+     (* Counted apart so the controller can attribute this vSwitch's
+        load to remote serving vs. local vNICs. *)
+     Stats.Counter.add t.counters.remote_cycles !total;
+     let jobs = !jobs and t0 = Sim.now (Vswitch.sim t.vs) in
+     if
+       not
+         (Vswitch.charge_batch t.vs ~cycles:!total ~npkts:!handled (fun _ ->
+              (* The kept packets live on in [jobs]. *)
+              Pbatch.clear batch;
+              commit_all t ~t0 batch jobs;
+              Vswitch.emit_batch t.vs batch))
+     then Pbatch.recycle batch
+   end);
+  !leftover
 
-(* The FE service in the shared ingress shape.  [ingest] accepts a
-   still-encapsulated packet and decapsulates it itself; a batched
-   leftover re-enters the vSwitch's net ingress. *)
-module Ingress_impl = struct
-  type nonrec t = t
-  type ctx = unit
-
-  let ingest t ~ctx:() pkt =
-    let outer = Packet.decap_vxlan pkt in
-    hook t pkt ~outer
-
-  let ingest_batch t ~ctx:() batch =
-    match process_batch t batch with
-    | None -> ()
-    | Some leftover ->
-      Pbatch.iter leftover (fun pkt -> Vswitch.from_net t.vs pkt);
-      Pbatch.recycle leftover
-end
+(* The single net hook: a batch of one.  The vSwitch hands the packet
+   over decapsulated, so it is re-wrapped in its own outer header first;
+   a declined packet is decapped again for the vSwitch to carry on. *)
+let process t pkt ~outer =
+  pkt.Packet.vxlan <- outer;
+  match process_batch t (Pbatch.singleton pkt) with
+  | None -> `Handled
+  | Some leftover ->
+    Pbatch.recycle leftover;
+    ignore (Packet.decap_vxlan pkt : Packet.vxlan option);
+    `Continue
 
 let reattach t =
-  Vswitch.set_net_hook t.vs (Some (fun pkt ~outer -> hook t pkt ~outer));
+  Vswitch.set_net_hook t.vs (Some (fun pkt ~outer -> process t pkt ~outer));
   Vswitch.set_net_hook_batch t.vs (Some (fun batch -> process_batch t batch))
 
 let install vs =

@@ -33,24 +33,20 @@ val install : Vswitch.t -> t
 
 val vswitch : t -> Vswitch.t
 
+val process_batch : t -> Pbatch.t -> Pbatch.t option
+(** The FE datapath (also wired as the vSwitch's batch net hook).
+    Takes ownership of the still-encapsulated burst, handles every
+    packet of a served vNIC under one SmartNIC charge, and returns the
+    still-encapsulated leftover it declined — ownership of which
+    transfers back to the caller — or [None] when everything was
+    consumed.  A declined packet keeps its NSH header. *)
+
 val process :
   t -> Packet.t -> outer:Packet.vxlan option -> [ `Handled | `Continue ]
-(** The net-hook entry: classify a decapsulated underlay packet
-    ([outer] is its original outer header) and run the matching
-    workflow.  [`Continue] means the packet concerns no served vNIC. *)
-
-val process_batch : t -> Pbatch.t -> Pbatch.t option
-(** Vectored net-hook entry (also wired as the vSwitch's batch net
-    hook).  Takes ownership of the still-encapsulated burst, handles
-    every packet of a served vNIC under one SmartNIC charge, and
-    returns the still-encapsulated leftover it declined — ownership of
-    which transfers back to the caller — or [None] when everything was
-    consumed. *)
-
-module Ingress_impl : Nezha_vswitch.Ingress.S with type t = t and type ctx = unit
-(** The FE service in the shared ingress shape: [ingest] decapsulates
-    and classifies one packet; [ingest_batch] runs {!process_batch} and
-    re-enters the vSwitch's net ingress with any leftover. *)
+(** The single net hook: {!process_batch} on a one-slot batch.  Takes a
+    decapsulated underlay packet ([outer] is its original outer
+    header).  [`Continue] means the packet is not FE work; it comes back
+    decapsulated, NSH header intact. *)
 
 val serve : t -> vnic:Vnic.t -> ruleset:Ruleset.t -> be:Ipv4.t -> Admission.t
 (** Configure this FE for a vNIC: reserves memory for the rule-table

@@ -161,13 +161,7 @@ type t = {
   mutable synced_revision : int; (* Acl revision the index reflects; min_int = never *)
 }
 
-let of_acl ?policy ?backend acl =
-  let policy =
-    match (policy, backend) with
-    | Some p, _ -> p
-    | None, Some b -> Fixed b (* deprecated ?backend shim *)
-    | None, None -> Auto
-  in
+let of_acl ?(policy = Auto) acl =
   let chosen = match policy with Fixed b -> b | Auto -> select acl in
   {
     acl;
@@ -177,8 +171,7 @@ let of_acl ?policy ?backend acl =
     synced_revision = min_int;
   }
 
-let create ?policy ?backend ?(default = Acl.Permit) () =
-  of_acl ?policy ?backend (Acl.create ~default ())
+let create ?policy ?(default = Acl.Permit) () = of_acl ?policy (Acl.create ~default ())
 
 let acl t = t.acl
 let policy t = t.policy

@@ -27,7 +27,6 @@ val create :
   vni:int ->
   ?acl:Acl.t ->
   ?policy:Classifier.policy ->
-  ?backend:Classifier.backend ->
   ?rate_limit_bps:int ->
   ?stats_rules:(Ipv4.Prefix.t * Pre_action.stats_spec) list ->
   ?stateful_decap:bool ->
@@ -38,9 +37,7 @@ val create :
   unit ->
   t
 (** [policy] (default [Auto]) selects the classifier backend from the
-    ruleset's shape at every resync; [backend] is the deprecated
-    pre-policy spelling, equivalent to [~policy:(Fixed backend)] and
-    ignored when [policy] is given.  [extra_tables] models advanced
+    ruleset's shape at every resync.  [extra_tables] models advanced
     features (policy routing, mirroring,
     flow logging) that add lookup stages.  [fixed_overhead_bytes]
     (default 2 MB, the production minimum of §6.2.1) is the footprint of
@@ -101,8 +98,8 @@ val lookup :
 val note_megaflow_hit : t -> unit
 (** Record a megaflow hit that happened outside {!lookup}: the batched
     datapath resolves one lookup per flow-key group and each additional
-    group member is accounted as the cache hit it would have been on
-    the single-packet path. *)
+    group member is accounted as the cache hit it would have been in a
+    batch of its own. *)
 
 val megaflow_hits : t -> int
 val megaflow_misses : t -> int

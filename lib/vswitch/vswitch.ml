@@ -5,10 +5,10 @@ module Trace = Nezha_telemetry.Trace
 
 type output = To_vm of Vnic.id * Packet.t | To_net of Packet.t
 
-(* The transmit side of the vSwitch.  [on_output] carries single
-   results (every [To_vm], plus [To_net] from the single-packet paths);
-   [on_net_batch] carries an encapsulated net burst, ownership
-   included — the sink recycles the batch. *)
+(* The transmit side of the vSwitch.  [on_output] carries one packet at
+   a time (every [To_vm], plus the BE/FE control sends); [on_net_batch]
+   carries an encapsulated net burst, ownership included — the sink
+   recycles the batch. *)
 type sink = { on_output : output -> unit; on_net_batch : Pbatch.t -> unit }
 
 type counters = {
@@ -207,11 +207,16 @@ let trace_span t pkt ~name ~component ?kind ?site ?args ~t0 () =
       ~t1:(Sim.now t.sim) ()
   | Some _ | None -> ()
 
+(* The [trace_id] test keeps untraced packets from building the
+   component name. *)
 let trace_stage t pkt ~name ?args ~t0 () =
-  trace_span t pkt ~name ~component:("vswitch/" ^ t.name) ?args ~t0 ()
+  if pkt.Packet.trace_id <> 0 then
+    trace_span t pkt ~name ~component:("vswitch/" ^ t.name) ?args ~t0 ()
 
 let trace_detail t pkt ~name ?args ~t0 () =
-  trace_span t pkt ~name ~component:("vswitch/" ^ t.name) ~kind:Trace.Detail ?args ~t0 ()
+  if pkt.Packet.trace_id <> 0 then
+    trace_span t pkt ~name ~component:("vswitch/" ^ t.name) ~kind:Trace.Detail ?args ~t0 ()
+
 let emit t out =
   (match out with
   | To_vm (_, _) -> Stats.Counter.incr t.counters.delivered
@@ -575,419 +580,202 @@ let maybe_mirror t (pre : Pre_action.t) pkt =
     emit t (To_net copy)
   | _, _ -> ()
 
-(* Forward a tenant packet to the underlay server [dst] (or the gateway
-   when the mapping is unknown). *)
-let forward_overlay t pkt ~vni ~dst =
-  let outer_dst = match dst with Some server -> server | None -> t.gateway in
-  Packet.encap_vxlan pkt ~vni ~outer_src:t.underlay_ip ~outer_dst;
-  emit t (To_net pkt)
-
-let apply_state_out t vid key ~generation ~pre_opt out =
-  match out with
-  | Nf.Keep -> touch_session t vid key
-  | Nf.Init st | Nf.Update st ->
-    let existing = find_session t vid key in
-    let pre = match pre_opt with Some _ as p -> p | None -> Option.bind existing (fun s -> s.pre) in
-    ignore (store_session t vid key { pre; state = Some st; generation } : Admission.t)
-
-(* Traditional local TX path (§2.1). *)
-let local_tx t e pkt =
-  let vid = e.vnic.Vnic.id in
-  let t0 = Sim.now t.sim in
-  let key = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow in
-  let move = Params.packet_cycles t.params ~wire_bytes:(Packet.wire_size pkt) in
-  match e.ruleset with
-  | None -> count_drop t Nf.No_route
-  | Some rs -> (
-    let generation = Ruleset.generation rs in
-    let cached =
-      match find_session t vid key with
-      | Some ({ pre = Some _; _ } as s) when s.generation = generation -> Some s
-      | Some _ | None -> None
-    in
-    match cached with
-    | Some { pre = Some pre; state; _ } ->
-      Stats.Counter.incr t.counters.fast_path_hits;
-      let cycles = move + t.params.Params.fast_path_cycles + t.params.Params.encap_cycles in
-      charge t ~cycles (fun _sim ->
-          trace_stage t pkt ~name:"fast_path" ~args:[ ("dir", "tx") ] ~t0 ();
-          let verdict, out =
-            Nf.process ~pre ~state ~dir:Packet.Tx ~flags:pkt.Packet.flags
-              ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
-          in
-          apply_state_out t vid key ~generation ~pre_opt:(Some pre) out;
-          match verdict with
-          | Nf.Deliver ->
-            maybe_mirror t pre pkt;
-            forward_overlay t pkt ~vni:pre.Pre_action.vni ~dst:pre.Pre_action.peer_server
-          | Nf.Drop reason -> count_drop t reason)
-    | Some _ | None -> (
-      Stats.Counter.incr e.slow_execs;
-      match slow_path t rs ~vpc:pkt.Packet.vpc ~flow_tx:pkt.Packet.flow with
-      | None ->
-        let cycles =
-          move
-          + Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
-              ~tables:(Ruleset.table_count rs)
-        in
-        charge t ~cycles (fun _ -> count_drop t Nf.No_route)
-      | Some { Ruleset.pre; cycles } ->
-        if pre.Pre_action.peer_server = None then
-          learn_mapping t ~vid
-            ~addr:{ Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst };
-        let lookup_cycles = cycles in
-        let cycles =
-          move + cycles + t.params.Params.session_setup_cycles + t.params.Params.encap_cycles
-        in
-        charge t ~cycles (fun _sim ->
-            trace_stage t pkt ~name:"slow_path" ~args:[ ("dir", "tx") ] ~t0 ();
-            trace_detail t pkt ~name:"classification"
-              ~args:[ ("lookup_cycles", string_of_int lookup_cycles) ]
-              ~t0 ();
-            let prior_state = Option.bind (find_session t vid key) (fun s -> s.state) in
-            let verdict, out =
-              Nf.process ~pre ~state:prior_state ~dir:Packet.Tx ~flags:pkt.Packet.flags
-                ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
-            in
-            let stored =
-              let state =
-                match out with Nf.Init st | Nf.Update st -> Some st | Nf.Keep -> prior_state
-              in
-              store_session t vid key { pre = Some pre; state; generation }
-            in
-            match (stored, verdict) with
-            | Error _, _ -> count_drop t Nf.Table_full
-            | Ok (), Nf.Deliver ->
-              maybe_mirror t pre pkt;
-              forward_overlay t pkt ~vni:pre.Pre_action.vni ~dst:pre.Pre_action.peer_server
-            | Ok (), Nf.Drop reason -> count_drop t reason)))
-
-(* Traditional local RX path: the packet has been decapped; [outer_src]
-   is the underlay source preserved for stateful decapsulation. *)
-let local_rx t e pkt ~outer_src =
-  let vid = e.vnic.Vnic.id in
-  let t0 = Sim.now t.sim in
-  let key = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow in
-  let move = Params.packet_cycles t.params ~wire_bytes:(Packet.wire_size pkt) in
-  match e.ruleset with
-  | None -> count_drop t Nf.No_route
-  | Some rs -> (
-    let generation = Ruleset.generation rs in
-    let cached =
-      match find_session t vid key with
-      | Some ({ pre = Some _; _ } as s) when s.generation = generation -> Some s
-      | Some _ | None -> None
-    in
-    match cached with
-    | Some { pre = Some pre; state; _ } ->
-      Stats.Counter.incr t.counters.fast_path_hits;
-      let cycles = move + t.params.Params.fast_path_cycles in
-      charge t ~cycles (fun _sim ->
-          trace_stage t pkt ~name:"fast_path" ~args:[ ("dir", "rx") ] ~t0 ();
-          let verdict, out =
-            Nf.process ~pre ~state ~dir:Packet.Rx ~flags:pkt.Packet.flags
-              ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt)
-              ?decap_src:outer_src ()
-          in
-          apply_state_out t vid key ~generation ~pre_opt:(Some pre) out;
-          match verdict with
-          | Nf.Deliver ->
-            maybe_mirror t pre pkt;
-            deliver_local t vid pkt
-          | Nf.Drop reason -> count_drop t reason)
-    | Some _ | None -> (
-      (* First packet arrived from outside: run the slow path on the
-         TX-orientation tuple (the reverse of what we received). *)
-      Stats.Counter.incr e.slow_execs;
-      match
-        slow_path t rs ~vpc:pkt.Packet.vpc ~flow_tx:(Five_tuple.reverse pkt.Packet.flow)
-      with
-      | None ->
-        let cycles =
-          move
-          + Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
-              ~tables:(Ruleset.table_count rs)
-        in
-        charge t ~cycles (fun _ -> count_drop t Nf.No_route)
-      | Some { Ruleset.pre; cycles } ->
-        let lookup_cycles = cycles in
-        let cycles = move + cycles + t.params.Params.session_setup_cycles in
-        charge t ~cycles (fun _sim ->
-            trace_stage t pkt ~name:"slow_path" ~args:[ ("dir", "rx") ] ~t0 ();
-            trace_detail t pkt ~name:"classification"
-              ~args:[ ("lookup_cycles", string_of_int lookup_cycles) ]
-              ~t0 ();
-            let prior_state = Option.bind (find_session t vid key) (fun s -> s.state) in
-            let verdict, out =
-              Nf.process ~pre ~state:prior_state ~dir:Packet.Rx ~flags:pkt.Packet.flags
-                ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt)
-                ?decap_src:outer_src ()
-            in
-            let stored =
-              let state =
-                match out with Nf.Init st | Nf.Update st -> Some st | Nf.Keep -> prior_state
-              in
-              store_session t vid key { pre = Some pre; state; generation }
-            in
-            match (stored, verdict) with
-            | Error _, _ -> count_drop t Nf.Table_full
-            | Ok (), Nf.Deliver ->
-              maybe_mirror t pre pkt;
-              deliver_local t vid pkt
-            | Ok (), Nf.Drop reason -> count_drop t reason)))
-
 (* ------------------------------------------------------------------ *)
-(* Batched local datapath.
+(* Local datapath (§2.1).  Every entry point runs its packets through
+   [local_batch]: a single packet is a batch of one.
 
-   One pass over the burst groups packets by flow key (linear scan over
-   the unique keys seen so far — batches are small) and resolves each
+   One pass over the burst groups packets by flow key (a linear scan
+   over the packets seen so far — batches are small) and resolves each
    group once: a session-table hit or one slow-path execution, with the
    rest of the group riding the result.  The whole burst is then charged
    as a single SmartNIC submission (one event for the summed cycles) and
-   the continuation replays the exact per-packet sequence the
-   single-packet paths run, so state evolution, stored sessions and
-   verdicts match a packet-at-a-time burst observably.
+   the continuation replays the per-packet sequence in order, so state
+   evolution, stored sessions and verdicts match a packet-at-a-time
+   burst observably.
 
-   Counter discipline: group followers advance the same counters the
-   single path would have (fast-path hit, or slow-path execution whose
+   Counter discipline: group followers advance the same counters a
+   batch of one would have (fast-path hit, or slow-path execution whose
    lookup degenerates to a megaflow hit).  Flows whose peer maps to
-   several FEs are the one divergence: the single path re-walks the
-   pipeline per packet (their megaflow entry is uncacheable) while the
-   batch memo rides the leader's result — same pre-actions (the FE pick
-   hashes the flow, identical within a group), fewer walk cycles. *)
+   several FEs are the one divergence: batches of one re-walk the
+   pipeline per packet (their megaflow entry is uncacheable) while a
+   burst's followers ride the leader's result — same pre-actions (the
+   FE pick hashes the flow, identical within a group), fewer walk
+   cycles. *)
 
-let dummy_key =
-  Flow_key.of_packet_fields ~vpc:(Vpc.make 0)
-    ~flow:
-      (Five_tuple.make ~src:(Ipv4.of_octets 0 0 0 0) ~dst:(Ipv4.of_octets 0 0 0 0)
-         ~src_port:0 ~dst_port:0 ~proto:Five_tuple.Tcp)
+(* How a packet's flow group resolved.  [Cached] carries the session-
+   table entry that hit; [Walked] the entry a slow-path walk will store
+   (state filled in at commit) and the walk's lookup cycles. *)
+type resolution =
+  | Cached of Pre_action.t * session
+  | Walked of Pre_action.t * session * int
+  | Unroutable
 
-let kind_fast = 0
-let kind_slow = 1
-let kind_noroute = 2
+let dir_args = function Packet.Tx -> [ ("dir", "tx") ] | Packet.Rx -> [ ("dir", "rx") ]
 
-(* [outers] is the per-packet preserved outer source on RX; [None] on
-   TX.  Owns [batch]. *)
-let local_batch t e ~dir batch ~outers =
-  let vid = e.vnic.Vnic.id in
-  let t0 = Sim.now t.sim in
-  let n = Pbatch.length batch in
-  if n = 0 then Pbatch.recycle batch
-  else begin
-    match e.ruleset with
-    | None ->
-      for _ = 1 to n do
-        count_drop t Nf.No_route
-      done;
-      Pbatch.recycle batch
-    | Some rs ->
-      let generation = Ruleset.generation rs in
-      let pkt_group = Array.make n 0 in
-      let pkt_lookup = Array.make n 0 in
-      let pkt_key = Array.make n dummy_key in
-      let g_keys = Array.make n dummy_key in
-      let g_kind = Array.make n kind_noroute in
-      let g_pre = Array.make n None in
-      let g_state = Array.make n None in
-      let ngroups = ref 0 in
-      let total_cycles = ref 0 in
-      for i = 0 to n - 1 do
-        let pkt = Pbatch.get batch i in
-        let key = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow in
-        pkt_key.(i) <- key;
-        let move = Params.packet_cycles t.params ~wire_bytes:(Packet.wire_size pkt) in
-        let encap = match dir with Packet.Tx -> t.params.Params.encap_cycles | Packet.Rx -> 0 in
-        let gi = ref (-1) in
-        for j = 0 to !ngroups - 1 do
-          if !gi < 0 && Flow_key.equal g_keys.(j) key then gi := j
-        done;
-        let lookup_cycles = ref 0 in
-        (if !gi < 0 then begin
-           (* Group leader: resolve once. *)
-           let j = !ngroups in
-           incr ngroups;
-           g_keys.(j) <- key;
-           gi := j;
-           let cached =
-             match find_session t vid key with
-             | Some ({ pre = Some _; _ } as s) when s.generation = generation -> Some s
-             | Some _ | None -> None
-           in
-           match cached with
-           | Some { pre = Some pre; state; _ } ->
-             Stats.Counter.incr t.counters.fast_path_hits;
-             g_kind.(j) <- kind_fast;
-             g_pre.(j) <- Some pre;
-             g_state.(j) <- state
-           | Some _ | None -> (
-             Stats.Counter.incr e.slow_execs;
-             let flow_tx =
-               match dir with
-               | Packet.Tx -> pkt.Packet.flow
-               | Packet.Rx -> Five_tuple.reverse pkt.Packet.flow
-             in
-             match slow_path t rs ~vpc:pkt.Packet.vpc ~flow_tx with
-             | None ->
-               g_kind.(j) <- kind_noroute;
-               lookup_cycles :=
-                 Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
-                   ~tables:(Ruleset.table_count rs)
-             | Some { Ruleset.pre; cycles } ->
-               if dir = Packet.Tx && pre.Pre_action.peer_server = None then
-                 learn_mapping t ~vid
-                   ~addr:
-                     { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst };
-               g_kind.(j) <- kind_slow;
-               g_pre.(j) <- Some pre;
-               lookup_cycles := cycles)
-         end
-         else begin
-           (* Follower: account what the single path would have done. *)
-           match g_kind.(!gi) with
-           | k when k = kind_fast -> Stats.Counter.incr t.counters.fast_path_hits
-           | k when k = kind_slow ->
-             Stats.Counter.incr e.slow_execs;
-             Stats.Counter.incr t.counters.slow_path_execs;
-             Ruleset.note_megaflow_hit rs;
-             lookup_cycles := t.params.Params.megaflow_hit_cycles
-           | _ ->
-             (* Unroutable groups are not memoized: the single path
-                burns a failed walk per packet, so replay it. *)
-             Stats.Counter.incr e.slow_execs;
-             ignore
-               (slow_path t rs ~vpc:pkt.Packet.vpc
-                  ~flow_tx:
-                    (match dir with
-                    | Packet.Tx -> pkt.Packet.flow
-                    | Packet.Rx -> Five_tuple.reverse pkt.Packet.flow)
-                 : Ruleset.lookup_result option);
-             lookup_cycles :=
-               Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
-                 ~tables:(Ruleset.table_count rs)
-         end);
-        pkt_group.(i) <- !gi;
-        pkt_lookup.(i) <- !lookup_cycles;
-        let c =
-          match g_kind.(!gi) with
-          | k when k = kind_fast -> move + t.params.Params.fast_path_cycles + encap
-          | k when k = kind_slow ->
-            move + !lookup_cycles + t.params.Params.session_setup_cycles + encap
-          | _ -> move + !lookup_cycles
-        in
-        total_cycles := !total_cycles + c
-      done;
-      let accepted =
-        charge_batch t ~cycles:!total_cycles ~npkts:n (fun _sim ->
-            let out = Pbatch.alloc () in
-            for i = 0 to n - 1 do
-              let pkt = Pbatch.get batch i in
-              let key = pkt_key.(i) in
-              let gi = pkt_group.(i) in
-              let decap_src = match outers with None -> None | Some a -> a.(i) in
-              let dir_arg = match dir with Packet.Tx -> "tx" | Packet.Rx -> "rx" in
-              match g_kind.(gi) with
-              | k when k = kind_fast -> (
-                let pre = Option.get g_pre.(gi) in
-                trace_stage t pkt ~name:"fast_path" ~args:[ ("dir", dir_arg) ] ~t0 ();
-                let verdict, st_out =
-                  Nf.process ~pre ~state:g_state.(gi) ~dir ~flags:pkt.Packet.flags
-                    ~proto:pkt.Packet.flow.Five_tuple.proto
-                    ~wire_bytes:(Packet.wire_size pkt) ?decap_src ()
-                in
-                apply_state_out t vid key ~generation ~pre_opt:(Some pre) st_out;
-                match verdict with
-                | Nf.Deliver -> (
-                  maybe_mirror t pre pkt;
-                  match dir with
-                  | Packet.Tx ->
-                    let outer_dst =
-                      match pre.Pre_action.peer_server with
-                      | Some server -> server
-                      | None -> t.gateway
-                    in
-                    Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni
-                      ~outer_src:t.underlay_ip ~outer_dst;
-                    Pbatch.push out pkt
-                  | Packet.Rx -> deliver_local t vid pkt)
-                | Nf.Drop reason -> count_drop t reason)
-              | k when k = kind_slow -> (
-                let pre = Option.get g_pre.(gi) in
-                trace_stage t pkt ~name:"slow_path" ~args:[ ("dir", dir_arg) ] ~t0 ();
-                trace_detail t pkt ~name:"classification"
-                  ~args:[ ("lookup_cycles", string_of_int pkt_lookup.(i)) ]
-                  ~t0 ();
-                let prior_state =
-                  Option.bind (find_session t vid key) (fun s -> s.state)
-                in
-                let verdict, st_out =
-                  Nf.process ~pre ~state:prior_state ~dir ~flags:pkt.Packet.flags
-                    ~proto:pkt.Packet.flow.Five_tuple.proto
-                    ~wire_bytes:(Packet.wire_size pkt) ?decap_src ()
-                in
-                let stored =
-                  let state =
-                    match st_out with
-                    | Nf.Init st | Nf.Update st -> Some st
-                    | Nf.Keep -> prior_state
-                  in
-                  store_session t vid key { pre = g_pre.(gi); state; generation }
-                in
-                match (stored, verdict) with
-                | Error _, _ -> count_drop t Nf.Table_full
-                | Ok (), Nf.Deliver -> (
-                  maybe_mirror t pre pkt;
-                  match dir with
-                  | Packet.Tx ->
-                    let outer_dst =
-                      match pre.Pre_action.peer_server with
-                      | Some server -> server
-                      | None -> t.gateway
-                    in
-                    Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni
-                      ~outer_src:t.underlay_ip ~outer_dst;
-                    Pbatch.push out pkt
-                  | Packet.Rx -> deliver_local t vid pkt)
-                | Ok (), Nf.Drop reason -> count_drop t reason)
-              | _ -> count_drop t Nf.No_route
-            done;
-            emit_batch t out;
-            Pbatch.recycle batch)
-      in
-      if not accepted then Pbatch.recycle batch
-  end
+(* The rule-table walk runs on the TX-orientation tuple: a first packet
+   arriving from outside is walked on the reverse of what was received. *)
+let walk t rs ~dir pkt =
+  let flow_tx =
+    match dir with
+    | Packet.Tx -> pkt.Packet.flow
+    | Packet.Rx -> Five_tuple.reverse pkt.Packet.flow
+  in
+  slow_path t rs ~vpc:pkt.Packet.vpc ~flow_tx
 
-let local_tx_batch t e batch = local_batch t e ~dir:Packet.Tx batch ~outers:None
+let failed_walk_cycles t rs =
+  Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
+    ~tables:(Ruleset.table_count rs)
 
-let local_rx_batch t e batch ~outers = local_batch t e ~dir:Packet.Rx batch ~outers:(Some outers)
+(* A group leader: the session table, else one slow-path walk. *)
+let resolve t e rs ~dir ~generation pkt key =
+  match find_session t e.vnic.Vnic.id key with
+  | Some ({ pre = Some pre; _ } as s) when s.generation = generation ->
+    Stats.Counter.incr t.counters.fast_path_hits;
+    Cached (pre, s)
+  | Some _ | None -> (
+    Stats.Counter.incr e.slow_execs;
+    match walk t rs ~dir pkt with
+    | None -> Unroutable
+    | Some { Ruleset.pre; cycles } ->
+      if dir = Packet.Tx && pre.Pre_action.peer_server = None then
+        learn_mapping t ~vid:e.vnic.Vnic.id
+          ~addr:{ Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst };
+      Walked (pre, { pre = Some pre; state = None; generation }, cycles))
 
-let from_vm t vid pkt =
-  Stats.Counter.incr t.counters.tx_packets;
-  match entry t vid with
-  | None -> count_drop t Nf.No_vnic
-  | Some e ->
-    let admitted =
-      match e.rate_limit with
-      | None -> true
-      | Some bucket ->
-        Token_bucket.take bucket ~now:(Sim.now t.sim) ~bytes:(Packet.wire_size pkt)
+(* A follower accounts what its own batch of one would have done. *)
+let follow t e rs ~dir pkt = function
+  | Cached _ as r ->
+    Stats.Counter.incr t.counters.fast_path_hits;
+    r
+  | Walked (pre, s, _) ->
+    Stats.Counter.incr e.slow_execs;
+    Stats.Counter.incr t.counters.slow_path_execs;
+    Ruleset.note_megaflow_hit rs;
+    Walked (pre, s, t.params.Params.megaflow_hit_cycles)
+  | Unroutable ->
+    (* Unroutable groups are not memoized: a batch of one burns a failed
+       walk per packet, so replay it. *)
+    Stats.Counter.incr e.slow_execs;
+    ignore (walk t rs ~dir pkt : Ruleset.lookup_result option);
+    Unroutable
+
+let run_nf ~dir ?decap_src ~pre ~state pkt =
+  Nf.process ~pre ~state ~dir ~flags:pkt.Packet.flags ~proto:pkt.Packet.flow.Five_tuple.proto
+    ~wire_bytes:(Packet.wire_size pkt) ?decap_src ()
+
+(* A delivered packet leaves for the net (TX) or the local VM (RX). *)
+let deliver t vid ~dir out pre pkt =
+  maybe_mirror t pre pkt;
+  match dir with
+  | Packet.Tx ->
+    let outer_dst =
+      match pre.Pre_action.peer_server with Some server -> server | None -> t.gateway
     in
-    if not admitted then count_drop t Nf.Rate_limited
-    else begin
-      trace_begin t pkt;
-      match e.intercept with
-      | Some i -> ( match i.on_tx pkt with `Handled -> () | `Continue -> local_tx t e pkt)
-      | None -> local_tx t e pkt
-    end
+    Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni ~outer_src:t.underlay_ip ~outer_dst;
+    Pbatch.push out pkt
+  | Packet.Rx -> deliver_local t vid pkt
 
-(* vNIC TX burst: the batched twin of [from_vm].  Owns [batch]. *)
+(* One packet of a burst, as the classification pass leaves it for the
+   commit. *)
+type slot = { pkt : Packet.t; key : Flow_key.t; res : resolution; decap_src : Ipv4.t option }
+
+(* The resolution of [key]'s group among the slots so far (newest first). *)
+let rec group_of key = function
+  | [] -> None
+  | s :: rest -> if Flow_key.equal s.key key then Some s.res else group_of key rest
+
+let commit t vid ~dir ~t0 out { pkt; key; res; decap_src } =
+  match res with
+  | Cached (pre, s) -> (
+    trace_stage t pkt ~name:"fast_path" ~args:(dir_args dir) ~t0 ();
+    let verdict, out_state = run_nf ~dir ?decap_src ~pre ~state:s.state pkt in
+    (match out_state with
+    | Nf.Keep -> touch_session t vid key
+    | Nf.Init st | Nf.Update st ->
+      ignore (store_session t vid key { s with state = Some st } : Admission.t));
+    match verdict with
+    | Nf.Deliver -> deliver t vid ~dir out pre pkt
+    | Nf.Drop reason -> count_drop t reason)
+  | Walked (pre, s, lookup) -> (
+    trace_stage t pkt ~name:"slow_path" ~args:(dir_args dir) ~t0 ();
+    if pkt.Packet.trace_id <> 0 then
+      trace_detail t pkt ~name:"classification"
+        ~args:[ ("lookup_cycles", string_of_int lookup) ]
+        ~t0 ();
+    let prior = Option.bind (find_session t vid key) (fun s -> s.state) in
+    let verdict, out_state = run_nf ~dir ?decap_src ~pre ~state:prior pkt in
+    let state =
+      match out_state with Nf.Init st | Nf.Update st -> Some st | Nf.Keep -> prior
+    in
+    match (store_session t vid key { s with state }, verdict) with
+    | Error _, _ -> count_drop t Nf.Table_full
+    | Ok (), Nf.Deliver -> deliver t vid ~dir out pre pkt
+    | Ok (), Nf.Drop reason -> count_drop t reason)
+  | Unroutable -> count_drop t Nf.No_route
+
+(* Commit the slots oldest first; the list is newest first. *)
+let rec commit_all t vid ~dir ~t0 out = function
+  | [] -> ()
+  | s :: older ->
+    commit_all t vid ~dir ~t0 out older;
+    commit t vid ~dir ~t0 out s
+
+(* Owns [batch].  RX packets arrive still encapsulated and are decapped
+   here, each outer source kept for stateful decapsulation. *)
+let local_batch t e ~dir batch =
+  match e.ruleset with
+  | None ->
+    Stats.Counter.add (drop_counter t Nf.No_route) (Pbatch.length batch);
+    Pbatch.recycle batch
+  | Some rs ->
+    let p = t.params in
+    let generation = Ruleset.generation rs in
+    let encap = match dir with Packet.Tx -> p.Params.encap_cycles | Packet.Rx -> 0 in
+    let slots = ref [] and total = ref 0 in
+    for i = 0 to Pbatch.length batch - 1 do
+      let pkt = Pbatch.get batch i in
+      let decap_src =
+        match dir with
+        | Packet.Tx -> None
+        | Packet.Rx -> (
+          match Packet.decap_vxlan pkt with Some v -> Some v.Packet.outer_src | None -> None)
+      in
+      let key = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow in
+      let res =
+        match group_of key !slots with
+        | None -> resolve t e rs ~dir ~generation pkt key
+        | Some r -> follow t e rs ~dir pkt r
+      in
+      slots := { pkt; key; res; decap_src } :: !slots;
+      total :=
+        !total
+        + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
+        +
+        match res with
+        | Cached _ -> p.Params.fast_path_cycles + encap
+        | Walked (_, _, lookup) -> lookup + p.Params.session_setup_cycles + encap
+        | Unroutable -> failed_walk_cycles t rs
+    done;
+    let slots = !slots and vid = e.vnic.Vnic.id and t0 = Sim.now t.sim in
+    let n = Pbatch.length batch in
+    if n = 0 then Pbatch.recycle batch
+    else if
+      not
+        (charge_batch t ~cycles:!total ~npkts:n (fun _sim ->
+             (* The packets live on in [slots]; the batch is refilled with
+                what leaves for the net. *)
+             Pbatch.clear batch;
+             commit_all t vid ~dir ~t0 batch slots;
+             emit_batch t batch))
+    then Pbatch.recycle batch
+
+(* vNIC TX burst.  Owns [batch]. *)
 let from_vnic_batch t vid batch =
   let n = Pbatch.length batch in
   Stats.Counter.add t.counters.tx_packets n;
   match entry t vid with
   | None ->
-    for _ = 1 to n do
-      count_drop t Nf.No_vnic
-    done;
+    Stats.Counter.add (drop_counter t Nf.No_vnic) n;
     Pbatch.recycle batch
   | Some e -> (
     (match e.rate_limit with
@@ -1000,21 +788,57 @@ let from_vnic_batch t vid batch =
           in
           if not ok then count_drop t Nf.Rate_limited;
           ok));
-    Pbatch.iter batch (fun pkt -> trace_begin t pkt);
+    for i = 0 to Pbatch.length batch - 1 do
+      trace_begin t (Pbatch.get batch i)
+    done;
     match e.intercept with
     | Some { on_tx_batch = Some h; _ } -> h batch
     | Some i ->
       (* Single-packet interceptor: unroll, then the batch shell is
          spent. *)
-      Pbatch.iter batch (fun pkt ->
-          match i.on_tx pkt with `Handled -> () | `Continue -> local_tx t e pkt);
+      for k = 0 to Pbatch.length batch - 1 do
+        let pkt = Pbatch.get batch k in
+        match i.on_tx pkt with
+        | `Handled -> ()
+        | `Continue -> local_batch t e ~dir:Packet.Tx (Pbatch.singleton pkt)
+      done;
       Pbatch.recycle batch
-    | None -> local_tx_batch t e batch)
+    | None -> local_batch t e ~dir:Packet.Tx batch)
 
+let from_vm t vid pkt = from_vnic_batch t vid (Pbatch.singleton pkt)
+
+let local_vnic t pkt =
+  match
+    Vnic.Addr.Table.find_opt t.by_addr
+      { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst }
+  with
+  | Some vnic -> entry t vnic.Vnic.id
+  | None -> None
+
+(* A decapped underlay packet for [local], the inner destination's vNIC
+   entry on this server (if any), once the net hook has had its turn. *)
+let rx_local t pkt ~outer local =
+  match local with
+  | Some e -> (
+    let declined =
+      match e.intercept with
+      | Some i -> ( match i.on_rx pkt with `Handled -> false | `Continue -> true)
+      | None -> true
+    in
+    if declined then begin
+      (* The local path decaps for itself. *)
+      pkt.Packet.vxlan <- outer;
+      local_batch t e ~dir:Packet.Rx (Pbatch.singleton pkt)
+    end)
+  | None -> (
+    match (t.net_hook, pkt.Packet.nsh) with
+    | Some hook, None -> (
+      match hook pkt ~outer with `Handled -> () | `Continue -> count_drop t Nf.No_vnic)
+    | Some _, Some _ | None, _ -> count_drop t Nf.No_vnic)
+
+(* One underlay packet, outside any vectored run. *)
 let from_net_one t pkt =
   let outer = Packet.decap_vxlan pkt in
-  let outer_src = Option.map (fun v -> v.Packet.outer_src) outer in
-  let dst_addr = { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst } in
   (* NSH-bearing packets are Nezha-internal workflow traffic: the net
      hook gets first refusal even when the inner destination is hosted
      locally — an FE may share a server with a session's peer, and its
@@ -1024,138 +848,78 @@ let from_net_one t pkt =
     | Some hook, Some _ -> ( match hook pkt ~outer with `Handled -> true | `Continue -> false)
     | Some _, None | None, _ -> false
   in
-  if not hooked then
-    match Vnic.Addr.Table.find_opt t.by_addr dst_addr with
-    | Some vnic -> (
-      match entry t vnic.Vnic.id with
-      | None -> count_drop t Nf.No_vnic
-      | Some e -> (
-        match e.intercept with
-        | Some i -> (
-          match i.on_rx pkt with `Handled -> () | `Continue -> local_rx t e pkt ~outer_src)
-        | None -> local_rx t e pkt ~outer_src))
-    | None -> (
-      match (t.net_hook, pkt.Packet.nsh) with
-      | Some hook, None -> (
-        match hook pkt ~outer with `Handled -> () | `Continue -> count_drop t Nf.No_vnic)
-      | Some _, Some _ | None, _ -> count_drop t Nf.No_vnic)
+  if not hooked then rx_local t pkt ~outer (local_vnic t pkt)
 
 let from_net t pkt =
   Stats.Counter.incr t.counters.rx_packets;
   from_net_one t pkt
 
+(* The lanes [from_net_batch] keeps vectored: NSH workflow traffic for
+   the batch net hook, and tenant traffic for one un-intercepted vNIC.
+   Both lanes hand their runs over still encapsulated.  Any other packet
+   goes on its own: NSH traffic offered to the single net hook first, or
+   the rest with its destination vNIC already looked up. *)
+type lane = Nsh_lane | Vnic_lane of vnic_entry | Hook_first | Local of vnic_entry option
+
+let lane_of t pkt =
+  match (t.net_hook_batch, t.net_hook, pkt.Packet.nsh) with
+  | Some _, _, Some _ -> Nsh_lane
+  | None, Some _, Some _ -> Hook_first
+  | _, _, _ -> (
+    match local_vnic t pkt with
+    | Some ({ intercept = None; _ } as e) -> Vnic_lane e
+    | local -> Local local)
+
+let flush_lane t lane run =
+  match lane with
+  | Hook_first | Local _ -> Pbatch.recycle run (* these lanes never hold a run *)
+  | Vnic_lane e -> local_batch t e ~dir:Packet.Rx run
+  | Nsh_lane -> (
+    (* The lane only opens when a batch hook is installed; if it vanished
+       mid-burst, everything is leftover. *)
+    let leftover = match t.net_hook_batch with Some h -> h run | None -> Some run in
+    match leftover with
+    | None -> ()
+    | Some lb ->
+      for i = 0 to Pbatch.length lb - 1 do
+        from_net_one t (Pbatch.get lb i)
+      done;
+      Pbatch.recycle lb)
+
 (* Net RX burst.  The pass keeps packets in arrival order and carves the
-   burst into maximal consecutive runs that can stay vectored: NSH
-   workflow traffic bound for the batch net hook (handed over still
-   encapsulated), and same-vNIC tenant traffic with no interceptor
-   (decapped here, outer sources preserved).  A packet that fits
-   neither flushes the open run and takes the single-packet path, so
-   side effects interleave exactly as a packet-at-a-time burst.  Owns
+   burst into maximal consecutive runs of one lane; a run that spans
+   the whole burst is handed over as the burst itself.  A packet that
+   fits no lane ends the open run and takes [from_net_one], so side
+   effects interleave exactly as a packet-at-a-time burst.  Owns
    [batch]. *)
 let from_net_batch t batch =
   let n = Pbatch.length batch in
-  if n = 0 then Pbatch.recycle batch
-  else begin
-    Stats.Counter.add t.counters.rx_packets n;
-    let nsh_run = ref None in
-    let vnic_run = ref None in
-    let flush_nsh () =
-      match !nsh_run with
-      | None -> ()
-      | Some run -> (
-        nsh_run := None;
-        match t.net_hook_batch with
-        | Some h -> (
-          match h run with
-          | None -> ()
-          | Some leftover ->
-            Pbatch.iter leftover (fun p -> from_net_one t p);
-            Pbatch.recycle leftover)
-        | None ->
-          (* The run only opens when a batch hook is installed; if it
-             vanished mid-burst, unroll. *)
-          Pbatch.iter run (fun p -> from_net_one t p);
-          Pbatch.recycle run)
-    in
-    let flush_vnic () =
-      match !vnic_run with
-      | None -> ()
-      | Some (e, run, outers) ->
-        vnic_run := None;
-        local_rx_batch t e run ~outers
-    in
-    let flush_all () =
-      flush_nsh ();
-      flush_vnic ()
-    in
-    for i = 0 to n - 1 do
-      let pkt = Pbatch.get batch i in
-      match (t.net_hook_batch, pkt.Packet.nsh) with
-      | Some _, Some _ ->
-        flush_vnic ();
-        let run =
-          match !nsh_run with
-          | Some r -> r
-          | None ->
-            let r = Pbatch.alloc () in
-            nsh_run := Some r;
-            r
-        in
-        Pbatch.push run pkt
-      | (Some _ | None), _ -> (
-        let hook_first =
-          match (t.net_hook, pkt.Packet.nsh) with
-          | Some _, Some _ -> true
-          | (Some _ | None), _ -> false
-        in
-        if hook_first then begin
-          flush_all ();
-          from_net_one t pkt
-        end
-        else
-          let dst_addr =
-            { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst }
-          in
-          match Vnic.Addr.Table.find_opt t.by_addr dst_addr with
-          | Some vnic -> (
-            match entry t vnic.Vnic.id with
-            | Some ({ intercept = None; _ } as e) -> (
-              let push_into run outers =
-                let outer = Packet.decap_vxlan pkt in
-                outers.(Pbatch.length run) <-
-                  Option.map (fun v -> v.Packet.outer_src) outer;
-                Pbatch.push run pkt
-              in
-              match !vnic_run with
-              | Some (e', run, outers) when e' == e -> push_into run outers
-              | Some _ | None ->
-                flush_all ();
-                let run = Pbatch.alloc () in
-                let outers = Array.make (n - i) None in
-                push_into run outers;
-                vnic_run := Some (e, run, outers))
-            | Some { intercept = Some _; _ } | None ->
-              flush_all ();
-              from_net_one t pkt)
-          | None ->
-            flush_all ();
-            from_net_one t pkt)
-    done;
-    flush_all ();
+  Stats.Counter.add t.counters.rx_packets n;
+  (* The open run is [start, i) in [lane]. *)
+  let lane = ref Hook_first and start = ref 0 in
+  for i = 0 to n - 1 do
+    let pkt = Pbatch.get batch i in
+    let next = lane_of t pkt in
+    match (!lane, next) with
+    | Nsh_lane, Nsh_lane -> ()
+    | Vnic_lane e, Vnic_lane e' when e == e' -> ()
+    | open_lane, _ -> (
+      (match open_lane with
+      | Nsh_lane | Vnic_lane _ -> flush_lane t open_lane (Pbatch.sub batch !start (i - !start))
+      | Hook_first | Local _ -> ());
+      lane := next;
+      start := i;
+      match next with
+      | Hook_first -> from_net_one t pkt
+      | Local local -> rx_local t pkt ~outer:(Packet.decap_vxlan pkt) local
+      | Nsh_lane | Vnic_lane _ -> ())
+  done;
+  match !lane with
+  | Hook_first | Local _ -> Pbatch.recycle batch
+  | (Nsh_lane | Vnic_lane _) as l when !start = 0 -> flush_lane t l batch
+  | l ->
+    flush_lane t l (Pbatch.sub batch !start (n - !start));
     Pbatch.recycle batch
-  end
-
-(* The vSwitch's net-facing ingress, in the shared shape. *)
-module Net_ingress = struct
-  type nonrec t = t
-  type ctx = unit
-
-  let ingest t ~ctx:() pkt =
-    from_net t pkt;
-    `Handled
-
-  let ingest_batch t ~ctx:() batch = from_net_batch t batch
-end
 
 let set_flow_log_sink t sink = t.flow_log <- sink
 

@@ -28,8 +28,8 @@ type output =
 
 type sink = {
   on_output : output -> unit;
-      (** single results: every [To_vm], plus [To_net] leaving a
-          single-packet path *)
+      (** one packet at a time: every [To_vm], plus the control sends
+          (acks, notifies, bounces, mirrors) the BE and FE emit *)
   on_net_batch : Pbatch.t -> unit;
       (** an encapsulated net burst; the sink takes ownership and
           recycles the batch *)
@@ -194,8 +194,12 @@ val invalidate_cached_flows : t -> Vnic.id -> unit
 
 (** {1 Datapath} *)
 
+(** There is one local path, and it is batched: a single packet enters
+    it as a batch of one. *)
+
 val from_vm : t -> Vnic.id -> Packet.t -> unit
-(** A local VM emitted a TX packet. *)
+(** A local VM emitted a TX packet: {!from_vnic_batch} on a one-slot
+    batch. *)
 
 val from_vnic_batch : t -> Vnic.id -> Pbatch.t -> unit
 (** A local vNIC emitted a TX burst.  Takes ownership of the batch.
@@ -204,16 +208,13 @@ val from_vnic_batch : t -> Vnic.id -> Pbatch.t -> unit
     charging the SmartNIC once for the whole burst. *)
 
 val from_net : t -> Packet.t -> unit
-(** The underlay delivered a packet to this server. *)
+(** The underlay delivered a packet to this server.  Hook and intercept
+    declines reach the local RX path as a one-slot batch. *)
 
 val from_net_batch : t -> Pbatch.t -> unit
 (** The underlay delivered a burst.  Takes ownership; carves the burst
     into maximal in-order vectored runs (batch net hook, per-vNIC local
-    RX) and falls back to the single-packet path between them. *)
-
-module Net_ingress : Ingress.S with type t = t and type ctx = unit
-(** The net-facing ingress in the shared {!Ingress.S} shape
-    ([ingest] = {!from_net}, [ingest_batch] = {!from_net_batch}). *)
+    RX) and hands each packet between them to {!from_net}'s path. *)
 
 (** {1 Nezha integration hooks} *)
 
@@ -247,7 +248,8 @@ val set_net_hook_batch : t -> (Pbatch.t -> Pbatch.t option) option -> unit
     still-encapsulated NSH-bearing packets (ownership included) and
     returns the still-encapsulated leftover it declined — or [None] when
     it consumed everything.  The leftover transfers back to the caller,
-    which routes it through the single-packet path. *)
+    which offers each packet to the single hook and then the local
+    vNIC. *)
 
 val vnic_slow_execs : t -> Vnic.id -> int
 (** Slow-path executions attributed to this vNIC — the controller's

@@ -450,6 +450,98 @@ let test_batch_loss_differential () =
      delivered)
 
 (* ------------------------------------------------------------------ *)
+(* A declined NSH packet.  A packet from a vNIC the FE serves, whose NSH
+   carries no state, is not FE work: the FE hands it back with its
+   header intact, and the vSwitch carries on with it — local delivery
+   when the inner destination is hosted here, a No_vnic drop otherwise.
+   The single path and the burst must agree on that outcome. *)
+
+let test_declined_nsh_differential () =
+  let run batch =
+    let w = make_local () in
+    let fe = Fe.install w.lvs in
+    let served = Vnic.make ~id:7 ~vpc:(Vpc.make 5) ~ip:(ip "10.0.0.9") ~mac:(Mac.of_int64 7L) in
+    (match Fe.serve fe ~vnic:served ~ruleset:(Ruleset.create ~vni:5 ()) ~be:(ip "192.168.0.9") with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "served vnic must fit");
+    let declined dst =
+      let p =
+        Packet.create ~vpc:(Vpc.make 5)
+          ~flow:
+            (Five_tuple.make ~src:(ip "10.0.0.9") ~dst:(ip dst) ~src_port:5000 ~dst_port:80
+               ~proto:Five_tuple.Tcp)
+          ~direction:Packet.Rx ~flags:Packet.syn ()
+      in
+      Packet.set_nsh p Packet.empty_nsh;
+      Packet.encap_vxlan p ~vni:5 ~outer_src:(ip "192.168.0.9") ~outer_dst:(ip "192.168.0.1");
+      p
+    in
+    let pkts = [ declined "10.0.0.1"; declined "10.0.0.99" ] in
+    if batch then Vswitch.from_net_batch w.lvs (Pbatch.of_list pkts)
+    else List.iter (Vswitch.from_net w.lvs) pkts;
+    Sim.run w.lsim ~until:1.0;
+    let c = Fe.counters fe in
+    ( local_observed w,
+      List.map Stats.Counter.value [ c.Fe.rule_lookups; c.Fe.rx_forwarded; c.Fe.tx_finalized ],
+      Vswitch.drop_count w.lvs Nf.No_vnic )
+  in
+  let single = run false and burst = run true in
+  check_bool "declined NSH packet: same outcome" true (single = burst);
+  let (_, to_vm, _, _, _), fe_work, no_vnic = single in
+  check_bool "no FE work done" true (List.for_all (( = ) 0) fe_work);
+  (match to_vm with
+  | [ (_, (_, _, _, _, has_nsh)) ] -> check_bool "delivered with its header" true has_nsh
+  | _ -> Alcotest.fail "the hosted destination must get exactly one packet");
+  check_int "the unhosted destination is a No_vnic drop" 1 no_vnic
+
+(* ------------------------------------------------------------------ *)
+(* Arena hygiene: single-packet entry points borrow one-slot batches
+   from the [Pbatch] arena, so every path — delivery and drop alike —
+   must hand them back.  Outstanding = batches taken - batches
+   recycled, measured across a run that has gone quiescent (so the
+   bursts injected here come from the arena too). *)
+
+let outstanding_after f =
+  let f0, r0, c0 = Pbatch.pool_stats () in
+  f ();
+  let f1, r1, c1 = Pbatch.pool_stats () in
+  f1 - f0 + (r1 - r0) - (c1 - c0)
+
+let test_no_leak_crr ~offloaded () =
+  let leaked =
+    outstanding_after (fun () ->
+        let t = Nezha_harness.Testbed.create ~seed:3 () in
+        if offloaded then ignore (Nezha_harness.Testbed.offload t () : Controller.offload);
+        let crr = Nezha_harness.Testbed.run_crr t ~rate:200.0 ~duration:1.0 () in
+        check_bool "connections completed" true (Nezha_workloads.Tcp_crr.completed crr > 0))
+  in
+  check_int "no Pbatch batch outstanding" 0 leaked
+
+let test_no_leak_on_drops () =
+  let w = make_local () in
+  let leaked =
+    outstanding_after (fun () ->
+        (* No_vnic, both directions. *)
+        Vswitch.from_vm w.lvs (Vnic.id_of_int 99) (tx_of_spec (0, 0));
+        Vswitch.from_net w.lvs (rx_of_spec (3, 0));
+        Vswitch.from_net_batch w.lvs (Pbatch.singleton (rx_of_spec (3, 0)));
+        (* Rate_limited: a near-empty bucket turns packets away. *)
+        Vswitch.set_rate_limit w.lvs vnic_a.Vnic.id ~bps:8.0 ~burst_bytes:100.0;
+        List.iter (fun _ -> Vswitch.from_vm w.lvs vnic_a.Vnic.id (tx_of_spec (0, 1))) [ 1; 2; 3 ];
+        Vswitch.clear_rate_limit w.lvs vnic_a.Vnic.id;
+        Sim.run w.lsim ~until:1.0;
+        (* A crashed NIC rejects the charge. *)
+        Smartnic.crash (Vswitch.nic w.lvs);
+        Vswitch.from_vm w.lvs vnic_a.Vnic.id (tx_of_spec (1, 0));
+        Vswitch.from_net w.lvs (rx_of_spec (0, 0));
+        Sim.run w.lsim ~until:2.0)
+  in
+  check_int "No_vnic drops" 3 (Vswitch.drop_count w.lvs Nf.No_vnic);
+  check_bool "rate-limit drops" true (Vswitch.drop_count w.lvs Nf.Rate_limited > 0);
+  check_int "crashed-NIC drops" 2 (Vswitch.drop_count w.lvs Nf.Nic_crashed);
+  check_int "no Pbatch batch outstanding" 0 leaked
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ qtest_local_tx; qtest_local_rx; qtest_hop ]
@@ -466,5 +558,13 @@ let () =
       ( "differential",
         Alcotest.test_case "rate-limit draw order" `Quick test_batch_rate_limit_differential
         :: Alcotest.test_case "BE->FE hop under 1% loss" `Quick test_batch_loss_differential
+        :: Alcotest.test_case "declined NSH packet" `Quick test_declined_nsh_differential
         :: qsuite );
+      ( "arena",
+        [
+          Alcotest.test_case "no leak: local TCP_CRR" `Quick (test_no_leak_crr ~offloaded:false);
+          Alcotest.test_case "no leak: offloaded TCP_CRR" `Quick
+            (test_no_leak_crr ~offloaded:true);
+          Alcotest.test_case "no leak: drop paths" `Quick test_no_leak_on_drops;
+        ] );
     ]

@@ -446,8 +446,8 @@ let prop_tss_equivalent =
 
 let classifier_pair nrules ~seed =
   let rng = Nezha_engine.Rng.create seed in
-  let lin = Classifier.create ~backend:Classifier.Linear () in
-  let tss = Classifier.create ~backend:Classifier.Tuple_space () in
+  let lin = Classifier.create ~policy:(Classifier.Fixed Classifier.Linear) () in
+  let tss = Classifier.create ~policy:(Classifier.Fixed Classifier.Tuple_space) () in
   for i = 1 to nrules do
     let r = random_rule rng i in
     Classifier.add lin r;
@@ -484,7 +484,7 @@ let test_classifier_backends_agree () =
 let test_classifier_resync_on_direct_acl_mutation () =
   (* Tenant rule updates mutate the ACL through its own handle; the TSS
      index must notice via the revision counter. *)
-  let c = Classifier.create ~backend:Classifier.Tuple_space () in
+  let c = Classifier.create ~policy:(Classifier.Fixed Classifier.Tuple_space) () in
   let t5 = tuple "10.1.2.3" "2.2.2.2" in
   check_bool "permit before" true ((Classifier.lookup c t5).Classifier.action = Acl.Permit);
   Acl.add (Classifier.acl c) (Acl.rule ~priority:1 ~src:(pfx "10.0.0.0/8") Acl.Deny);
