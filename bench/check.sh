@@ -132,7 +132,8 @@ assert doc["schema"] == "nezha-bench/1", doc.get("schema")
 micro = doc["experiments"]["micro"]
 ns = micro["ns_per_op"]
 for k in ("acl_linear_1k", "acl_tss_1k", "acl_cached_1k", "five_tuple_hash",
-          "lpm_lookup_1k", "flow_table_insert", "flow_table_find"):
+          "lpm_lookup_1k", "flow_table_insert", "flow_table_find",
+          "sim_event_64", "sim_event_4096"):
     assert k in ns and ns[k] == ns[k] and ns[k] > 0.0, \
         "%s not a positive ns/op: %r" % (k, ns.get(k))  # present, not NaN
 # The whole point of the classifier backends: TSS and the megaflow

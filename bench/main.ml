@@ -303,7 +303,7 @@ let ablations () =
 (* Region-scale macrobenchmark: the Fig. 13 region run as an engine
    stress test.  The sweep contrasts the classic single-heap engine
    (shards=1, fresh closure per firing pushed through one big heap)
-   against the tuned engine (timer-wheel re-arming + pooled events) at
+   against the tuned engine (timer-wheel re-arming of one closure) at
    growing shard counts; the region section is the measured
    before/after-Nezha overload count.  Digest cross-checks ride along:
    all tuned entries must agree regardless of shard count, and the
@@ -657,6 +657,26 @@ let micro_results () =
       ~flags:Nezha_net.Packet.syn ~payload_len:100 ()
   in
   let encoded = Nezha_net.Packet.encode pkt in
+  (* Engine kernels: one schedule plus one engine turn with [n] events
+     pending, so the queue holds [n] throughout.  Delays cycle through a
+     seeded table spread over [n] seconds, so new events land all over
+     the heap rather than always at its tail. *)
+  let sim_event n =
+    let sim = Sim.create () in
+    let rng = Rng.create 7 in
+    let delays = Array.init 1024 (fun _ -> Rng.float rng (float_of_int n)) in
+    let noop (_ : Sim.t) = () in
+    for i = 0 to n - 1 do
+      ignore (Sim.schedule sim ~delay:delays.(i land 1023) noop : Sim.handle)
+    done;
+    let idx = ref 0 in
+    Test.make ~name:(Printf.sprintf "sim_event_%d" n)
+      (Staged.stage (fun () ->
+           let i = !idx in
+           idx := (i + 1) land 1023;
+           ignore (Sim.schedule sim ~delay:(Array.unsafe_get delays i) noop : Sim.handle);
+           Sim.step sim))
+  in
   let tests =
     [
       Test.make ~name:"five_tuple_hash" (Staged.stage (fun () -> Nezha_net.Five_tuple.hash tuple));
@@ -690,6 +710,8 @@ let micro_results () =
         (Staged.stage (fun () ->
              let st = Nezha_vswitch.State.init ~first_dir:Nezha_net.Packet.Tx () in
              Nezha_vswitch.State.decode (Nezha_vswitch.State.encode st)));
+      sim_event 64;
+      sim_event 4096;
       ]
   in
   let core = run_micro_tests tests in

@@ -1,26 +1,29 @@
 type handle = { mutable alive : bool }
 
-(* Event records are mutable and recycled through a per-simulation free
-   list: the hot loop (pop, run, schedule) reuses the same records
-   instead of allocating one per scheduled event.  A record is owned by
-   the heap while queued and by the pool while free; nothing else may
-   hold on to one. *)
-type event = {
-  mutable time : float;
-  mutable order : int;
-  mutable ev_handle : handle;
-  mutable action : t -> unit;
-}
+(* The clock sits in an all-float record, so advancing it stores an
+   unboxed float: no allocation and no write barrier per event. *)
+type clock = { mutable now : float }
 
-and t = {
-  mutable clock : float;
+(* The event queue is a binary min-heap over [(time, seq)] kept in three
+   parallel arrays: heap position [i] holds the event [(times.(i),
+   seqs.(i))], whose action and handle live in pool slot [slots.(i)].
+   Sifts move a hole and copy floats and ints, never a pointer, so they
+   run no write barrier.  Positions [size, fresh) of [slots] hold the
+   free slots: popping an event parks its slot just past the heap and
+   the next push takes it back, so a warm simulation hands out no new
+   slot. *)
+type t = {
+  clk : clock;
   mutable seq : int;
   mutable executed : int;
-  queue : event Heap.t;
-  mutable pool : event array; (* stack of recycled event records *)
-  mutable pool_n : int;
-  mutable pool_hits : int;
-  mutable pool_misses : int;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable size : int;  (* events queued *)
+  mutable fresh : int;  (* slots ever handed out *)
+  mutable reused : int;
+  mutable actions : (t -> unit) array;  (* by slot *)
+  mutable handles : handle array;  (* by slot *)
   timer_tick : float;
   timer_slots : int;
   mutable wheel : (t -> unit) Timer_wheel.t option; (* created lazily *)
@@ -42,79 +45,124 @@ type timer = (t -> unit) Timer_wheel.timer
 
 let dead_handle = { alive = false }
 let no_action : t -> unit = fun _ -> ()
-let dummy_event = { time = 0.0; order = 0; ev_handle = dead_handle; action = no_action }
-
-let cmp_event a b =
-  let c = Float.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.order b.order
 
 let create ?(capacity = 256) ?(timer_tick = 1e-3) ?(timer_slots = 1024) () =
   if timer_tick <= 0.0 then invalid_arg "Sim.create: timer_tick must be positive";
   if timer_slots <= 0 then invalid_arg "Sim.create: timer_slots must be positive";
+  let cap = max 1 capacity in
   {
-    clock = 0.0;
+    clk = { now = 0.0 };
     seq = 0;
     executed = 0;
-    queue = Heap.create ~capacity ~cmp:cmp_event ();
-    pool = [||];
-    pool_n = 0;
-    pool_hits = 0;
-    pool_misses = 0;
+    times = Array.make cap 0.0;
+    seqs = Array.make cap 0;
+    slots = Array.make cap 0;
+    size = 0;
+    fresh = 0;
+    reused = 0;
+    actions = Array.make cap no_action;
+    handles = Array.make cap dead_handle;
     timer_tick;
     timer_slots;
     wheel = None;
     shard = None;
   }
 
-let now t = t.clock
+let now t = t.clk.now
 
-let alloc_event t ~time ~handle ~action =
-  t.seq <- t.seq + 1;
-  if t.pool_n > 0 then begin
-    t.pool_n <- t.pool_n - 1;
-    let ev = t.pool.(t.pool_n) in
-    t.pool.(t.pool_n) <- dummy_event;
-    ev.time <- time;
-    ev.order <- t.seq;
-    ev.ev_handle <- handle;
-    ev.action <- action;
-    t.pool_hits <- t.pool_hits + 1;
-    ev
-  end
-  else begin
-    t.pool_misses <- t.pool_misses + 1;
-    { time; order = t.seq; ev_handle = handle; action }
-  end
+let grow t =
+  let cap = Array.length t.times in
+  let extend a fill =
+    let b = Array.make (2 * cap) fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times 0.0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.actions <- extend t.actions no_action;
+  t.handles <- extend t.handles dead_handle
 
-let recycle_event t ev =
-  (* Clear the closure and handle slots so the pool never keeps dead
-     captures alive. *)
-  ev.ev_handle <- dead_handle;
-  ev.action <- no_action;
-  let cap = Array.length t.pool in
-  if t.pool_n = cap then begin
-    let ncap = if cap = 0 then 64 else cap * 2 in
-    let np = Array.make ncap dummy_event in
-    Array.blit t.pool 0 np 0 cap;
-    t.pool <- np
-  end;
-  t.pool.(t.pool_n) <- ev;
-  t.pool_n <- t.pool_n + 1
-
-let pool_stats t = (t.pool_hits, t.pool_misses)
+let pool_stats t = (t.reused, t.fresh)
 
 let enqueue t ~time ~handle action =
-  Heap.push t.queue (alloc_event t ~time ~handle ~action)
+  let n = t.size in
+  let slot =
+    if n < t.fresh then begin
+      t.reused <- t.reused + 1;
+      t.slots.(n)
+    end
+    else begin
+      if n = Array.length t.times then grow t;
+      t.fresh <- n + 1;
+      n
+    end
+  in
+  t.actions.(slot) <- action;
+  t.handles.(slot) <- handle;
+  t.seq <- t.seq + 1;
+  (* Sift a hole up from position [n].  The new event carries the
+     largest sequence number yet, so it rises only past strictly later
+     times. *)
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let i = ref n in
+  while !i > 0 && time < times.((!i - 1) lsr 1) do
+    let p = (!i - 1) lsr 1 in
+    times.(!i) <- times.(p);
+    seqs.(!i) <- seqs.(p);
+    slots.(!i) <- slots.(p);
+    i := p
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- t.seq;
+  slots.(!i) <- slot;
+  t.size <- n + 1
+
+(* Drop the root: sift the last event down from a hole at the root, then
+   park the root's slot at the position the heap gave up. *)
+let remove_min t =
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let top = slots.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let lt = times.(n) and ls = seqs.(n) and lslot = slots.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && (times.(r) < times.(l) || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        let ct = times.(c) in
+        if ct < lt || (ct = lt && seqs.(c) < ls) then begin
+          times.(!i) <- ct;
+          seqs.(!i) <- seqs.(c);
+          slots.(!i) <- slots.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    times.(!i) <- lt;
+    seqs.(!i) <- ls;
+    slots.(!i) <- lslot
+  end;
+  slots.(n) <- top
 
 let at t ~time action =
-  let time = if time < t.clock then t.clock else time in
+  let time = if time < t.clk.now then t.clk.now else time in
   let handle = { alive = true } in
   enqueue t ~time ~handle action;
   handle
 
 let schedule t ~delay action =
   let delay = if delay < 0.0 then 0.0 else delay in
-  at t ~time:(t.clock +. delay) action
+  at t ~time:(t.clk.now +. delay) action
 
 let cancel _t handle = handle.alive <- false
 
@@ -123,18 +171,17 @@ let cancelled handle = not handle.alive
 let every t ~period ?(jitter = fun () -> 0.0) f =
   if period <= 0.0 then invalid_arg "Sim.every: period must be positive";
   (* One handle and one tick closure serve every firing: each period
-     re-arms by re-enqueueing a pooled event record rather than
-     allocating a fresh closure + handle pair. *)
+     re-arms by re-enqueueing them into a recycled queue slot. *)
   let handle = { alive = true } in
   let rec tick sim =
     if f sim then begin
       let delay = period +. jitter () in
       let delay = if delay < 0.0 then 0.0 else delay in
       handle.alive <- true;
-      enqueue sim ~time:(sim.clock +. delay) ~handle tick
+      enqueue sim ~time:(sim.clk.now +. delay) ~handle tick
     end
   in
-  enqueue t ~time:t.clock ~handle tick
+  enqueue t ~time:t.clk.now ~handle tick
 
 (* ---- wheel-backed timers ------------------------------------------- *)
 
@@ -145,14 +192,15 @@ let get_wheel t =
     let w = Timer_wheel.create ~tick:t.timer_tick ~slots:t.timer_slots in
     (* Skip the cursor up to the current clock while the wheel is still
        empty, so the first real sweep doesn't walk every slot since 0. *)
-    if t.clock > 0.0 then ignore (Timer_wheel.advance w ~now:t.clock (fun _ -> ()) : int);
+    if t.clk.now > 0.0 then
+      ignore (Timer_wheel.advance w ~now:t.clk.now (fun _ -> ()) : int);
     t.wheel <- Some w;
     w
 
 let timeout t ~delay f =
   let delay = if delay < 0.0 then 0.0 else delay in
   let w = get_wheel t in
-  Timer_wheel.add w ~now:t.clock ~deadline:(t.clock +. delay) f
+  Timer_wheel.add w ~now:t.clk.now ~deadline:(t.clk.now +. delay) f
 
 let cancel_timer timer = Timer_wheel.cancel timer
 
@@ -160,9 +208,9 @@ let timer_cancelled timer = Timer_wheel.cancelled timer
 
 (* ---- the engine turn ------------------------------------------------ *)
 
-let heap_next t = match Heap.peek t.queue with None -> infinity | Some ev -> ev.time
+let[@inline] heap_next t = if t.size = 0 then infinity else t.times.(0)
 
-let wheel_next t =
+let[@inline] wheel_next t =
   match t.wheel with
   | Some w when Timer_wheel.pending w > 0 -> Timer_wheel.next_sweep_at w
   | _ -> infinity
@@ -170,27 +218,26 @@ let wheel_next t =
 let next_event_time t = Float.min (heap_next t) (wheel_next t)
 
 let run_heap_event t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some ev ->
-    t.clock <- ev.time;
-    let h = ev.ev_handle in
-    let act = ev.action in
-    recycle_event t ev;
-    if h.alive then begin
-      h.alive <- false;
-      t.executed <- t.executed + 1;
-      act t
-    end;
-    true
+  let slot = t.slots.(0) in
+  t.clk.now <- t.times.(0);
+  let h = t.handles.(slot) and act = t.actions.(slot) in
+  (* Clear the slot so the pool never keeps dead captures alive. *)
+  t.handles.(slot) <- dead_handle;
+  t.actions.(slot) <- no_action;
+  remove_min t;
+  if h.alive then begin
+    h.alive <- false;
+    t.executed <- t.executed + 1;
+    act t
+  end
 
 let run_wheel_slot t =
   match t.wheel with
   | None -> ()
   | Some w ->
     let boundary = Timer_wheel.next_sweep_at w in
-    let now' = if boundary > t.clock then boundary else t.clock in
-    t.clock <- now';
+    let now' = if boundary > t.clk.now then boundary else t.clk.now in
+    t.clk.now <- now';
     ignore
       (Timer_wheel.advance w ~now:now' (fun act ->
            t.executed <- t.executed + 1;
@@ -202,25 +249,30 @@ let run_wheel_slot t =
    lag an equal-time event). *)
 let step t =
   let hn = heap_next t and wn = wheel_next t in
-  if hn = infinity && wn = infinity then false
+  if wn <= hn then
+    if wn = infinity then false
+    else begin
+      run_wheel_slot t;
+      true
+    end
   else begin
-    if wn <= hn then run_wheel_slot t else ignore (run_heap_event t : bool);
+    run_heap_event t;
     true
   end
 
 (* Core loop shared by [run] and the sharded window executor: execute
-   turns while the next event time is [< limit_ex] and [<= limit_in].
-   [max_events] may overshoot by at most the contents of one wheel
-   slot. *)
+   turns while the next event time is [< limit_ex] and [<= limit_in],
+   reading the heap and wheel heads once per turn.  [max_events] may
+   overshoot by at most the contents of one wheel slot. *)
 let exec t ~limit_ex ~limit_in ~fits_budget =
-  let rec loop () =
-    if fits_budget t then begin
-      let nxt = next_event_time t in
-      if nxt < limit_ex && nxt <= limit_in then
-        if step t then loop ()
-    end
-  in
-  loop ()
+  let running = ref true in
+  while !running && fits_budget t do
+    let hn = heap_next t and wn = wheel_next t in
+    if wn <= hn then
+      if wn < limit_ex && wn <= limit_in then run_wheel_slot t else running := false
+    else if hn < limit_ex && hn <= limit_in then run_heap_event t
+    else running := false
+  done
 
 let run ?until ?max_events t =
   let fits_budget =
@@ -231,12 +283,11 @@ let run ?until ?max_events t =
   let limit_in = match until with None -> infinity | Some u -> u in
   exec t ~limit_ex:infinity ~limit_in ~fits_budget;
   match until with
-  | Some stop when t.clock < stop && next_event_time t > stop -> t.clock <- stop
+  | Some stop when t.clk.now < stop && next_event_time t > stop -> t.clk.now <- stop
   | Some _ | None -> ()
 
 let pending t =
-  Heap.length t.queue
-  + (match t.wheel with Some w -> Timer_wheel.pending w | None -> 0)
+  t.size + (match t.wheel with Some w -> Timer_wheel.pending w | None -> 0)
 
 let events_executed t = t.executed
 
@@ -285,7 +336,7 @@ module Sharded = struct
         sh.msg_seq <- sh.msg_seq + 1;
         let box = c.mail.(dst) in
         box :=
-          { at_time = src.clock +. delay; src = sh.shard_id; mseq = sh.msg_seq; act }
+          { at_time = src.clk.now +. delay; src = sh.shard_id; mseq = sh.msg_seq; act }
           :: !box
       end
 
@@ -330,7 +381,7 @@ module Sharded = struct
       if m = infinity || m > stop then begin
         match until with
         | Some u ->
-          Array.iter (fun s -> if s.clock < u then s.clock <- u) c.members
+          Array.iter (fun s -> if s.clk.now < u then s.clk.now <- u) c.members
         | None -> ()
       end
       else begin
@@ -348,7 +399,7 @@ module Sharded = struct
     loop ()
 
   let now c =
-    Array.fold_left (fun acc s -> Float.min acc s.clock) infinity c.members
+    Array.fold_left (fun acc s -> Float.min acc s.clk.now) infinity c.members
 
   let pending c = Array.fold_left (fun acc s -> acc + pending s) 0 c.members
 

@@ -6,10 +6,12 @@
     instant fire in scheduling order (a monotone sequence number breaks
     ties), which keeps runs deterministic.
 
-    The hot path allocates almost nothing: event records are recycled
-    through a per-simulation pool, [every] reuses one closure and one
-    handle across all firings, and wheel timers bypass the heap
-    entirely.
+    The heap keeps each event's time, sequence number and pool slot in
+    three unboxed parallel arrays; the slot holds the action and handle.
+    Sifting moves no pointer, so it runs no write barrier.  Slots are
+    recycled, so a warm simulation allocates only each [schedule]'s
+    handle: [every] reuses one closure and one handle across all
+    firings, and wheel timers bypass the heap entirely.
 
     For region-scale runs, {!Sharded} partitions work across several
     simulations advanced in conservative-sync windows (see DESIGN.md
@@ -62,8 +64,8 @@ val timer_cancelled : timer -> bool
 val every : t -> period:float -> ?jitter:(unit -> float) -> (t -> bool) -> unit
 (** [every t ~period f] runs [f] now and then every [period] (plus
     [jitter ()] if given) until [f] returns [false].  All firings share
-    one tick closure and one handle; re-arming recycles a pooled event
-    record, so a periodic task allocates nothing per period.
+    one tick closure and one handle; re-arming takes back a recycled
+    queue slot, so a periodic task allocates nothing per period.
     @raise Invalid_argument if [period <= 0]. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
@@ -86,8 +88,9 @@ val events_executed : t -> int
 (** Events run so far; wheel timers count when they fire. *)
 
 val pool_stats : t -> int * int
-(** [(reused, fresh)] event-record allocations — observability for the
-    pooling discipline (a warm simulation should reuse almost always). *)
+(** [(reused, fresh)] queue slots handed out: [fresh] is the most events
+    ever queued at once, [reused] every other enqueue.  A warm
+    simulation should reuse almost always. *)
 
 val cross : t -> t -> delay:float -> (t -> unit) -> unit
 (** [cross src dst ~delay f] schedules [f] on [dst] at

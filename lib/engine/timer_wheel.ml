@@ -1,14 +1,20 @@
-type 'a timer = {
-  mutable state : [ `Pending | `Cancelled | `Fired ];
-  deadline : float;
-  value : 'a;
-  owner : 'a t;
-}
+(* Each slot is an intrusive chain: a timer record is its own list node,
+   so arming allocates one block and a sweep relinks survivors in place
+   instead of rebuilding the bucket. *)
+type 'a node =
+  | Nil
+  | Timer of {
+      mutable state : [ `Pending | `Cancelled | `Fired ];
+      deadline : float;
+      value : 'a;
+      owner : 'a t;
+      mutable next : 'a node;  (* the rest of the slot, newest first *)
+    }
 
 and 'a t = {
   tick : float;
   slots : int;
-  wheel : 'a timer list array; (* per-slot buckets, unordered *)
+  wheel : 'a node array; (* per-slot chains, unordered *)
   (* Absolute slot index since t=0; the concrete slot is
      [cursor_abs mod slots] and the window start is
      [float cursor_abs *. tick].  Deriving every boundary from the
@@ -20,78 +26,93 @@ and 'a t = {
   mutable live : int;
 }
 
+type 'a timer = 'a node
+
 let create ~tick ~slots =
   if tick <= 0.0 then invalid_arg "Timer_wheel.create: tick must be positive";
   if slots <= 0 then invalid_arg "Timer_wheel.create: slots must be positive";
-  { tick; slots; wheel = Array.make slots []; cursor_abs = 0; live = 0 }
+  { tick; slots; wheel = Array.make slots Nil; cursor_abs = 0; live = 0 }
 
 let next_sweep_at t = float_of_int (t.cursor_abs + 1) *. t.tick
 
 let add t ~now ~deadline value =
   let deadline = if deadline < now then now else deadline in
-  let timer = { state = `Pending; deadline; value; owner = t } in
   (* Place by absolute slot index, clamped to the cursor so a deadline
      whose natural slot has already been swept lands in the very next
      sweep instead of waiting a full revolution. *)
   let k = int_of_float (deadline /. t.tick) in
   let k = if k < t.cursor_abs then t.cursor_abs else k in
   let s = k mod t.slots in
-  t.wheel.(s) <- timer :: t.wheel.(s);
+  let timer = Timer { state = `Pending; deadline; value; owner = t; next = t.wheel.(s) } in
+  t.wheel.(s) <- timer;
   t.live <- t.live + 1;
   timer
 
 (* Cancellation is O(1): the timer stays in its slot and the sweep
-   discards it lazily, but the live count drops immediately. *)
-let cancel timer =
-  if timer.state = `Pending then begin
-    timer.state <- `Cancelled;
-    timer.owner.live <- timer.owner.live - 1
-  end
+   unlinks it lazily, but the live count drops immediately. *)
+let cancel = function
+  | Timer r when r.state = `Pending ->
+    r.state <- `Cancelled;
+    r.owner.live <- r.owner.live - 1
+  | Timer _ | Nil -> ()
 
-let cancelled timer = timer.state = `Cancelled
+let cancelled = function Timer r -> r.state = `Cancelled | Nil -> false
 
-let payload timer = timer.value
+let payload = function Timer r -> r.value | Nil -> invalid_arg "Timer_wheel.payload"
+
+(* Fire the due timers of a chain front to back, unlink them and the
+   dead ones, and return the chain of survivors.  An unlinked node drops
+   its [next], so a handle kept by a caller pins no other timer. *)
+let rec sweep_chain t now f fired node =
+  match node with
+  | Nil -> Nil
+  | Timer r -> (
+    let rest = r.next in
+    match r.state with
+    | `Cancelled | `Fired ->
+      r.next <- Nil;
+      sweep_chain t now f fired rest
+    | `Pending when r.deadline <= now ->
+      r.state <- `Fired;
+      r.next <- Nil;
+      t.live <- t.live - 1;
+      incr fired;
+      f r.value;
+      sweep_chain t now f fired rest
+    | `Pending ->
+      let rest' = sweep_chain t now f fired rest in
+      if rest' != rest then r.next <- rest';
+      node)
+
+let rec last_node r = match r with Timer { next = Timer _ as n; _ } -> last_node n | _ -> r
 
 let advance t ~now f =
   let fired = ref 0 in
   (* Sweep whole slots whose time window has fully passed; within each,
      fire due timers and retain the rest (they belong to later
      revolutions). *)
-  let sweep_slot s =
-    let keep =
-      List.filter
-        (fun timer ->
-          match timer.state with
-          | `Cancelled | `Fired -> false
-          | `Pending ->
-            if timer.deadline <= now then begin
-              timer.state <- `Fired;
-              t.live <- t.live - 1;
-              incr fired;
-              f timer.value;
-              false
-            end
-            else true)
-        t.wheel.(s)
-    in
-    t.wheel.(s) <- keep
-  in
-  let rec loop () =
-    if float_of_int (t.cursor_abs + 1) *. t.tick <= now then begin
-      if t.live = 0 then begin
-        (* Nothing can fire: fast-forward the cursor to just short of
-           [now] instead of sweeping every empty slot on the way.  Stale
-           (cancelled/fired) records left in skipped slots are filtered
-           by state on a later sweep. *)
-        let target = int_of_float (now /. t.tick) - 1 in
-        if target > t.cursor_abs then t.cursor_abs <- target
-      end;
-      sweep_slot (t.cursor_abs mod t.slots);
-      t.cursor_abs <- t.cursor_abs + 1;
-      loop ()
-    end
-  in
-  loop ();
+  while float_of_int (t.cursor_abs + 1) *. t.tick <= now do
+    if t.live = 0 then begin
+      (* Nothing can fire: fast-forward the cursor to just short of
+         [now] instead of sweeping every empty slot on the way.  Stale
+         (cancelled/fired) records left in skipped slots are unlinked
+         on a later sweep. *)
+      let target = int_of_float (now /. t.tick) - 1 in
+      if target > t.cursor_abs then t.cursor_abs <- target
+    end;
+    let s = t.cursor_abs mod t.slots in
+    let chain = t.wheel.(s) in
+    (* Empty the slot first: a callback may add a timer that lands in the
+       very slot being swept.  Such timers stay in front of the
+       survivors, keeping the slot newest first. *)
+    t.wheel.(s) <- Nil;
+    let keep = sweep_chain t now f fired chain in
+    (match t.wheel.(s) with
+    | Nil -> t.wheel.(s) <- keep
+    | added -> (
+      match last_node added with Timer r -> r.next <- keep | Nil -> ()));
+    t.cursor_abs <- t.cursor_abs + 1
+  done;
   !fired
 
 let pending t = t.live

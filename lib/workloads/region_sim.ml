@@ -156,25 +156,31 @@ type srv = {
    peak, symmetric ramp down.  Pure over the setup-frozen schedule, so
    an FE on another shard may evaluate its BE's demand without touching
    mutable state. *)
-let spike_add spikes now =
+let[@inline] spike_add spikes now =
   let acc = ref 0.0 in
-  Array.iter
-    (fun s ->
-      let u = now -. s.t0 in
-      if u > 0.0 then
-        if u < s.ramp then acc := !acc +. (s.peak_add *. u /. s.ramp)
-        else if u < s.ramp +. s.hold_s then acc := !acc +. s.peak_add
-        else if u < (2.0 *. s.ramp) +. s.hold_s then
-          acc := !acc +. (s.peak_add *. (1.0 -. ((u -. s.ramp -. s.hold_s) /. s.ramp))))
-    spikes;
+  for i = 0 to Array.length spikes - 1 do
+    let s = spikes.(i) in
+    let u = now -. s.t0 in
+    if u > 0.0 then
+      if u < s.ramp then acc := !acc +. (s.peak_add *. u /. s.ramp)
+      else if u < s.ramp +. s.hold_s then acc := !acc +. s.peak_add
+      else if u < (2.0 *. s.ramp) +. s.hold_s then
+        acc := !acc +. (s.peak_add *. (1.0 -. ((u -. s.ramp -. s.hold_s) /. s.ramp)))
+  done;
   !acc
 
-let own_demand srv now = srv.base_cpu +. (spike_add srv.spikes now *. srv.keep)
+let[@inline] own_demand srv now = srv.base_cpu +. (spike_add srv.spikes now *. srv.keep)
 
-let effective srvs srv now =
-  List.fold_left
-    (fun acc (be, share) -> acc +. (share *. spike_add srvs.(be).spikes now))
-    (own_demand srv now) srv.absorbed
+let[@inline] effective srvs srv now =
+  let acc = ref (own_demand srv now) and rest = ref srv.absorbed and more = ref true in
+  while !more do
+    match !rest with
+    | [] -> more := false
+    | (be, share) :: tl ->
+      acc := !acc +. (share *. spike_add srvs.(be).spikes now);
+      rest := tl
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 

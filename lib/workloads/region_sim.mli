@@ -21,7 +21,7 @@
 (** Event-scheduling mode, the benchmark contrast of [bench macro]:
     [Heap_events] replicates the classic engine (a fresh closure pushed
     through the binary heap for every firing); [Wheel_events] is the
-    tuned path (timer-wheel re-arming, pooled event records). *)
+    tuned path (timer-wheel re-arming of one closure per timer). *)
 type engine = Heap_events | Wheel_events
 
 type config = {

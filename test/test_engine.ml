@@ -1,55 +1,10 @@
-(* Tests for the discrete-event engine: heap, rng, stats, sim, timer wheel. *)
+(* Tests for the discrete-event engine: rng, stats, sim, timer wheel. *)
 
 open Nezha_engine
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-(* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_order () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some x ->
-      out := x :: !out;
-      drain ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (List.rev !out)
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:Int.compare () in
-  check_bool "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek" None (Heap.peek h)
-
-let test_heap_interleaved () =
-  let h = Heap.create ~cmp:Int.compare () in
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "min" (Some 1) (Heap.pop h);
-  Heap.push h 0;
-  Alcotest.(check (option int)) "new min" (Some 0) (Heap.peek h);
-  check_int "len" 2 (Heap.length h);
-  Heap.clear h;
-  check_int "cleared" 0 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -369,6 +324,24 @@ let test_wheel_min_one_tick () =
   ignore (Timer_wheel.advance w ~now:7.0 (fun () -> incr fired) : int);
   check_int "fired after clamp" 1 !fired
 
+let test_wheel_rearm_swept_slot () =
+  (* Each callback re-arms 3.5 ticks ahead, which on a 4-slot wheel is
+     the slot being swept: the new timer must survive the sweep. *)
+  let w = Timer_wheel.create ~tick:1.0 ~slots:4 in
+  let now = ref 0.0 and fired = ref [] in
+  let arm n = ignore (Timer_wheel.add w ~now:!now ~deadline:(!now +. 3.5) n : int Timer_wheel.timer) in
+  ignore (Timer_wheel.add w ~now:0.0 ~deadline:0.5 0 : int Timer_wheel.timer);
+  for i = 1 to 20 do
+    now := float_of_int i;
+    ignore
+      (Timer_wheel.advance w ~now:!now (fun n ->
+           fired := n :: !fired;
+           if n < 3 then arm (n + 1))
+        : int)
+  done;
+  Alcotest.(check (list int)) "every re-arm fired" [ 0; 1; 2; 3 ] (List.rev !fired);
+  check_int "nothing pending" 0 (Timer_wheel.pending w)
+
 let prop_wheel_fires_everything =
   QCheck.Test.make ~name:"timer wheel fires every non-cancelled timer" ~count:100
     QCheck.(make Gen.(list_size (int_range 1 200) (float_range 0.01 50.0)))
@@ -457,6 +430,242 @@ let prop_timeout_matches_schedule =
       !ok && Sim.pending wheel_sim = 0)
 
 (* ------------------------------------------------------------------ *)
+(* Sim against a reference model
+
+   A script of top-level operations runs on a real simulation and on a
+   model that keeps its queue as a plain list and always picks the
+   smallest [(time, seq)].  Event [id] behaves as [behs.(id mod n)] when
+   it runs: it logs itself, then does nothing, schedules children
+   (delay 0 = the current instant) or cancels an earlier event. *)
+
+type beh = Leaf | Spawn of float list | Kill of int
+
+type op =
+  | Op_at of float  (** absolute time; past times clamp to now *)
+  | Op_schedule of float  (** delay; negative clamps to 0 *)
+  | Op_cancel of int  (** event id, modulo the ids made so far *)
+  | Op_every of float * int  (** period, firings *)
+  | Op_step of int  (** engine turns *)
+  | Op_until of float  (** run until now + dt *)
+
+let model_max_ids = 300
+
+(* Per run: the log of (id, time) firings oldest first, a (pending,
+   pool_stats, now) snapshot after every op and after the final drain,
+   and for every cancel the log length at that moment. *)
+type outcome = {
+  log : (int * float) list;
+  snaps : (int * (int * int) * float) list;
+  kills : (int * int) list;
+  periodic : int list;
+}
+
+let run_sim (ops, behs) =
+  let sim = Sim.create ~capacity:1 () in
+  let log = ref [] and logged = ref 0 and snaps = ref [] and kills = ref [] in
+  let periodic = ref [] in
+  let handles = Array.make model_max_ids None and ids = ref 0 in
+  let note id s =
+    log := (id, Sim.now s) :: !log;
+    incr logged
+  in
+  let kill k =
+    if !ids > 0 then
+      match handles.(k mod !ids) with
+      | Some h ->
+        kills := (k mod !ids, !logged) :: !kills;
+        Sim.cancel sim h
+      | None -> ()
+  in
+  let rec once make =
+    if !ids < model_max_ids then begin
+      let id = !ids in
+      incr ids;
+      handles.(id) <- Some (make (action id))
+    end
+  and action id s =
+    note id s;
+    match behs.(id mod Array.length behs) with
+    | Leaf -> ()
+    | Spawn ds -> List.iter (fun d -> once (fun act -> Sim.schedule s ~delay:d act)) ds
+    | Kill k -> kill k
+  in
+  let snap () = snaps := (Sim.pending sim, Sim.pool_stats sim, Sim.now sim) :: !snaps in
+  List.iter
+    (fun op ->
+      (match op with
+      | Op_at x -> once (fun act -> Sim.at sim ~time:x act)
+      | Op_schedule d -> once (fun act -> Sim.schedule sim ~delay:d act)
+      | Op_cancel k -> kill k
+      | Op_every (period, n) ->
+        if !ids < model_max_ids then begin
+          let id = !ids and left = ref n in
+          incr ids;
+          periodic := id :: !periodic;
+          Sim.every sim ~period (fun s ->
+              note id s;
+              decr left;
+              !left > 0)
+        end
+      | Op_step n ->
+        for _ = 1 to n do
+          ignore (Sim.step sim : bool)
+        done
+      | Op_until dt -> Sim.run ~until:(Sim.now sim +. dt) sim);
+      snap ())
+    ops;
+  Sim.run sim;
+  snap ();
+  { log = List.rev !log; snaps = List.rev !snaps; kills = !kills; periodic = !periodic }
+
+type mev = {
+  time : float;
+  mseq : int;
+  id : int;
+  alive : bool ref;
+  every : (float * int ref) option;  (** period, firings left *)
+}
+
+let run_model (ops, behs) =
+  let clock = ref 0.0 and mseq = ref 0 and queue = ref [] in
+  let pushes = ref 0 and high = ref 0 in
+  let log = ref [] and snaps = ref [] in
+  let handles = Array.make model_max_ids None and ids = ref 0 in
+  let push time id alive every =
+    incr mseq;
+    incr pushes;
+    queue := { time; mseq = !mseq; id; alive; every } :: !queue;
+    high := max !high (List.length !queue)
+  in
+  let earlier a b = a.time < b.time || (a.time = b.time && a.mseq < b.mseq) in
+  let peek () =
+    match !queue with
+    | [] -> None
+    | e :: rest -> Some (List.fold_left (fun m e -> if earlier e m then e else m) e rest)
+  in
+  let once time =
+    if !ids < model_max_ids then begin
+      let id = !ids and alive = ref true in
+      incr ids;
+      handles.(id) <- Some alive;
+      push (if time < !clock then !clock else time) id alive None
+    end
+  in
+  let kill k =
+    if !ids > 0 then match handles.(k mod !ids) with Some a -> a := false | None -> ()
+  in
+  let fire e =
+    queue := List.filter (fun x -> x != e) !queue;
+    clock := e.time;
+    if !(e.alive) then begin
+      e.alive := false;
+      log := (e.id, !clock) :: !log;
+      match e.every with
+      | Some (period, left) ->
+        decr left;
+        if !left > 0 then begin
+          e.alive := true;
+          push (!clock +. period) e.id e.alive e.every
+        end
+      | None -> (
+        match behs.(e.id mod Array.length behs) with
+        | Leaf -> ()
+        | Spawn ds -> List.iter (fun d -> once (!clock +. Float.max d 0.0)) ds
+        | Kill k -> kill k)
+    end
+  in
+  let rec drain until =
+    match peek () with
+    | Some e when e.time <= until ->
+      fire e;
+      drain until
+    | Some _ | None -> if !clock < until && until < infinity then clock := until
+  in
+  let snap () = snaps := (List.length !queue, (!pushes - !high, !high), !clock) :: !snaps in
+  List.iter
+    (fun op ->
+      (match op with
+      | Op_at x -> once x
+      | Op_schedule d -> once (!clock +. Float.max d 0.0)
+      | Op_cancel k -> kill k
+      | Op_every (period, n) ->
+        if !ids < model_max_ids then begin
+          let id = !ids in
+          incr ids;
+          push !clock id (ref true) (Some (period, ref n))
+        end
+      | Op_step n ->
+        for _ = 1 to n do
+          Option.iter fire (peek ())
+        done
+      | Op_until dt -> drain (!clock +. dt));
+      snap ())
+    ops;
+  drain infinity;
+  snap ();
+  (List.rev !log, List.rev !snaps)
+
+let gen_model_input =
+  let open QCheck.Gen in
+  let delay = oneofl [ -1.0; 0.0; 0.0; 0.5; 1.0; 1.5; 2.0; 4.0 ] in
+  let beh =
+    frequency
+      [
+        (3, return Leaf);
+        (3, map (fun ds -> Spawn ds) (list_size (int_range 1 2) delay));
+        (1, map (fun k -> Kill k) nat);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, map (fun x -> Op_at x) (oneofl [ 0.0; 1.0; 2.5; 4.0; 6.0 ]));
+        (4, map (fun d -> Op_schedule d) delay);
+        (2, map (fun k -> Op_cancel k) nat);
+        (1, map2 (fun p n -> Op_every (p, n)) (oneofl [ 0.5; 1.0; 2.0 ]) (int_range 1 5));
+        (2, map (fun n -> Op_step n) (int_range 1 4));
+        (1, map (fun dt -> Op_until dt) (oneofl [ 0.0; 0.5; 2.0 ]));
+      ]
+  in
+  pair (list_size (int_range 1 60) op) (array_size (int_range 1 8) beh)
+
+let print_model_input (ops, behs) =
+  let op = function
+    | Op_at x -> Printf.sprintf "at %g" x
+    | Op_schedule d -> Printf.sprintf "schedule %g" d
+    | Op_cancel k -> Printf.sprintf "cancel %d" k
+    | Op_every (p, n) -> Printf.sprintf "every %g x%d" p n
+    | Op_step n -> Printf.sprintf "step %d" n
+    | Op_until dt -> Printf.sprintf "until +%g" dt
+  in
+  let beh = function
+    | Leaf -> "leaf"
+    | Spawn ds -> "spawn [" ^ String.concat "; " (List.map string_of_float ds) ^ "]"
+    | Kill k -> Printf.sprintf "kill %d" k
+  in
+  Printf.sprintf "ops: %s\nbehs: %s"
+    (String.concat ", " (List.map op ops))
+    (String.concat ", " (Array.to_list (Array.map beh behs)))
+
+let prop_sim_matches_model =
+  QCheck.Test.make ~name:"matches a sorted (time, seq) model" ~count:300
+    (QCheck.make ~print:print_model_input gen_model_input)
+    (fun input ->
+      let o = run_sim input in
+      let log, snaps = run_model input in
+      (* Same-time events that are not periodic run in creation order. *)
+      let rec fifo = function
+        | (a, ta) :: ((b, tb) :: _ as rest) ->
+          (ta <> tb || List.mem a o.periodic || List.mem b o.periodic || a < b) && fifo rest
+        | [ _ ] | [] -> true
+      in
+      (* A cancelled event never runs after its cancel. *)
+      let no_late_runs (id, at) =
+        List.for_all (fun (i, _) -> i <> id) (List.filteri (fun n _ -> n >= at) o.log)
+      in
+      o.log = log && o.snaps = snaps && fifo o.log && List.for_all no_late_runs o.kills)
+
+(* ------------------------------------------------------------------ *)
 (* Sharded clusters *)
 
 let test_sharded_send_and_determinism () =
@@ -542,13 +751,6 @@ let qsuite = List.map QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "engine"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "drains sorted" `Quick test_heap_order;
-          Alcotest.test_case "empty ops" `Quick test_heap_empty;
-          Alcotest.test_case "interleaved push/pop" `Quick test_heap_interleaved;
-        ]
-        @ qsuite [ prop_heap_sorts ] );
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
@@ -591,7 +793,7 @@ let () =
           Alcotest.test_case "timeout fires coarsely" `Quick test_sim_timeout_fires_coarse;
           Alcotest.test_case "timeout cancel" `Quick test_sim_timeout_cancel;
         ]
-        @ qsuite [ prop_timeout_matches_schedule ] );
+        @ qsuite [ prop_timeout_matches_schedule; prop_sim_matches_model ] );
       ( "sharded",
         [
           Alcotest.test_case "send + determinism" `Quick test_sharded_send_and_determinism;
@@ -609,6 +811,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_wheel_cancel;
           Alcotest.test_case "multi revolution" `Quick test_wheel_multi_revolution;
           Alcotest.test_case "past deadline clamped" `Quick test_wheel_min_one_tick;
+          Alcotest.test_case "re-arm into the swept slot" `Quick test_wheel_rearm_swept_slot;
         ]
         @ qsuite [ prop_wheel_fires_everything ] );
     ]
