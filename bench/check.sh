@@ -235,9 +235,10 @@ echo "== bench macro --json (BENCH_macro.json)"
 dune exec --no-build bench/main.exe -- macro --json BENCH_macro.json
 
 echo "== macro gate (region scale + tuned-engine speedup + RSS ceiling)"
-# The region-scale engine's claims: the tuned engine (timer wheel +
-# pooled events, sharded heaps) must process events at least 2x faster
-# than the classic single-heap engine on the same 2,000-vSwitch region
+# The region-scale engine's claims: the tuned engine (one closure per
+# timer re-armed on the timer wheel, sharded heaps) must process events
+# at least 2x faster than the classic engine (a fresh closure pushed
+# through the single heap per firing) on the same 2,000-vSwitch region
 # day; the run must be deterministic and shard-count-invariant; Nezha
 # must resolve overloads in simulated time; and the whole run must fit
 # in a bounded heap.

@@ -20,8 +20,7 @@ let () =
   let fes0 = Controller.offload_fe_servers o in
   say "Offloaded to FEs on servers %s (monitor probing every %.1fs, %d misses to declare failure)"
     (String.concat ", " (List.map string_of_int fes0))
-    (Controller.default_config).Controller.ping_interval
-    (Controller.default_config).Controller.ping_misses_to_fail;
+    Controller.ping_interval Controller.ping_misses_to_fail;
 
   (* Steady connection load through the pool. *)
   Array.iter

@@ -36,6 +36,12 @@ let percentiles samples ps =
   Array.sort compare sorted;
   List.map (fun p -> (p, percentile_sorted sorted p)) ps
 
+let nearest_rank n p =
+  if n < 1 then invalid_arg "Stats.nearest_rank: no samples";
+  check_p p;
+  let i = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
+  max 0 (min (n - 1) i)
+
 let mean samples =
   let n = Array.length samples in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 samples /. float_of_int n
@@ -116,10 +122,8 @@ module Histogram = struct
     check_p p;
     if t.count = 0 then 0.0
     else begin
-      let target =
-        int_of_float (Float.ceil (p /. 100.0 *. float_of_int t.count))
-      in
-      let target = max 1 target in
+      (* The bucket holding the nearest-rank sample (1-based). *)
+      let target = nearest_rank t.count p + 1 in
       let rec scan i acc =
         if i >= Array.length t.counts then t.max_v
         else begin

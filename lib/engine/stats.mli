@@ -28,6 +28,14 @@ val percentile : float array -> float -> float
 val percentiles : float array -> float list -> (float * float) list
 (** Batch version sorting only once: returns [(p, value)] pairs. *)
 
+val nearest_rank : int -> float -> int
+(** [nearest_rank n p] with [p] in \[0,100\]: the index of the
+    nearest-rank percentile in a sorted array of [n] samples,
+    [ceil (p/100 · n) − 1] clamped to \[0, n−1\] — always one of the
+    samples (p = 0 names the smallest), where {!percentile} interpolates
+    between two.
+    @raise Invalid_argument when [n < 1] or [p] is outside \[0,100\]. *)
+
 val mean : float array -> float
 val stddev : float array -> float
 

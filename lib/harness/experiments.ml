@@ -356,10 +356,8 @@ let split_of_attrs attrs =
     let arr = Array.of_list attrs in
     Array.sort (fun a b -> compare a.Trace.e2e b.Trace.e2e) arr;
     let n = Array.length arr in
-    let at pct =
-      let i = int_of_float (ceil (pct /. 100.0 *. float_of_int n)) - 1 in
-      arr.(max 0 (min (n - 1) i))
-    in
+    (* Nearest rank: each split is one real trace's attribution. *)
+    let at pct = arr.(Stats.nearest_rank n pct) in
     let p50 = at 50.0 and p99 = at 99.0 in
     {
       traces = n;

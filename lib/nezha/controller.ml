@@ -3,56 +3,47 @@ open Nezha_fabric
 open Nezha_tables
 open Nezha_vswitch
 
+(* The paper's control policy (§4, Fig. 8, App. B): one value each. *)
+let offload_threshold = 0.70 (* §4.2.1 / Fig. 8 *)
+let scale_threshold = 0.40 (* Fig. 8 *)
+let safe_level = 0.40 (* target utilization after mitigation *)
+let overload_level = 0.95 (* an overload occurrence (Fig. 13) *)
+let initial_fes = 4 (* App. B.2 *)
+let learning_interval = 0.2 (* vNIC-server learning, §4.2.1 *)
+let rtt = 0.0005 (* in-flight slack *)
+let push_bytes_per_s = 200e6 (* rule-table push bandwidth to an FE *)
+let ping_interval = 0.5 (* FE health probes, §4.4 *)
+let ping_misses_to_fail = 3
+let fe_mem_max = 0.50 (* idle-candidate memory ceiling *)
+let ewma_alpha = 0.3 (* smoothing of the p2c CPU load signal *)
+let fe_pressure_weight = 0.05 (* p2c load per vNIC already steered at a server *)
+
+(* How long a replaced route's old targets stay configured: the
+   learning window plus in-flight slack. *)
+let retention = learning_interval +. rtt
+
 type config = {
   report_interval : float;
-  offload_threshold : float;
-  scale_threshold : float;
-  safe_level : float;
-  overload_level : float;
-  initial_fes : int;
   min_fes : int;
-  learning_interval : float;
-  rtt : float;
-  rpc : Rpc_policy.t;
-  push_bytes_per_s : float;
-  ping_interval : float;
-  ping_misses_to_fail : int;
   fe_cpu_max : float;
-  fe_mem_max : float;
   auto_offload : bool;
   auto_scale : bool;
   auto_fallback : bool;
   fallback_idle_ticks : int;
   placement : Placement.policy;
-  ewma_alpha : float;
-  fe_pressure_weight : float;
   slo : Slo.config option;
 }
 
 let default_config =
   {
     report_interval = 1.0;
-    offload_threshold = 0.70;
-    scale_threshold = 0.40;
-    safe_level = 0.40;
-    overload_level = 0.95;
-    initial_fes = 4;
     min_fes = 4;
-    learning_interval = 0.2;
-    rtt = 0.0005;
-    rpc = Rpc_policy.default;
-    push_bytes_per_s = 200e6;
-    ping_interval = 0.5;
-    ping_misses_to_fail = 3;
     fe_cpu_max = 0.30;
-    fe_mem_max = 0.50;
     auto_offload = true;
     auto_scale = true;
     auto_fallback = false;
     fallback_idle_ticks = 5;
     placement = Placement.Least_loaded;
-    ewma_alpha = 0.3;
-    fe_pressure_weight = 0.05;
     slo = None;
   }
 
@@ -146,9 +137,9 @@ let config t = t.cfg
 let fabric t = t.fabric
 let monitor t = t.monitor
 
-(* Control-plane RPC latency: median [rpc.latency] with a log-normal
+(* Control-plane RPC latency: median [Rpc_policy.default.latency] with a log-normal
    tail, which is what produces Table 4's P999/median spread. *)
-let rpc t = t.cfg.rpc.Rpc_policy.latency *. Rng.lognormal t.rng ~mu:0.0 ~sigma:0.6
+let rpc t = Rpc_policy.default.Rpc_policy.latency *. Rng.lognormal t.rng ~mu:0.0 ~sigma:0.6
 
 (* One controller→server RPC over the (possibly impaired) management
    path.  Delivery is decided by the fault plane; a lost attempt retries
@@ -190,15 +181,15 @@ let rpc_to t server k =
     t.rpc_attempts <- t.rpc_attempts + 1;
     if delivered () then
       ignore (Sim.schedule t.sim ~delay:(rpc t) (fun _ -> k true) : Sim.handle)
-    else if n >= t.cfg.rpc.Rpc_policy.max_retries then begin
+    else if n >= Rpc_policy.default.Rpc_policy.max_retries then begin
       t.rpc_failures <- t.rpc_failures + 1;
       ignore
-        (Sim.schedule t.sim ~delay:t.cfg.rpc.Rpc_policy.timeout (fun _ -> k false)
+        (Sim.schedule t.sim ~delay:Rpc_policy.default.Rpc_policy.timeout (fun _ -> k false)
           : Sim.handle)
     end
     else begin
       t.rpc_retries <- t.rpc_retries + 1;
-      let backoff = Rpc_policy.retry_delay t.cfg.rpc ~attempt:n in
+      let backoff = Rpc_policy.retry_delay Rpc_policy.default ~attempt:n in
       ignore (Sim.schedule t.sim ~delay:backoff (fun _ -> attempt (n + 1)) : Sim.handle)
     end
   in
@@ -235,7 +226,7 @@ let load_signal t s =
   in
   let pressure =
     match Hashtbl.find_opt t.fe_services s with
-    | Some fe -> t.cfg.fe_pressure_weight *. float_of_int (Fe.served_count fe)
+    | Some fe -> fe_pressure_weight *. float_of_int (Fe.served_count fe)
     | None -> 0.0
   in
   base +. pressure
@@ -250,6 +241,9 @@ let fe_service_ensure t s =
     Hashtbl.replace t.fe_services s fe;
     (match t.telemetry with Some reg -> Fe.register_telemetry fe reg | None -> ());
     fe
+
+let underlay t s = Topology.underlay_ip (Fabric.topology t.fabric) s
+let fe_ips t servers = Array.of_list (List.map (underlay t) servers)
 
 let install_be t ~vs ~vnic ~vni ~fes ~fallback_ruleset =
   let be = Be.install ~vs ~vnic ~vni ~fes ?fallback_ruleset () in
@@ -306,6 +300,50 @@ let registry_sync t o =
     else Hashtbl.remove reg.Registry.offloads o.key
 
 (* ------------------------------------------------------------------ *)
+(* Intent -> dataplane steps shared by offload, scale-out, pinning,
+   reconciliation and anti-entropy. *)
+
+(* A fresh replica of the offload's tables on [fe], pointed at the BE. *)
+let serve_replica t o fe =
+  Fe.serve fe ~vnic:o.vnic ~ruleset:(Ruleset.clone o.saved_ruleset) ~be:(underlay t o.be_server)
+
+(* Restore a replica the node lost (crash, silent divergence). *)
+let restore_fe t o fe =
+  match serve_replica t o fe with Ok () -> t.repairs <- t.repairs + 1 | Error _ -> ()
+
+(* A BE tracker for [o] on [vs] taking over from [o.be]: same FEs, same
+   stage (or [Final]). *)
+let successor_be t o vs =
+  let be =
+    install_be t ~vs ~vnic:o.vnic ~vni:o.vni ~fes:(fe_ips t o.fe_servers)
+      ~fallback_ruleset:(Some o.saved_ruleset)
+  in
+  Be.set_stage be (match o.be with Some b -> Be.stage b | None -> Be.Final);
+  be
+
+(* Replace a BE tracker that died with its node. *)
+let reinstall_be t o vs =
+  o.be <- Some (successor_be t o vs);
+  t.repairs <- t.repairs + 1;
+  registry_sync t o
+
+(* Keep [fe]'s replica of [addr] through the learning window so
+   in-flight packets still process, then release it. *)
+let retire_replica_later t fe addr =
+  ignore
+    (Sim.schedule t.sim ~delay:retention (fun _ -> if t.alive then Fe.unserve fe addr)
+      : Sim.handle)
+
+(* Rule-table push time to one FE. *)
+let push_time o = float_of_int (Ruleset.memory_bytes o.saved_ruleset) /. push_bytes_per_s
+
+(* Active offloads of the vNIC at [addr]. *)
+let offloads_of_addr t addr =
+  Hashtbl.fold
+    (fun _ o acc -> if o.active && Vnic.Addr.equal (Vnic.addr o.vnic) addr then o :: acc else acc)
+    t.offload_tbl []
+
+(* ------------------------------------------------------------------ *)
 (* FE candidate selection (§4.2.1, App. B.1): idle vSwitches, same ToR
    as the BE first, then the wider pool; similar load preferred. *)
 
@@ -327,7 +365,7 @@ let select_fe_candidates ?(version_filter = fun _ -> true) t ~be_server ~exclude
        | None -> false)
     &&
     let cpu, mem = utilization_of t s in
-    cpu <= t.cfg.fe_cpu_max && mem <= t.cfg.fe_mem_max
+    cpu <= t.cfg.fe_cpu_max && mem <= fe_mem_max
   in
   let same_rack s = Topology.same_rack topo s be_server in
   let servers = servers_with_vswitch t in
@@ -361,7 +399,7 @@ let propagate_learning t ~addr ~targets =
               | None -> ()
               | Some current ->
                 if current <> targets then begin
-                  let delay = Rng.float t.rng t.cfg.learning_interval in
+                  let delay = Rng.float t.rng learning_interval in
                   if delay > !max_delay then max_delay := delay;
                   ignore
                     (Sim.schedule t.sim ~delay (fun _ ->
@@ -372,10 +410,6 @@ let propagate_learning t ~addr ~targets =
           (Vswitch.vnic_ids vs))
     (servers_with_vswitch t);
   !max_delay
-
-let fe_ips t servers =
-  Array.of_list
-    (List.map (fun s -> Topology.underlay_ip (Fabric.topology t.fabric) s) servers)
 
 let update_routing t o =
   if not (fence_gateway t) then 0.0
@@ -411,11 +445,11 @@ let fallback_vnic t o =
         o.falling_back <- true;
         (match o.be with Some be -> Be.set_stage be Be.Dual | None -> ());
         let addr = Vnic.addr o.vnic in
-        let be_ip = [| Topology.underlay_ip (Fabric.topology t.fabric) o.be_server |] in
+        let be_ip = [| underlay t o.be_server |] in
         if fence_gateway t then Gateway.set_route (Fabric.gateway t.fabric) addr be_ip;
         ignore (propagate_learning t ~addr ~targets:be_ip : float);
         ignore
-          (Sim.schedule t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt) (fun _ ->
+          (Sim.schedule t.sim ~delay:retention (fun _ ->
                if t.alive then begin
                  (match o.be with Some be -> Be.uninstall be | None -> ());
                  List.iter
@@ -457,28 +491,30 @@ and failover t dead_server =
            would silently wipe that fresh configuration while the join
            RPC still adds it to the routing — a blackhole. *)
         Fe.unserve fe addr;
-        let victims =
-          Hashtbl.fold
-            (fun _ o acc ->
-              if o.active && Vnic.Addr.equal (Vnic.addr o.vnic) addr then o :: acc else acc)
-            t.offload_tbl []
-        in
-        List.iter
-          (fun o ->
-            o.fe_servers <- List.filter (fun s -> s <> dead_server) o.fe_servers;
-            (* An empty target set cannot be routed (and Gateway.set_route
-               rejects it); the fallback below handles that case. *)
-            if o.fe_servers <> [] then ignore (update_routing t o : float);
-            let missing = t.cfg.min_fes - List.length o.fe_servers in
-            let added =
-              if missing > 0 then scale_out t ~avoid:[ dead_server ] o ~add:missing else 0
-            in
-            (* Every FE gone and no replacement available: restore local
-               serving rather than blackhole the vNIC. *)
-            if o.fe_servers = [] && added = 0 then
-              ignore (fallback_vnic t o : (unit, string) result))
-          victims)
+        List.iter (fun o -> drop_fe t o dead_server) (offloads_of_addr t addr))
       served)
+
+(* Take [server] out of [o]'s FE set and refill to [min_fes] from
+   other servers. *)
+and drop_fe t o server =
+  o.fe_servers <- List.filter (fun s -> s <> server) o.fe_servers;
+  (* An empty target set cannot be routed (and Gateway.set_route
+     rejects it); the fallback below handles that case. *)
+  if o.fe_servers <> [] then ignore (update_routing t o : float);
+  let missing = t.cfg.min_fes - List.length o.fe_servers in
+  let added = if missing > 0 then scale_out t ~avoid:[ server ] o ~add:missing else 0 in
+  (* Every FE gone and no replacement available: restore local serving
+     rather than blackhole the vNIC. *)
+  if o.fe_servers = [] && added = 0 then ignore (fallback_vnic t o : (unit, string) result)
+
+(* Serve a replica on [s] and watch its host; false if [s] lacks the
+   memory for the tables. *)
+and provision_fe t o s =
+  match serve_replica t o (fe_service_ensure t s) with
+  | Ok () ->
+    watch_fe_host t s;
+    true
+  | Error _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Scale-out (§4.3) *)
@@ -491,30 +527,15 @@ and scale_out t ?(avoid = []) o ~add =
       select_fe_candidates t ~be_server:o.be_server
         ~exclude:(avoid @ o.fe_servers) ~count:add
     in
-    let configured = ref [] in
-    List.iter
-      (fun s ->
-        let fe = fe_service_ensure t s in
-        let replica = Ruleset.clone o.saved_ruleset in
-        match
-          Fe.serve fe ~vnic:o.vnic ~ruleset:replica
-            ~be:(Topology.underlay_ip (Fabric.topology t.fabric) o.be_server)
-        with
-        | Ok () ->
-          configured := s :: !configured;
-          watch_fe_host t s
-        | Error _ -> ())
-      candidates;
-    let added = List.length !configured in
+    let configured = List.filter (provision_fe t o) candidates in
+    let added = List.length configured in
     if added > 0 then begin
       t.scale_out_events <- t.scale_out_events + 1;
       t.fes_provisioned <- t.fes_provisioned + added;
       (* Config push happens in the background; each new FE joins the
          routing after its push RPC lands (with retries under faults) —
          FEs whose config RPC ultimately fails never join. *)
-      let push_time =
-        float_of_int (Ruleset.memory_bytes o.saved_ruleset) /. t.cfg.push_bytes_per_s
-      in
+      let push_time = push_time o in
       let joined = ref [] in
       let remaining = ref added in
       List.iter
@@ -529,7 +550,7 @@ and scale_out t ?(avoid = []) o ~add =
                        ignore (update_routing t o : float)
                      end)
                   : Sim.handle)))
-        (List.rev !configured)
+        configured
     end;
     added
   end
@@ -541,7 +562,7 @@ let find_offload t ~server ~vnic =
   Hashtbl.find_opt t.offload_tbl (server, Vnic.id_to_int vnic)
 
 let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
-  let num_fes = Option.value num_fes ~default:t.cfg.initial_fes in
+  let num_fes = Option.value num_fes ~default:initial_fes in
   match Fabric.vswitch_opt t.fabric server with
   | None -> Error "no vSwitch on this server"
   | Some _ when not (fenced t server) -> Error "fenced: stale controller epoch"
@@ -583,9 +604,7 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
              retry under faults), then wire the locations, then the
              gateway, then learning.  The join fires once every push RPC
              has resolved — delivered or given up. *)
-          let push_time =
-            float_of_int (Ruleset.memory_bytes rs) /. t.cfg.push_bytes_per_s
-          in
+          let push_time = push_time o in
           let configured = ref [] in
           let remaining = ref (List.length fe_servers) in
           let stage2 sim =
@@ -617,9 +636,7 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
                          (* Final stage: retention window, then drop
                             the local tables. *)
                          ignore
-                           (Sim.schedule sim'
-                              ~delay:(t.cfg.learning_interval +. t.cfg.rtt)
-                              (fun _ ->
+                           (Sim.schedule sim' ~delay:retention (fun _ ->
                                 if o.active && not o.falling_back then begin
                                   Vswitch.drop_ruleset vs vnic;
                                   Be.set_stage be Be.Final
@@ -634,20 +651,7 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
               rpc_to t s (fun ok ->
                   ignore
                     (Sim.schedule t.sim ~delay:push_time (fun sim ->
-                         (if ok then begin
-                            let fe = fe_service_ensure t s in
-                            let replica = Ruleset.clone rs in
-                            match
-                              Fe.serve fe ~vnic:vnic_rec ~ruleset:replica
-                                ~be:
-                                  (Topology.underlay_ip (Fabric.topology t.fabric)
-                                     server)
-                            with
-                            | Ok () ->
-                              configured := s :: !configured;
-                              watch_fe_host t s
-                            | Error _ -> ()
-                          end);
+                         if ok && provision_fe t o s then configured := s :: !configured;
                          decr remaining;
                          if !remaining = 0 then
                            ignore
@@ -673,21 +677,8 @@ let scale_in_server t server =
     let served = Fe.served_vnics fe in
     List.iter
       (fun addr ->
-        Hashtbl.iter
-          (fun _ o ->
-            if o.active && Vnic.Addr.equal (Vnic.addr o.vnic) addr then begin
-              o.fe_servers <- List.filter (fun s -> s <> server) o.fe_servers;
-              if o.fe_servers <> [] then ignore (update_routing t o : float);
-              let missing = t.cfg.min_fes - List.length o.fe_servers in
-              if missing > 0 then ignore (scale_out t o ~add:missing : int)
-            end)
-          t.offload_tbl;
-        (* Retain the tables through the learning window so in-flight
-           packets still process, then release. *)
-        ignore
-          (Sim.schedule t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt) (fun _ ->
-               if t.alive then Fe.unserve fe addr)
-            : Sim.handle))
+        List.iter (fun o -> drop_fe t o server) (offloads_of_addr t addr);
+        retire_replica_later t fe addr)
       served;
     Monitor.unwatch t.monitor ~key:server
 
@@ -705,19 +696,12 @@ let scale_in_offload t o ~remove =
     if remove <= 0 then 0
     else begin
       let topo = Fabric.topology t.fabric in
-      (* Evict cross-rack FEs first (App. B.1 preference in reverse),
-         then the most loaded — free the busiest servers for their own
-         local traffic. *)
-      let ranked =
-        List.sort
-          (fun a b ->
-            let rack s = if Topology.same_rack topo s o.be_server then 1 else 0 in
-            match compare (rack a) (rack b) with
-            | 0 -> Float.compare (load_signal t b) (load_signal t a)
-            | c -> c)
-          o.fe_servers
+      let victims =
+        Placement.take remove
+          (Placement.evict_order
+             ~same_rack:(fun s -> Topology.same_rack topo s o.be_server)
+             ~load:(load_signal t) o.fe_servers)
       in
-      let victims = Placement.take remove ranked in
       o.fe_servers <- List.filter (fun s -> not (List.mem s victims)) o.fe_servers;
       ignore (update_routing t o : float);
       registry_sync t o;
@@ -731,12 +715,7 @@ let scale_in_offload t o ~remove =
           | None -> ()
           | Some fe ->
             if Fe.served_count fe <= 1 then Monitor.unwatch t.monitor ~key:s;
-            (* Retain the tables through the learning window so
-               in-flight packets still process, then release. *)
-            ignore
-              (Sim.schedule t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt)
-                 (fun _ -> if t.alive then Fe.unserve fe (Vnic.addr o.vnic))
-                : Sim.handle))
+            retire_replica_later t fe (Vnic.addr o.vnic))
         victims;
       List.length victims
     end
@@ -843,14 +822,7 @@ let reconcile_server t sid =
                   o.active && List.mem sid o.fe_servers
                   && (not (Fe.serves fe (Vnic.addr o.vnic)))
                   && fenced t sid
-                then begin
-                  match
-                    Fe.serve fe ~vnic:o.vnic ~ruleset:(Ruleset.clone o.saved_ruleset)
-                      ~be:(Topology.underlay_ip (Fabric.topology t.fabric) o.be_server)
-                  with
-                  | Ok () -> t.repairs <- t.repairs + 1
-                  | Error _ -> ()
-                end)
+                then restore_fe t o fe)
               t.offload_tbl);
           (* BE half: the node re-advertised its offloads; install a
              fresh tracker for each (the pre-crash instance is closed
@@ -862,18 +834,7 @@ let reconcile_server t sid =
                 | Some vs
                   when (match o.be with Some be -> Be.closed be | None -> false)
                        && fenced t sid ->
-                  let stage =
-                    match o.be with Some b -> Be.stage b | None -> Be.Final
-                  in
-                  let be =
-                    install_be t ~vs ~vnic:o.vnic ~vni:o.vni
-                      ~fes:(fe_ips t o.fe_servers)
-                      ~fallback_ruleset:(Some o.saved_ruleset)
-                  in
-                  Be.set_stage be stage;
-                  o.be <- Some be;
-                  t.repairs <- t.repairs + 1;
-                  registry_sync t o
+                  reinstall_be t o vs
                 | Some _ | None -> ()
               end)
             t.offload_tbl
@@ -912,16 +873,7 @@ let repair_offload t o =
       | Some be when not (Be.closed be) -> ()
       | _ -> (
         match Fabric.vswitch_opt t.fabric o.be_server with
-        | Some vs when healthy o.be_server && fenced t o.be_server ->
-          let stage = match o.be with Some b -> Be.stage b | None -> Be.Final in
-          let be =
-            install_be t ~vs ~vnic:o.vnic ~vni:o.vni ~fes:(fe_ips t o.fe_servers)
-              ~fallback_ruleset:(Some o.saved_ruleset)
-          in
-          Be.set_stage be stage;
-          o.be <- Some be;
-          t.repairs <- t.repairs + 1;
-          registry_sync t o
+        | Some vs when healthy o.be_server && fenced t o.be_server -> reinstall_be t o vs
         | Some _ | None -> ()));
       (* Intended FEs not serving. *)
       List.iter
@@ -929,14 +881,7 @@ let repair_offload t o =
           match Hashtbl.find_opt t.fe_services s with
           | Some fe when (not (Fe.serves fe addr)) && healthy s && fenced t s ->
             rpc_to t s (fun ok ->
-                if ok && o.active && not (Fe.serves fe addr) then begin
-                  match
-                    Fe.serve fe ~vnic:o.vnic ~ruleset:(Ruleset.clone o.saved_ruleset)
-                      ~be:(Topology.underlay_ip (Fabric.topology t.fabric) o.be_server)
-                  with
-                  | Ok () -> t.repairs <- t.repairs + 1
-                  | Error _ -> ()
-                end)
+                if ok && o.active && not (Fe.serves fe addr) then restore_fe t o fe)
           | Some _ | None -> ())
         o.fe_servers;
       (* Route lost entirely (never with a live gateway, but cheap to
@@ -1041,21 +986,14 @@ let migrate_be t o ~to_server =
                      { session with Vswitch.pre = None }
                     : Admission.t)
               | None -> ());
-          let old_be = o.be in
-          let fes = fe_ips t o.fe_servers in
-          let be' =
-            install_be t ~vs:new_vs ~vnic:o.vnic ~vni:o.vni ~fes
-              ~fallback_ruleset:(Some o.saved_ruleset)
-          in
-          Be.set_stage be'
-            (match old_be with Some b -> Be.stage b | None -> Be.Final);
-          (match old_be with Some b -> Be.uninstall b | None -> ());
+          let be' = successor_be t o new_vs in
+          (match o.be with Some b -> Be.uninstall b | None -> ());
           Vswitch.remove_vnic old_vs o.vnic.Vnic.id;
           o.be <- Some be';
           o.be_server <- to_server;
           registry_sync t o;
           (* The sub-millisecond part: point every FE at the new BE. *)
-          let new_ip = Topology.underlay_ip (Fabric.topology t.fabric) to_server in
+          let new_ip = underlay t to_server in
           let addr = Vnic.addr o.vnic in
           List.iter
             (fun s ->
@@ -1081,20 +1019,14 @@ let pin_elephant t o flow =
       select_fe_candidates t ~be_server:o.be_server ~exclude:o.fe_servers ~count:1
     with
     | [] -> Error "no idle vSwitch available for a dedicated FE"
-    | s :: _ -> (
-      let fe = fe_service_ensure t s in
-      let replica = Ruleset.clone o.saved_ruleset in
-      match
-        Fe.serve fe ~vnic:o.vnic ~ruleset:replica
-          ~be:(Topology.underlay_ip (Fabric.topology t.fabric) o.be_server)
-      with
-      | Error _ -> Error "candidate FE lacks memory for the tables"
-      | Ok () ->
-        watch_fe_host t s;
+    | s :: _ ->
+      if not (provision_fe t o s) then Error "candidate FE lacks memory for the tables"
+      else begin
         (match o.be with
-        | Some be -> Be.pin_flow be flow (Topology.underlay_ip (Fabric.topology t.fabric) s)
+        | Some be -> Be.pin_flow be flow (underlay t s)
         | None -> ());
-        Ok s)
+        Ok s
+      end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1153,7 +1085,7 @@ let consider_fallback t =
           let fe_busy =
             List.exists (fun s -> last_cpu t s > 0.05) o.fe_servers
           in
-          if (not fe_busy) && be_cpu < t.cfg.safe_level /. 2.0 then begin
+          if (not fe_busy) && be_cpu < safe_level /. 2.0 then begin
             o.idle_ticks <- o.idle_ticks + 1;
             if o.idle_ticks >= t.cfg.fallback_idle_ticks then
               ignore (fallback_vnic t o : (unit, string) result)
@@ -1174,10 +1106,10 @@ let report_tick t =
         (match Hashtbl.find_opt t.load_ewma s with
         | Some e -> Placement.Ewma.observe e !cpu
         | None ->
-          let e = Placement.Ewma.create ~alpha:t.cfg.ewma_alpha () in
+          let e = Placement.Ewma.create ~alpha:ewma_alpha () in
           Placement.Ewma.observe e !cpu;
           Hashtbl.replace t.load_ewma s e);
-        if !cpu > t.cfg.overload_level || !mem > t.cfg.overload_level then
+        if !cpu > overload_level || !mem > overload_level then
           Hashtbl.replace t.overloads s
             (1 + Option.value (Hashtbl.find_opt t.overloads s) ~default:0);
         let hosts_fes =
@@ -1186,7 +1118,7 @@ let report_tick t =
           | None -> false
         in
         (* Fig. 8 decision tree. *)
-        if hosts_fes && t.cfg.auto_scale && !cpu > t.cfg.scale_threshold then begin
+        if hosts_fes && t.cfg.auto_scale && !cpu > scale_threshold then begin
           let rf = remote_fraction t s in
           if rf > 0.5 then begin
             (* Remote pressure: scale out the offload served here —
@@ -1196,27 +1128,25 @@ let report_tick t =
             | Some fe -> (
               match Fe.served_vnics fe with
               | addr :: _ ->
-                Hashtbl.iter
-                  (fun _ o ->
-                    if o.active && Vnic.Addr.equal (Vnic.addr o.vnic) addr then begin
-                      let now = Sim.now t.sim in
-                      let recently =
-                        match Hashtbl.find_opt t.last_scaled o.key with
-                        | Some t0 -> now -. t0 < t.cfg.report_interval *. 1.5
-                        | None -> false
-                      in
-                      if not recently then begin
-                        Hashtbl.replace t.last_scaled o.key now;
-                        ignore (scale_out t o ~add:(List.length o.fe_servers) : int)
-                      end
+                List.iter
+                  (fun o ->
+                    let now = Sim.now t.sim in
+                    let recently =
+                      match Hashtbl.find_opt t.last_scaled o.key with
+                      | Some t0 -> now -. t0 < t.cfg.report_interval *. 1.5
+                      | None -> false
+                    in
+                    if not recently then begin
+                      Hashtbl.replace t.last_scaled o.key now;
+                      ignore (scale_out t o ~add:(List.length o.fe_servers) : int)
                     end)
-                  t.offload_tbl
+                  (offloads_of_addr t addr)
               | [] -> ())
             | None -> ()
           end
           else scale_in_server t s
         end
-        else if t.cfg.auto_offload && (!cpu > t.cfg.offload_threshold || !mem > t.cfg.offload_threshold)
+        else if t.cfg.auto_offload && (!cpu > offload_threshold || !mem > offload_threshold)
         then begin
           match heaviest_vnic t vs ~server:s ~by_memory:(!mem > !cpu) with
           | Some vid when find_offload t ~server:s ~vnic:vid = None ->
@@ -1264,8 +1194,7 @@ let create ?(config = default_config) ~fabric ~rng () =
       remote_prev = Hashtbl.create 32;
       busy_prev = Hashtbl.create 64;
       monitor =
-        Monitor.create ~sim ~interval:config.ping_interval
-          ~misses_to_fail:config.ping_misses_to_fail ();
+        Monitor.create ~sim ~interval:ping_interval ~misses_to_fail:ping_misses_to_fail ();
       completion_ms = Stats.Histogram.create ();
       overloads = Hashtbl.create 64;
       last_scaled = Hashtbl.create 16;

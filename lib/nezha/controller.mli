@@ -15,22 +15,44 @@ open Nezha_net
 open Nezha_fabric
 open Nezha_vswitch
 
+(** {1 The paper's control policy}
+
+    One value each, shared by the region-scale bridge
+    ([Nezha_workloads.Region_sim]). *)
+
+val offload_threshold : float
+(** §4.2.1 / Fig. 8: a vSwitch above 70% CPU or memory offloads its
+    heaviest vNIC. *)
+
+val overload_level : float
+(** 95%: what counts as an overload occurrence (Fig. 13). *)
+
+val initial_fes : int
+(** 4 FEs per new offload (App. B.2). *)
+
+val fe_mem_max : float
+(** Idle-candidate memory ceiling (50%); the CPU ceiling is
+    [config.fe_cpu_max]. *)
+
+val push_bytes_per_s : float
+(** Rule-table push bandwidth to an FE: 200 MB/s. *)
+
+val ping_interval : float
+(** FE health-probe period (0.5 s, §4.4). *)
+
+val ping_misses_to_fail : int
+(** Consecutive missed probes before an FE is declared dead (3). *)
+
+(** The remaining policy constants stay internal: the Fig. 8 scale
+    threshold (40%) and safe level (40%), the 200 ms vNIC-server
+    learning interval (§4.2.1) plus 0.5 ms in-flight slack, the
+    {!Rpc_policy.default} RPC policy, and the p2c load signal's EWMA
+    weight (0.3) and per-steered-vNIC pressure (0.05). *)
+
 type config = {
   report_interval : float;  (** utilization report period *)
-  offload_threshold : float;  (** §4.2.1 / Fig. 8: 0.70 *)
-  scale_threshold : float;  (** Fig. 8: 0.40 *)
-  safe_level : float;  (** target utilization after mitigation *)
-  overload_level : float;  (** what counts as an overload occurrence (Fig. 13) *)
-  initial_fes : int;  (** 4, App. B.2 *)
   min_fes : int;  (** failover floor, §4.4 *)
-  learning_interval : float;  (** vNIC-server learning, 200 ms (§4.2.1) *)
-  rtt : float;  (** in-flight retention slack *)
-  rpc : Rpc_policy.t;  (** control-plane RPC latency/timeout/retry policy *)
-  push_bytes_per_s : float;  (** rule-table push bandwidth to an FE *)
-  ping_interval : float;
-  ping_misses_to_fail : int;
-  fe_cpu_max : float;  (** idle-candidate ceiling (CPU) *)
-  fe_mem_max : float;  (** idle-candidate ceiling (memory) *)
+  fe_cpu_max : float;  (** idle-candidate ceiling (CPU): 30% *)
   auto_offload : bool;
   auto_scale : bool;
   auto_fallback : bool;
@@ -42,10 +64,6 @@ type config = {
       (** FE candidate selection: the paper's least-loaded ordering, or
           power-of-two-choices over the live load signal (ROADMAP
           item 4) *)
-  ewma_alpha : float;  (** smoothing of the per-server CPU load signal *)
-  fe_pressure_weight : float;
-      (** load-signal weight per vNIC already steered at a server, so
-          placements don't herd onto one momentarily-idle server *)
   slo : Slo.config option;
       (** when set, an {!Slo} loop rides the report tick: observed P99
           remote-hop latency (drained from every BE tracker) drives
@@ -219,8 +237,8 @@ val last_cpu : t -> Topology.server_id -> float
 val last_mem : t -> Topology.server_id -> float
 
 val load_signal : t -> Topology.server_id -> float
-(** The p2c placement load signal: EWMA-smoothed reported CPU plus
-    [fe_pressure_weight] per vNIC already steered at the server. *)
+(** The p2c placement load signal: EWMA-smoothed reported CPU plus a
+    fixed pressure term per vNIC already steered at the server. *)
 
 val slo : t -> Slo.t option
 (** The SLO decision state when [config.slo] is set. *)
@@ -244,7 +262,8 @@ val rpc_retries : t -> int
 (** Control-plane RPC attempts lost to the fault plane and retried. *)
 
 val rpc_failures : t -> int
-(** RPCs abandoned after [rpc_max_retries] retries. *)
+(** RPCs abandoned after {!Rpc_policy.default}'s [max_retries]
+    retries. *)
 
 val overload_occurrences : t -> Topology.server_id -> int
 (** Report ticks with utilization above [overload_level] (Fig. 13). *)

@@ -7,10 +7,6 @@ open Nezha_engine
 
 type policy = Least_loaded | Power_of_two
 
-let policy_name = function
-  | Least_loaded -> "least_loaded"
-  | Power_of_two -> "p2c"
-
 module Ewma = struct
   type t = { alpha : float; mutable value : float; mutable seeded : bool }
 
@@ -72,8 +68,11 @@ let drain ~rng ~load pool count =
   done;
   List.rev !picked
 
-let select_p2c ~rng ~eligible ~same_rack ~load ?(suspect = fun _ -> false)
-    ?(load_band = 0.15) ~count servers =
+(* How far above the least-loaded healthy candidate a same-rack one may
+   be and still keep its locality preference. *)
+let load_band = 0.15
+
+let select_p2c ~rng ~eligible ~same_rack ~load ~suspect ~count servers =
   let candidates = List.filter eligible servers in
   let healthy, suspects = List.partition (fun s -> not (suspect s)) candidates in
   let min_load =
@@ -94,3 +93,13 @@ let select_p2c ~rng ~eligible ~same_rack ~load ?(suspect = fun _ -> false)
         fill (List.rev_append picked acc) (count - List.length picked) rest
   in
   fill [] count [ near; far; suspects ]
+
+(* Scale-in victims: cross-rack FEs first (App. B.1 preference in
+   reverse), then the most loaded — free the busiest servers for their
+   own local traffic. *)
+let evict_order ~same_rack ~load servers =
+  let rack s = if same_rack s then 1 else 0 in
+  List.stable_sort
+    (fun a b ->
+      match compare (rack a) (rack b) with 0 -> Float.compare (load b) (load a) | c -> c)
+    servers

@@ -11,16 +11,13 @@
     - {!select_p2c} — power-of-two-choices over a live load signal
       (EWMA of reported utilization plus outstanding offloads): draw
       two distinct candidates, keep the less loaded, repeat.  Same-rack
-      candidates are preferred while their load stays within
-      [load_band] of the global minimum; suspect servers are only ever
+      candidates are preferred while their load stays within 0.15 of
+      the global minimum; suspect servers are only ever
       drawn when no healthy candidate remains. *)
 
 open Nezha_engine
 
 type policy = Least_loaded | Power_of_two
-
-val policy_name : policy -> string
-(** ["least_loaded"] / ["p2c"]. *)
 
 (** Exponentially-weighted moving average — the live load signal fed to
     {!select_p2c}.  [observe] folds a new sample in with weight
@@ -53,21 +50,24 @@ val select_p2c :
   eligible:('a -> bool) ->
   same_rack:('a -> bool) ->
   load:('a -> float) ->
-  ?suspect:('a -> bool) ->
-  ?load_band:float ->
+  suspect:('a -> bool) ->
   count:int ->
   'a list ->
   'a list
-(** [select_p2c ~rng ~eligible ~same_rack ~load ~count servers] picks up
-    to [count] distinct servers by power-of-two-choices over [load].
-    The draw pool is tiered: same-rack healthy candidates whose load is
-    within [load_band] (default 0.15) of the lowest load among healthy
-    candidates come first, then all remaining healthy candidates, and
-    suspect servers ([suspect], default none) only when both tiers are
-    exhausted — a suspect is never chosen while a healthy candidate
-    exists.  Each pick draws two distinct candidates from the current
+(** [select_p2c ~rng ~eligible ~same_rack ~load ~suspect ~count servers]
+    picks up to [count] distinct servers by power-of-two-choices over
+    [load].  The draw pool is tiered: same-rack healthy candidates whose
+    load is within 0.15 of the lowest load among healthy candidates come
+    first, then all remaining healthy candidates, and [suspect] servers
+    only when both tiers are exhausted — a suspect is never chosen while
+    a healthy candidate exists.  Each pick draws two distinct candidates from the current
     tier and keeps the less loaded (ties: the first drawn), then removes
     it from the pool.  Deterministic for a given [rng] state. *)
 
 val take : int -> 'a list -> 'a list
 (** First [n] elements (all of them if fewer). *)
+
+val evict_order : same_rack:('a -> bool) -> load:('a -> float) -> 'a list -> 'a list
+(** Scale-in victim ranking: servers outside the BE's rack first, then
+    by [load] descending; a stable sort, so ties keep their input
+    order. *)

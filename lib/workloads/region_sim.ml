@@ -2,6 +2,7 @@ open Nezha_engine
 open Nezha_net
 open Nezha_vswitch
 open Nezha_fabric
+module Controller = Nezha_core.Controller
 module Placement = Nezha_core.Placement
 
 (* Region-scale bridge: thousands of real vSwitches (one per server,
@@ -32,24 +33,13 @@ type config = {
   duration : float;  (** one compressed "day", sim seconds *)
   tick : float;  (** demand-evaluation period per server *)
   flow_timers : int;  (** sampled live-flow churn timers per server *)
-  flow_mean : float;  (** mean flow lifetime driving churn *)
   nezha : bool;  (** controller acts (false = "before" run) *)
   report_interval : float;
   scan_interval : float;
-  ctl_latency : float;  (** control-plane RPC latency = cluster lookahead *)
-  num_fes : int;
-  keep_share : float;  (** demand share the BE keeps once offloaded *)
-  offload_threshold : float;
-  overload_level : float;
-  fe_cpu_max : float;
-  fe_mem_max : float;
   hotspot_quantile : float;  (** CPS quantile above which spikes occur *)
   spikes_per_day : float;  (** Poisson mean per hotspot (Fig. 13) *)
   ramp_median : float;  (** compressed spike ramp median, seconds *)
-  ramp_sigma : float;
   hold : float;  (** time a spike holds its peak *)
-  push_bytes_per_s : float;  (** rule/state push bandwidth (§4.2.1) *)
-  rpc_rtt : float;
   (* --- crash-storm chaos (DESIGN.md §13) --- *)
   crash_rate : float;  (** Poisson mean crashes per server per day (0 = off) *)
   reboot_delay : float;  (** crash -> process back up *)
@@ -68,30 +58,27 @@ let default_config =
     duration = 30.0;
     tick = 0.02;
     flow_timers = 16;
-    flow_mean = 1.0;
     nezha = true;
     report_interval = 0.25;
     scan_interval = 0.25;
-    ctl_latency = 0.01;
-    num_fes = 4;
-    keep_share = 0.3;
-    offload_threshold = 0.70;
-    overload_level = 0.95;
-    fe_cpu_max = 0.30;
-    fe_mem_max = 0.50;
     hotspot_quantile = 0.97;
     spikes_per_day = 3.0;
     ramp_median = 12.0;
-    ramp_sigma = 0.8;
     hold = 3.0;
-    push_bytes_per_s = 200e6;
-    rpc_rtt = 0.002;
     crash_rate = 0.0;
     reboot_delay = 1.0;
     resync_delay = 0.1;
     ctl_crash_at = None;
     ctl_failover = 1.0;
   }
+
+(* Model constants.  The offload policy itself (threshold, FE count and
+   ceilings, push bandwidth, overload level) is the controller's. *)
+let flow_mean = 1.0 (* mean flow lifetime driving churn, s *)
+let ctl_latency = 0.01 (* control-plane RPC latency = cluster lookahead *)
+let keep_share = 0.3 (* demand share the BE keeps once offloaded *)
+let ramp_sigma = 0.8 (* lognormal sigma of a spike's ramp *)
+let rpc_rtt = 0.002 (* one control-plane RPC round trip, s *)
 
 type result = {
   servers : int;
@@ -204,24 +191,18 @@ type ctl = {
       (** (server, incarnation, crash time) arrived while down *)
 }
 
+(* MTTR percentiles name one recovery, so they use nearest rank. *)
 let percentile sorted p =
   let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) i))
-  end
+  if n = 0 then 0.0 else sorted.(Stats.nearest_rank n p)
 
 let run cfg =
   if cfg.shards < 1 then invalid_arg "Region_sim.run: shards must be >= 1";
-  if cfg.keep_share <= 0.0 || cfg.keep_share > 1.0 then
-    invalid_arg "Region_sim.run: keep_share must be in (0, 1]";
-  if cfg.ctl_latency <= 0.0 then invalid_arg "Region_sim.run: ctl_latency must be > 0";
   let n = cfg.racks * cfg.servers_per_rack in
   let topo = Topology.create ~racks:cfg.racks ~servers_per_rack:cfg.servers_per_rack in
   let cluster =
     Sim.Sharded.create ~capacity:4096 ~timer_tick:5e-3 ~timer_slots:512
-      ~shards:cfg.shards ~lookahead:cfg.ctl_latency ()
+      ~shards:cfg.shards ~lookahead:ctl_latency ()
   in
   let shard_of sid = Topology.rack_of topo sid mod cfg.shards in
   let ctl_sim = Sim.Sharded.shard cluster 0 in
@@ -243,9 +224,9 @@ let run cfg =
             Array.init k (fun _ ->
                 let t0 = Rng.float srng cfg.duration in
                 let ramp =
-                  cfg.ramp_median *. Rng.lognormal srng ~mu:0.0 ~sigma:cfg.ramp_sigma
+                  cfg.ramp_median *. Rng.lognormal srng ~mu:0.0 ~sigma:ramp_sigma
                 in
-                let peak = cfg.overload_level +. 0.05 +. Rng.float srng 0.25 in
+                let peak = Controller.overload_level +. 0.05 +. Rng.float srng 0.25 in
                 { t0; ramp; peak_add = peak -. p.Region.cpu; hold_s = cfg.hold })
           end
         in
@@ -304,7 +285,7 @@ let run cfg =
     if last = 0.0 then 0.0
     else
       last +. cfg.reboot_delay +. cfg.resync_delay +. cfg.ctl_failover
-      +. (4.0 *. cfg.ctl_latency) +. 0.5
+      +. (4.0 *. ctl_latency) +. 0.5
   in
   (* Real vSwitch + SmartNIC per server, placed on its rack's shard; one
      concrete vNIC with a ruleset (memory admission included), with the
@@ -381,7 +362,7 @@ let run cfg =
         else begin
           let eff = effective srvs srv now in
           srv.packets <- srv.packets +. (eff *. pps_per_unit *. cfg.tick);
-          if eff > cfg.overload_level then begin
+          if eff > Controller.overload_level then begin
             srv.over_ticks <- srv.over_ticks + 1;
             if not srv.over then begin
               srv.over <- true;
@@ -397,12 +378,12 @@ let run cfg =
       (* Flow churn: [flow_timers] concurrent lifetimes, each re-arming
          with an exponential draw from the server's private stream. *)
       for _ = 1 to cfg.flow_timers do
-        let delay0 = Rng.exponential srv.rng ~mean:cfg.flow_mean in
+        let delay0 = Rng.exponential srv.rng ~mean:flow_mean in
         match cfg.engine with
         | Wheel_events ->
           let rec act sim =
             srv.flow_expiries <- srv.flow_expiries + 1;
-            let d = Rng.exponential srv.rng ~mean:cfg.flow_mean in
+            let d = Rng.exponential srv.rng ~mean:flow_mean in
             if Sim.now sim +. d <= cfg.duration then
               ignore (Sim.timeout sim ~delay:d act : Sim.timer)
           in
@@ -410,7 +391,7 @@ let run cfg =
         | Heap_events ->
           let rec act sim =
             srv.flow_expiries <- srv.flow_expiries + 1;
-            let d = Rng.exponential srv.rng ~mean:cfg.flow_mean in
+            let d = Rng.exponential srv.rng ~mean:flow_mean in
             if Sim.now sim +. d <= cfg.duration then
               ignore (Sim.schedule sim ~delay:d (fun s -> act s) : Sim.handle)
           in
@@ -422,7 +403,7 @@ let run cfg =
           let now = Sim.now sim in
           if not srv.down then begin
             let eff = effective srvs srv now in
-            Sim.Sharded.send sim ~dst:0 ~delay:cfg.ctl_latency (fun _ ->
+            Sim.Sharded.send sim ~dst:0 ~delay:ctl_latency (fun _ ->
                 ctl.reported.(srv.sid) <- eff)
           end;
           now < cfg.duration))
@@ -432,13 +413,13 @@ let run cfg =
   let activation_delay sid =
     let p = profiles.(sid) in
     let state_bytes = 5.5e6 +. (p.Region.flows *. 94.5e6) in
-    (2.0 *. cfg.rpc_rtt)
-    +. (state_bytes /. cfg.push_bytes_per_s
+    (2.0 *. rpc_rtt)
+    +. (state_bytes /. Controller.push_bytes_per_s
         *. Rng.lognormal ctl.rngs.(sid) ~mu:0.0 ~sigma:0.35)
   in
   let scan () =
     for sid = 0 to n - 1 do
-      if ctl.state.(sid) = No_offload && ctl.reported.(sid) >= cfg.offload_threshold
+      if ctl.state.(sid) = No_offload && ctl.reported.(sid) >= Controller.offload_threshold
       then begin
         let fes =
           Placement.select
@@ -446,11 +427,11 @@ let run cfg =
               s <> sid
               && ctl.state.(s) = No_offload
               && (not ctl.reserved.(s))
-              && ctl.reported.(s) <= cfg.fe_cpu_max
-              && srvs.(s).mem <= cfg.fe_mem_max)
+              && ctl.reported.(s) <= Controller.default_config.Controller.fe_cpu_max
+              && srvs.(s).mem <= Controller.fe_mem_max)
             ~same_rack:(fun s -> Topology.same_rack topo s sid)
             ~cpu:(fun s -> ctl.reported.(s))
-            ~count:cfg.num_fes all_servers
+            ~count:Controller.initial_fes all_servers
         in
         match fes with
         | [] -> () (* no idle capacity this scan; retry next period *)
@@ -458,17 +439,17 @@ let run cfg =
           ctl.state.(sid) <- Pending;
           ctl.detections <- ctl.detections + 1;
           List.iter (fun f -> ctl.reserved.(f) <- true) fes;
-          let share = (1.0 -. cfg.keep_share) /. float_of_int (List.length fes) in
+          let share = (1.0 -. keep_share) /. float_of_int (List.length fes) in
           ignore
             (Sim.schedule ctl.sim ~delay:(activation_delay sid) (fun csim ->
                  ctl.state.(sid) <- Active;
                  ctl.activations <- ctl.activations + 1;
-                 Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:cfg.ctl_latency
-                   (fun _ -> srvs.(sid).keep <- cfg.keep_share);
+                 Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:ctl_latency
+                   (fun _ -> srvs.(sid).keep <- keep_share);
                  List.iter
                    (fun f ->
                      ctl.fe_of.(f) <- (sid, share) :: ctl.fe_of.(f);
-                     Sim.Sharded.send csim ~dst:(shard_of f) ~delay:cfg.ctl_latency
+                     Sim.Sharded.send csim ~dst:(shard_of f) ~delay:ctl_latency
                        (fun _ -> srvs.(f).absorbed <- (sid, share) :: srvs.(f).absorbed))
                    fes)
               : Sim.handle)
@@ -491,12 +472,12 @@ let run cfg =
     else
       ignore
         (Sim.schedule ctl_sim ~delay:cfg.resync_delay (fun csim ->
-             Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:cfg.ctl_latency
+             Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:ctl_latency
                (fun ssim ->
                  let s = srvs.(sid) in
                  if (not s.down) && s.incarnation = inc then begin
                    (match ctl.state.(sid) with
-                   | Active -> s.keep <- cfg.keep_share
+                   | Active -> s.keep <- keep_share
                    | Pending | No_offload -> ());
                    s.absorbed <- ctl.fe_of.(sid);
                    s.mttr <- (Sim.now ssim -. t_crash) :: s.mttr
@@ -520,7 +501,7 @@ let run cfg =
         (Sim.schedule sim ~delay:cfg.reboot_delay (fun ssim ->
              srv.down <- false;
              srv.restarts <- srv.restarts + 1;
-             Sim.Sharded.send ssim ~dst:0 ~delay:cfg.ctl_latency (fun _ ->
+             Sim.Sharded.send ssim ~dst:0 ~delay:ctl_latency (fun _ ->
                  readvert srv.sid inc t_crash))
           : Sim.handle)
     end
@@ -633,8 +614,8 @@ let run cfg =
     pool_fresh = fresh;
     crashes = !crashes;
     restarts = !restarts;
-    mttr_p50 = percentile mttr_sorted 0.50;
-    mttr_p99 = percentile mttr_sorted 0.99;
+    mttr_p50 = percentile mttr_sorted 50.0;
+    mttr_p99 = percentile mttr_sorted 99.0;
     blackholed_ticks = !blackholed;
     late_blackholed = !late_blackholed;
     ctl_takeovers = ctl.takeovers;
@@ -793,18 +774,10 @@ let run_slo cfg =
     List.length picked
   in
   let shrink _now count =
-    (* Mirror the controller's victim ranking: cross-rack first, then
-       the highest background load. *)
-    let ranked =
-      List.sort
-        (fun a b ->
-          let rack s = if rack_of s = be_rack then 1 else 0 in
-          match compare (rack a) (rack b) with
-          | 0 -> Float.compare (load b) (load a)
-          | c -> c)
-        (members ())
+    let victims =
+      Placement.take count
+        (Placement.evict_order ~same_rack:(fun sid -> rack_of sid = be_rack) ~load (members ()))
     in
-    let victims = Placement.take count ranked in
     List.iter (fun sid -> in_pool.(sid) <- false) victims;
     pool_size := !pool_size - List.length victims;
     List.length victims

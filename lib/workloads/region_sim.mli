@@ -15,8 +15,9 @@
 
     Determinism: for a fixed seed the result {!result.digest} is
     identical for any shard count (all cross-shard interaction is
-    control-plane traffic with delay = [ctl_latency] = the cluster
-    lookahead; everything else is shard-local — see DESIGN.md §10). *)
+    control-plane traffic delayed by the 10 ms control-plane latency,
+    which is the cluster lookahead; everything else is shard-local — see
+    DESIGN.md §10). *)
 
 (** Event-scheduling mode, the benchmark contrast of [bench macro]:
     [Heap_events] replicates the classic engine (a fresh closure pushed
@@ -33,24 +34,13 @@ type config = {
   duration : float;  (** one compressed "day", sim seconds *)
   tick : float;  (** demand-evaluation period per server *)
   flow_timers : int;  (** sampled live-flow churn timers per server *)
-  flow_mean : float;  (** mean flow lifetime driving churn *)
   nezha : bool;  (** controller acts (false = "before" run) *)
   report_interval : float;
   scan_interval : float;
-  ctl_latency : float;  (** control-plane RPC latency = cluster lookahead *)
-  num_fes : int;
-  keep_share : float;  (** demand share the BE keeps once offloaded *)
-  offload_threshold : float;
-  overload_level : float;
-  fe_cpu_max : float;
-  fe_mem_max : float;
   hotspot_quantile : float;  (** CPS quantile above which spikes occur *)
   spikes_per_day : float;  (** Poisson mean per hotspot (Fig. 13) *)
   ramp_median : float;  (** compressed spike ramp median, seconds *)
-  ramp_sigma : float;
   hold : float;  (** time a spike holds its peak *)
-  push_bytes_per_s : float;  (** rule/state push bandwidth (§4.2.1) *)
-  rpc_rtt : float;
   crash_rate : float;
       (** crash-storm chaos (DESIGN.md §13): Poisson mean server crashes
           per compressed day, schedule frozen at setup (0 = off) *)
@@ -62,7 +52,13 @@ type config = {
 
 val default_config : config
 (** 250 racks x 8 servers = 2,000 vSwitches, 8 shards, tuned engine,
-    30 s compressed day. *)
+    30 s compressed day.  The offload policy is not configured here: the
+    fleet controller uses {!Nezha_core.Controller}'s threshold, FE count
+    ([initial_fes]), FE ceilings, push bandwidth and overload level.
+    Fixed model constants: 10 ms control-plane latency (the cluster
+    lookahead), 1 s mean flow lifetime, a BE keeps 30% of its spike
+    demand once offloaded, spike-ramp lognormal sigma 0.8, 2 ms RPC
+    round trip. *)
 
 type result = {
   servers : int;

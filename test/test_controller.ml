@@ -100,6 +100,34 @@ let test_scale_out_limits () =
   Sim.run t.Testbed.sim ~until:(Sim.now t.Testbed.sim +. 3.0);
   check_int "seven FEs total" 7 (List.length (Controller.offload_fe_servers o))
 
+(* Evicting an offload's only FE when no other candidate is eligible
+   must fall back to local serving, as failover does — not leave the
+   vNIC routed to the evicted FE with an empty FE set. *)
+let test_scale_in_last_fe_falls_back () =
+  let t = Testbed.create () in
+  let o = Testbed.offload t ~num_fes:1 () in
+  let fe = List.hd (Controller.offload_fe_servers o) in
+  List.iter
+    (fun s ->
+      if s <> fe && s <> t.Testbed.heavy_server then
+        Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric s)))
+    (Topology.servers (Fabric.topology t.Testbed.fabric));
+  Controller.scale_in_server t.Testbed.ctl fe;
+  let topo = Fabric.topology t.Testbed.fabric in
+  let addr = { Vnic.Addr.vpc = t.Testbed.vpc; ip = Testbed.heavy_ip } in
+  Alcotest.(check (option (array int32)))
+    "gateway targets the BE"
+    (Some [| Nezha_net.Ipv4.to_int32 (Topology.underlay_ip topo t.Testbed.heavy_server) |])
+    (Option.map (Array.map Nezha_net.Ipv4.to_int32)
+       (Gateway.lookup (Fabric.gateway t.Testbed.fabric) addr));
+  check_bool "conservation holds" true (Controller.check_conservation t.Testbed.ctl);
+  Sim.run t.Testbed.sim ~until:(Sim.now t.Testbed.sim +. 3.0);
+  check_int "offload retired" 0 (List.length (Controller.offloads t.Testbed.ctl));
+  check_bool "vNIC served locally again" true
+    (Vswitch.ruleset (Fabric.vswitch t.Testbed.fabric t.Testbed.heavy_server)
+       Testbed.heavy_vnic_id
+    <> None)
+
 let test_offload_more_fes_than_pool () =
   let t = Testbed.create ~racks:2 ~servers_per_rack:4 ~clients:2 () in
   match
@@ -246,6 +274,94 @@ let test_slo_loop_scales_in_to_the_floor () =
   check_int "drained exactly to the serving minimum" 2
     (List.length (Controller.offload_fe_servers o))
 
+(* ------------------------------------------------------------------ *)
+(* Golden trajectory: one seeded scenario through every intent step the
+   controller has — offload, scale-out, both scale-ins, reconcile after
+   FE and BE reboots, anti-entropy repair, failover, elephant pinning,
+   fallback.  After each step the observable control-plane state (BE
+   stage, FE set, gateway targets, repair/reconcile/RPC/provisioning
+   counters, the completion histogram) and the number of events run so
+   far are folded into one digest.  A change to what a step does, or to
+   the events it schedules, moves the digest. *)
+
+let test_golden_trajectory () =
+  let t = Testbed.create ~seed:5 () in
+  let ctl = t.Testbed.ctl in
+  Controller.start ctl;
+  let addr = { Vnic.Addr.vpc = t.Testbed.vpc; ip = Testbed.heavy_ip } in
+  let digest = ref 17 in
+  let mix x = digest := (!digest * 1000003) lxor x in
+  let mix_float f = mix (Int64.to_int (Int64.logand (Int64.bits_of_float f) 0xffffffffL)) in
+  let fold o =
+    mix (match Controller.offload_stage o with Be.Dual -> 1 | Be.Final -> 2);
+    List.iter mix (Controller.offload_fe_servers o);
+    mix (-1);
+    (match Gateway.lookup (Fabric.gateway t.Testbed.fabric) addr with
+    | Some targets ->
+      Array.iter (fun ip -> mix (Int32.to_int (Nezha_net.Ipv4.to_int32 ip))) targets
+    | None -> mix (-2));
+    mix (Controller.repairs ctl);
+    mix (Controller.reconciles ctl);
+    mix (Controller.rpc_attempts ctl);
+    mix (Controller.fes_provisioned ctl);
+    let h = Controller.completion_times_ms ctl in
+    mix (Stats.Histogram.count h);
+    mix_float (Stats.Histogram.total h);
+    mix (Sim.events_executed t.Testbed.sim)
+  in
+  let run_for d = Sim.run t.Testbed.sim ~until:(Sim.now t.Testbed.sim +. d) in
+  let o = Testbed.offload t () in
+  fold o;
+  ignore (Testbed.run_crr t ~rate:300.0 ~duration:1.0 () : Nezha_workloads.Tcp_crr.t);
+  fold o;
+  ignore (Controller.scale_out ctl o ~add:2 : int);
+  run_for 2.0;
+  fold o;
+  ignore (Controller.scale_in_offload ctl o ~remove:1 : int);
+  run_for 1.0;
+  fold o;
+  Controller.scale_in_server ctl (List.hd (Controller.offload_fe_servers o));
+  run_for 2.0;
+  fold o;
+  (* FE host crash and reboot: reconciliation re-serves the replica. *)
+  let f = List.hd (Controller.offload_fe_servers o) in
+  Faults.crash_server t.Testbed.faults ~reboot_after:0.2 f;
+  run_for 2.0;
+  fold o;
+  (* BE host crash and reboot: reconciliation installs a fresh tracker. *)
+  let be0 = Controller.offload_be o in
+  Faults.crash_server t.Testbed.faults ~reboot_after:0.2 t.Testbed.heavy_server;
+  run_for 2.0;
+  check_bool "BE tracker replaced" true
+    (Controller.offload_be o != be0 && not (Be.closed (Controller.offload_be o)));
+  fold o;
+  (* A replica lost behind the controller's back: anti-entropy repair. *)
+  (match Controller.fe_service ctl (List.nth (Controller.offload_fe_servers o) 1) with
+  | Some fe -> Fe.unserve fe addr
+  | None -> Alcotest.fail "no FE service");
+  run_for 2.0;
+  fold o;
+  (* SmartNIC crash: the monitor declares the FE dead and fails over. *)
+  let dead = List.nth (Controller.offload_fe_servers o) 2 in
+  Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric dead));
+  run_for 3.0;
+  fold o;
+  let flow =
+    Nezha_net.Five_tuple.make ~src:Testbed.heavy_ip
+      ~dst:t.Testbed.clients.(0).Nezha_workloads.Tcp_crr.ip ~src_port:7 ~dst_port:9
+      ~proto:Nezha_net.Five_tuple.Udp
+  in
+  (match Controller.pin_elephant ctl o flow with
+  | Ok s -> mix s
+  | Error e -> Alcotest.fail e);
+  run_for 1.0;
+  fold o;
+  (match Controller.fallback_vnic ctl o with Ok () -> () | Error e -> Alcotest.fail e);
+  run_for 2.0;
+  fold o;
+  check_bool "conservation holds" true (Controller.check_conservation ctl);
+  check_int "trajectory digest" 3416256737444997404 !digest
+
 let () =
   Alcotest.run "controller"
     [
@@ -261,6 +377,8 @@ let () =
         [
           Alcotest.test_case "scale-out limits" `Quick test_scale_out_limits;
           Alcotest.test_case "offload capped at pool" `Quick test_offload_more_fes_than_pool;
+          Alcotest.test_case "scale-in of the last FE falls back" `Quick
+            test_scale_in_last_fe_falls_back;
         ] );
       ( "bookkeeping",
         [
@@ -269,6 +387,7 @@ let () =
           Alcotest.test_case "utilization views" `Quick test_utilization_views_sane;
           Alcotest.test_case "rule update during dual-running" `Quick
             test_update_rules_during_dual_running;
+          Alcotest.test_case "golden trajectory" `Quick test_golden_trajectory;
         ] );
       ( "slo",
         [

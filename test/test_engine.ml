@@ -127,6 +127,22 @@ let test_percentile_errors () =
   Alcotest.check_raises "bad p" (Invalid_argument "Stats.percentile: p outside [0,100]")
     (fun () -> ignore (Stats.percentile [| 1.0 |] 150.0 : float))
 
+(* Nearest rank names one sample: ceil(p/100 * n) - 1, clamped. *)
+let test_nearest_rank () =
+  check_int "n = 1, p = 0" 0 (Stats.nearest_rank 1 0.0);
+  check_int "n = 1, p = 100" 0 (Stats.nearest_rank 1 100.0);
+  check_int "p = 0 names the minimum" 0 (Stats.nearest_rank 10 0.0);
+  check_int "p = 100 names the maximum" 9 (Stats.nearest_rank 10 100.0);
+  (* p/100 * n an exact integer k: the k-th sample, not the next. *)
+  check_int "exact multiple" 1 (Stats.nearest_rank 4 50.0);
+  check_int "just past it" 2 (Stats.nearest_rank 4 50.001);
+  check_int "p99 of 100" 98 (Stats.nearest_rank 100 99.0);
+  check_int "p99 of 1000" 989 (Stats.nearest_rank 1000 99.0);
+  Alcotest.check_raises "no samples" (Invalid_argument "Stats.nearest_rank: no samples")
+    (fun () -> ignore (Stats.nearest_rank 0 50.0 : int));
+  Alcotest.check_raises "bad p" (Invalid_argument "Stats.percentile: p outside [0,100]")
+    (fun () -> ignore (Stats.nearest_rank 5 (-1.0) : int))
+
 let test_counter () =
   let c = Stats.Counter.create () in
   Stats.Counter.incr c;
@@ -770,6 +786,7 @@ let () =
           Alcotest.test_case "percentile interpolation" `Quick test_percentile_interpolates;
           Alcotest.test_case "percentiles batch" `Quick test_percentiles_batch;
           Alcotest.test_case "percentile errors" `Quick test_percentile_errors;
+          Alcotest.test_case "nearest rank" `Quick test_nearest_rank;
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "histogram accuracy" `Quick test_histogram_accuracy;
           Alcotest.test_case "histogram merge" `Quick test_histogram_empty_and_merge;

@@ -10,14 +10,14 @@ open Nezha_core
 
 type server = { id : int; rack : int; load : float; bad : bool }
 
-let pick ~seed ?(be_rack = 0) ?load_band ~count servers =
+let pick ~seed ?(be_rack = 0) ~count servers =
   let rng = Rng.create seed in
   Placement.select_p2c ~rng
     ~eligible:(fun _ -> true)
     ~same_rack:(fun s -> s.rack = be_rack)
     ~load:(fun s -> s.load)
     ~suspect:(fun s -> s.bad)
-    ?load_band ~count servers
+    ~count servers
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties *)
@@ -186,6 +186,42 @@ let test_suspect_only_as_last_resort_fixed () =
   Alcotest.(check (list int)) "suspect ranked last" [ 1; 0 ]
     (List.map (fun s -> s.id) both)
 
+(* Scale-in victim ranking: cross-rack before same-rack, most loaded
+   first within a tier, input order kept on ties. *)
+let evict ~be_rack servers =
+  List.map
+    (fun s -> s.id)
+    (Placement.evict_order ~same_rack:(fun s -> s.rack = be_rack) ~load:(fun s -> s.load) servers)
+
+let test_evict_cross_rack_first () =
+  let servers =
+    [
+      { id = 0; rack = 0; load = 0.9; bad = false };
+      { id = 1; rack = 1; load = 0.1; bad = false };
+      { id = 2; rack = 0; load = 0.2; bad = false };
+      { id = 3; rack = 2; load = 0.05; bad = false };
+    ]
+  in
+  Alcotest.(check (list int)) "cross-rack, even idle, goes first" [ 1; 3; 0; 2 ]
+    (evict ~be_rack:0 servers)
+
+let test_evict_most_loaded_first () =
+  let servers =
+    List.map
+      (fun (id, load) -> { id; rack = 1; load; bad = false })
+      [ (0, 0.3); (1, 0.8); (2, 0.1); (3, 0.5) ]
+  in
+  Alcotest.(check (list int)) "descending load" [ 1; 3; 0; 2 ] (evict ~be_rack:0 servers)
+
+let test_evict_stable_on_ties () =
+  let servers =
+    List.map
+      (fun (id, rack) -> { id; rack; load = 0.4; bad = false })
+      [ (5, 0); (2, 1); (7, 0); (1, 1); (3, 0) ]
+  in
+  Alcotest.(check (list int)) "ties keep input order" [ 2; 1; 5; 7; 3 ]
+    (evict ~be_rack:0 servers)
+
 let test_ewma_smoothing () =
   let e = Placement.Ewma.create ~alpha:0.5 () in
   Alcotest.(check (float 1e-9)) "zero before any sample" 0.0
@@ -225,5 +261,11 @@ let () =
           Alcotest.test_case "suspect only as last resort" `Quick
             test_suspect_only_as_last_resort_fixed;
           Alcotest.test_case "ewma load signal" `Quick test_ewma_smoothing;
+        ] );
+      ( "evict-order",
+        [
+          Alcotest.test_case "cross-rack first" `Quick test_evict_cross_rack_first;
+          Alcotest.test_case "most loaded first" `Quick test_evict_most_loaded_first;
+          Alcotest.test_case "stable on ties" `Quick test_evict_stable_on_ties;
         ] );
     ]
