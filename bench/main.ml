@@ -7,9 +7,9 @@
      bench/main.exe fig9 table3     run selected experiments
      bench/main.exe micro           Bechamel microbenchmarks of the core
                                     data structures
-     bench/main.exe macro           region-scale engine benchmark: the
-                                    Fig. 13 before/after run plus an
-                                    engine-mode / shard-count sweep
+     bench/main.exe macro           region-scale run: the Fig. 13
+                                    before/after overloads plus a
+                                    shard-count digest sweep
      bench/main.exe --list          list experiment names
      bench/main.exe --json FILE     machine-readable mode: write the
                                     JSON-capable experiments (fig9 gains
@@ -300,86 +300,34 @@ let ablations () =
     (Experiments.ablation_notify_rate ())
 
 (* ------------------------------------------------------------------ *)
-(* Region-scale macrobenchmark: the Fig. 13 region run as an engine
-   stress test.  The sweep contrasts the classic single-heap engine
-   (shards=1, fresh closure per firing pushed through one big heap)
-   against the tuned engine (timer-wheel re-arming of one closure) at
-   growing shard counts; the region section is the measured
-   before/after-Nezha overload count.  Digest cross-checks ride along:
-   all tuned entries must agree regardless of shard count, and the
-   before/after pair must reproduce the sweep's same-config entry. *)
+(* Region-scale macrobenchmark: the Fig. 13 region run and its
+   simulated-result checks.  The region section is the measured
+   before/after-Nezha overload count; the sweep reruns the "after"
+   config at growing shard counts.  Every sweep entry must carry the
+   same digest (shard-count invariance), and the entry at the default
+   shard count must reproduce the before/after pair's "after" digest
+   (same-seed determinism).  Host time is not sampled here: perfbench's
+   region_day workload measures it, and bench/ab.py gates it. *)
 
 let word_bytes = Sys.word_size / 8
 let peak_rss_bytes () = (Gc.stat ()).Gc.top_heap_words * word_bytes
 
-let macro_engine_name = function
-  | Region_sim.Heap_events -> "heap"
-  | Region_sim.Wheel_events -> "wheel"
-
-let macro_sweep_points =
-  [
-    (1, Region_sim.Heap_events);
-    (1, Region_sim.Wheel_events);
-    (2, Region_sim.Wheel_events);
-    (4, Region_sim.Wheel_events);
-    (8, Region_sim.Wheel_events);
-  ]
-
-type macro_run = {
-  m_shards : int;
-  m_engine : Region_sim.engine;
-  m_res : Region_sim.result;
-  m_cpu_s : float;
-  m_rss : int;  (* top-of-heap high-water mark after this run *)
-}
-
 let macro_sweep () =
   List.map
-    (fun (shards, engine) ->
-      let cfg = { Region_sim.default_config with Region_sim.shards; engine } in
-      Gc.compact ();
-      let t0 = Sys.time () in
-      let res = Region_sim.run cfg in
-      let dt = Float.max 1e-9 (Sys.time () -. t0) in
-      { m_shards = shards; m_engine = engine; m_res = res; m_cpu_s = dt; m_rss = peak_rss_bytes () })
-    macro_sweep_points
+    (fun shards -> (shards, Region_sim.run { Region_sim.default_config with Region_sim.shards }))
+    [ 1; 2; 4; 8 ]
 
-let macro_checks region runs =
-  let digest_of shards engine =
-    List.find_map
-      (fun r -> if r.m_shards = shards && r.m_engine = engine then Some r.m_res.Region_sim.digest else None)
-      runs
-  in
-  let wheel_digests =
-    List.filter_map
-      (fun r -> if r.m_engine = Region_sim.Wheel_events then Some r.m_res.Region_sim.digest else None)
-      runs
-  in
+let macro_checks region sweep =
+  let digests = List.map (fun (_, r) -> r.Region_sim.digest) sweep in
   let shard_equivalent =
-    match wheel_digests with [] -> false | d :: rest -> List.for_all (( = ) d) rest
+    match digests with [] -> false | d :: rest -> List.for_all (( = ) d) rest
   in
-  (* The before/after "after" leg is the same config as the sweep's
-     (default shards, wheel) entry — equal digests mean a same-seed
-     rerun reproduced bit-identically. *)
   let deterministic =
-    digest_of Region_sim.default_config.Region_sim.shards Region_sim.Wheel_events
-    = Some region.Experiments.region_after.Region_sim.digest
+    match List.assoc_opt Region_sim.default_config.Region_sim.shards sweep with
+    | Some r -> r.Region_sim.digest = region.Experiments.region_after.Region_sim.digest
+    | None -> false
   in
   (deterministic, shard_equivalent)
-
-let macro_speedup runs =
-  let eps r = float_of_int r.m_res.Region_sim.events /. r.m_cpu_s in
-  let base =
-    List.find_opt (fun r -> r.m_shards = 1 && r.m_engine = Region_sim.Heap_events) runs
-  in
-  let best =
-    List.find_opt
-      (fun r ->
-        r.m_shards = Region_sim.default_config.Region_sim.shards
-        && r.m_engine = Region_sim.Wheel_events)
-      runs
-  in
-  match (base, best) with Some b, Some t -> eps t /. eps b | _ -> 0.0
 
 let macro () =
   banner
@@ -392,21 +340,13 @@ let macro () =
   note "overloads before: %d   after: %d   resolved: %.1f%%   (detections %d, activations %d)"
     b.Region_sim.overloads a.Region_sim.overloads region.Experiments.resolved_pct
     a.Region_sim.detections a.Region_sim.activations;
-  let runs = macro_sweep () in
-  note "%7s %7s %12s %10s %14s %14s %10s" "shards" "engine" "events" "cpu(s)" "events/s"
-    "sim pkts/s" "rss(MB)";
+  let sweep = macro_sweep () in
+  note "%7s %12s %22s" "shards" "events" "digest";
   List.iter
-    (fun r ->
-      note "%7d %7s %12d %10.2f %14.0f %14.3e %10.1f" r.m_shards
-        (macro_engine_name r.m_engine) r.m_res.Region_sim.events r.m_cpu_s
-        (float_of_int r.m_res.Region_sim.events /. r.m_cpu_s)
-        (r.m_res.Region_sim.packets_modeled /. r.m_cpu_s)
-        (float_of_int r.m_rss /. 1048576.0))
-    runs;
-  let deterministic, shard_equivalent = macro_checks region runs in
-  note "tuned x%d vs single-heap: %.2fx events/s   deterministic: %b   shard-equivalent: %b"
-    Region_sim.default_config.Region_sim.shards (macro_speedup runs) deterministic
-    shard_equivalent;
+    (fun (shards, r) -> note "%7d %12d %22d" shards r.Region_sim.events r.Region_sim.digest)
+    sweep;
+  let deterministic, shard_equivalent = macro_checks region sweep in
+  note "deterministic: %b   shard-equivalent: %b" deterministic shard_equivalent;
   banner "Macro — crash-storm MTTR chaos (DESIGN.md §13)";
   let mttr = Experiments.region_mttr () in
   let s = mttr.Experiments.storm in
@@ -966,30 +906,22 @@ let json_micro () =
 
 let json_macro () =
   let region = Experiments.region_overloads () in
-  let runs = macro_sweep () in
-  let deterministic, shard_equivalent = macro_checks region runs in
+  let sweep = macro_sweep () in
+  let deterministic, shard_equivalent = macro_checks region sweep in
   Json.Obj
     [
       ("region", Experiments.json_of_region_overloads region);
       ( "sweep",
         Json.List
           (List.map
-             (fun r ->
+             (fun (shards, r) ->
                Json.Obj
                  [
-                   ("shards", Json.Int r.m_shards);
-                   ("engine", Json.String (macro_engine_name r.m_engine));
-                   ("events", Json.Int r.m_res.Region_sim.events);
-                   ("cpu_s", Json.Float r.m_cpu_s);
-                   ( "events_per_sec",
-                     Json.Float (float_of_int r.m_res.Region_sim.events /. r.m_cpu_s) );
-                   ( "packets_per_sec",
-                     Json.Float (r.m_res.Region_sim.packets_modeled /. r.m_cpu_s) );
-                   ("peak_rss_bytes", Json.Int r.m_rss);
-                   ("digest", Json.Int r.m_res.Region_sim.digest);
+                   ("shards", Json.Int shards);
+                   ("events", Json.Int r.Region_sim.events);
+                   ("digest", Json.Int r.Region_sim.digest);
                  ])
-             runs) );
-      ("speedup", Json.Float (macro_speedup runs));
+             sweep) );
       ("deterministic", Json.Bool deterministic);
       ("shard_equivalent", Json.Bool shard_equivalent);
       ("storm", Experiments.json_of_region_mttr (Experiments.region_mttr ()));

@@ -1,10 +1,12 @@
 (* nezha-sim: command-line driver for the Nezha reproduction.
 
-     nezha_sim list                          available experiments
      nezha_sim cps --fes 4 --middlebox lb    one CPS measurement
      nezha_sim flows --fes 4                 one #concurrent-flows measurement
      nezha_sim offload --fes 4               offload walkthrough with counters
-     nezha_sim fleet --size 50000            region statistics *)
+     nezha_sim fleet --size 50000            region statistics
+
+   The paper's tables and figures are experiments of the bench
+   harness: [dune exec bench/main.exe -- --list] names them. *)
 
 open Cmdliner
 open Nezha_engine
@@ -279,8 +281,6 @@ let trace_cmd =
         if f.Nezha_net.Packet.syn && f.Nezha_net.Packet.ack then
           reply Nezha_net.Packet.ack 64
         else if pkt.Nezha_net.Packet.payload_len > 0 then reply Nezha_net.Packet.fin_ack 0);
-    let t0 = Nezha_engine.Sim.now t.Testbed.sim in
-    ignore t0;
     Nezha_vswitch.Vswitch.from_vm t.Testbed.clients.(0).Nezha_workloads.Tcp_crr.vs
       t.Testbed.clients.(0).Nezha_workloads.Tcp_crr.vnic
       (Nezha_net.Packet.create ~vpc:t.Testbed.vpc ~flow ~direction:Nezha_net.Packet.Tx
@@ -408,17 +408,10 @@ let chaos_cmd =
              and report how the BE/monitor recovered.")
     Term.(const run $ chaos_seed_arg $ loss_arg $ no_partition_arg $ duration_arg $ json_arg $ check_arg)
 
-let list_cmd =
-  let run () =
-    say "experiments (run with: dune exec bench/main.exe -- NAME):";
-    List.iter (fun n -> say "  %s" n)
-      [ "fig2"; "fig3"; "fig4"; "table1"; "fig9"; "fig10"; "fig11"; "fig12"; "table3";
-        "table4"; "fig13"; "fig14"; "fig15"; "table5"; "tableA1"; "figA1"; "appB2";
-        "ablations"; "micro" ]
-  in
-  Cmd.v (Cmd.info "list" ~doc:"List the reproduction experiments.") Term.(const run $ const ())
-
 let () =
-  let doc = "Nezha (SIGCOMM'25) reproduction: SmartNIC vSwitch load sharing, simulated" in
+  let doc =
+    "Nezha (SIGCOMM'25) reproduction: SmartNIC vSwitch load sharing, simulated \
+     (the paper's experiments: dune exec bench/main.exe -- --list)"
+  in
   let info = Cmd.info "nezha_sim" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ cps_cmd; flows_cmd; offload_cmd; fleet_cmd; pcap_cmd; trace_cmd; status_cmd; chaos_cmd; list_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ cps_cmd; flows_cmd; offload_cmd; fleet_cmd; pcap_cmd; trace_cmd; status_cmd; chaos_cmd ]))

@@ -22,13 +22,10 @@ module Placement = Nezha_core.Placement
    schedules, topology).  That makes runs independent of the shard
    count, not just replayable. *)
 
-type engine = Heap_events | Wheel_events
-
 type config = {
   racks : int;
   servers_per_rack : int;
   shards : int;
-  engine : engine;
   seed : int;
   duration : float;  (** one compressed "day", sim seconds *)
   tick : float;  (** demand-evaluation period per server *)
@@ -53,7 +50,6 @@ let default_config =
     racks = 250;
     servers_per_rack = 8;
     shards = 8;
-    engine = Wheel_events;
     seed = 42;
     duration = 30.0;
     tick = 0.02;
@@ -325,30 +321,10 @@ let run cfg =
     }
   in
   (* --- per-server demand ticks and flow churn ---------------------- *)
-  let arm_periodic (srv : srv) ~offset ~period act_body =
-    (* Tuned mode routes the re-arming through the timer wheel with one
-       self-recursive closure; classic mode replicates the single-heap
-       engine (fresh closure + heap push per firing). *)
-    match cfg.engine with
-    | Wheel_events ->
-      let rec act sim =
-        act_body sim;
-        if Sim.now sim +. period <= cfg.duration then
-          ignore (Sim.timeout sim ~delay:period act : Sim.timer)
-      in
-      ignore (Sim.timeout srv.sim ~delay:offset act : Sim.timer)
-    | Heap_events ->
-      let rec act sim =
-        act_body sim;
-        if Sim.now sim +. period <= cfg.duration then
-          ignore (Sim.schedule sim ~delay:period (fun s -> act s) : Sim.handle)
-      in
-      ignore (Sim.schedule srv.sim ~delay:offset (fun s -> act s) : Sim.handle)
-  in
   let pps_per_unit = 1e6 in
   Array.iter
     (fun (srv : srv) ->
-      let tick_body sim =
+      let rec tick sim =
         let now = Sim.now sim in
         srv.ticks <- srv.ticks + 1;
         if srv.down then begin
@@ -370,32 +346,24 @@ let run cfg =
             end
           end
           else srv.over <- false
-        end
+        end;
+        if now +. cfg.tick <= cfg.duration then
+          ignore (Sim.timeout sim ~delay:cfg.tick tick : Sim.timer)
       in
       (* Stagger first ticks so 2,000 servers don't land on one instant. *)
       let offset = cfg.tick *. float_of_int (srv.sid mod 64) /. 64.0 in
-      arm_periodic srv ~offset ~period:cfg.tick tick_body;
+      ignore (Sim.timeout srv.sim ~delay:offset tick : Sim.timer);
       (* Flow churn: [flow_timers] concurrent lifetimes, each re-arming
          with an exponential draw from the server's private stream. *)
       for _ = 1 to cfg.flow_timers do
         let delay0 = Rng.exponential srv.rng ~mean:flow_mean in
-        match cfg.engine with
-        | Wheel_events ->
-          let rec act sim =
-            srv.flow_expiries <- srv.flow_expiries + 1;
-            let d = Rng.exponential srv.rng ~mean:flow_mean in
-            if Sim.now sim +. d <= cfg.duration then
-              ignore (Sim.timeout sim ~delay:d act : Sim.timer)
-          in
-          ignore (Sim.timeout srv.sim ~delay:delay0 act : Sim.timer)
-        | Heap_events ->
-          let rec act sim =
-            srv.flow_expiries <- srv.flow_expiries + 1;
-            let d = Rng.exponential srv.rng ~mean:flow_mean in
-            if Sim.now sim +. d <= cfg.duration then
-              ignore (Sim.schedule sim ~delay:d (fun s -> act s) : Sim.handle)
-          in
-          ignore (Sim.schedule srv.sim ~delay:delay0 (fun s -> act s) : Sim.handle)
+        let rec act sim =
+          srv.flow_expiries <- srv.flow_expiries + 1;
+          let d = Rng.exponential srv.rng ~mean:flow_mean in
+          if Sim.now sim +. d <= cfg.duration then
+            ignore (Sim.timeout sim ~delay:d act : Sim.timer)
+        in
+        ignore (Sim.timeout srv.sim ~delay:delay0 act : Sim.timer)
       done;
       (* Utilization reports up to the controller shard (a crashed
          server reports nothing — the controller keeps the last one). *)

@@ -13,23 +13,21 @@
     activate completes.  This replaces the closed-form
     {!Region.daily_overloads} race model with a measured one.
 
+    Each server's demand tick and each of its flow-churn timers is one
+    closure that re-arms itself through {!Nezha_engine.Sim.timeout}
+    (the timer wheel).  The host cost of a run is measured by the
+    [region_day] workload of [perfbench/], not here.
+
     Determinism: for a fixed seed the result {!result.digest} is
     identical for any shard count (all cross-shard interaction is
     control-plane traffic delayed by the 10 ms control-plane latency,
     which is the cluster lookahead; everything else is shard-local — see
     DESIGN.md §10). *)
 
-(** Event-scheduling mode, the benchmark contrast of [bench macro]:
-    [Heap_events] replicates the classic engine (a fresh closure pushed
-    through the binary heap for every firing); [Wheel_events] is the
-    tuned path (timer-wheel re-arming of one closure per timer). *)
-type engine = Heap_events | Wheel_events
-
 type config = {
   racks : int;
   servers_per_rack : int;
   shards : int;
-  engine : engine;
   seed : int;
   duration : float;  (** one compressed "day", sim seconds *)
   tick : float;  (** demand-evaluation period per server *)
@@ -51,8 +49,8 @@ type config = {
 }
 
 val default_config : config
-(** 250 racks x 8 servers = 2,000 vSwitches, 8 shards, tuned engine,
-    30 s compressed day.  The offload policy is not configured here: the
+(** 250 racks x 8 servers = 2,000 vSwitches, 8 shards, 30 s
+    compressed day.  The offload policy is not configured here: the
     fleet controller uses {!Nezha_core.Controller}'s threshold, FE count
     ([initial_fes]), FE ceilings, push bandwidth and overload level.
     Fixed model constants: 10 ms control-plane latency (the cluster

@@ -174,7 +174,9 @@ let test_region_shard_invariance () =
   check_int "same overloads" r1.Region_sim.overloads r3.Region_sim.overloads;
   check_int "same flow expiries" r1.Region_sim.flow_expiries r3.Region_sim.flow_expiries;
   check_bool "multi-shard run used the mailbox" true (r3.Region_sim.messages > 0);
-  check_bool "single shard needs no mailbox" true (r1.Region_sim.messages = 0)
+  check_bool "single shard needs no mailbox" true (r1.Region_sim.messages = 0);
+  check_bool "wheel re-arming reuses the pool" true
+    (r3.Region_sim.pool_reused > r3.Region_sim.pool_fresh)
 
 let test_region_before_after () =
   let ba = Region_sim.before_after { small_cfg with Region_sim.shards = 3 } in
@@ -187,19 +189,6 @@ let test_region_before_after () =
   check_int "controller idle in the before run" 0
     (ba.Region_sim.before.Region_sim.activations)
 
-(* Engine modes are distinct schedules (wheel timers quantize to slot
-   boundaries) but must agree on scale invariants that timing cannot
-   move: the vSwitch population and the modeled demand inventory. *)
-let test_region_engine_modes () =
-  let h = Region_sim.run { small_cfg with Region_sim.engine = Region_sim.Heap_events } in
-  let w = Region_sim.run { small_cfg with Region_sim.engine = Region_sim.Wheel_events } in
-  check_int "same servers" h.Region_sim.servers w.Region_sim.servers;
-  check_int "same modeled vnics" h.Region_sim.vnics_modeled w.Region_sim.vnics_modeled;
-  check_int "same hotspots" h.Region_sim.hotspots w.Region_sim.hotspots;
-  check_bool "heap mode allocates fresh events" true (h.Region_sim.pool_fresh > 0);
-  check_bool "wheel mode reuses the pool" true
-    (w.Region_sim.pool_reused > w.Region_sim.pool_fresh)
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -211,6 +200,5 @@ let () =
         [
           Alcotest.test_case "shard-count invariance" `Quick test_region_shard_invariance;
           Alcotest.test_case "before/after overloads" `Quick test_region_before_after;
-          Alcotest.test_case "engine-mode invariants" `Quick test_region_engine_modes;
         ] );
     ]
