@@ -28,6 +28,8 @@ and 'a t = {
 
 type 'a timer = 'a node
 
+let none = Nil
+
 let create ~tick ~slots =
   if tick <= 0.0 then invalid_arg "Timer_wheel.create: tick must be positive";
   if slots <= 0 then invalid_arg "Timer_wheel.create: slots must be positive";
@@ -35,12 +37,16 @@ let create ~tick ~slots =
 
 let next_sweep_at t = float_of_int (t.cursor_abs + 1) *. t.tick
 
+let slot_of t deadline = int_of_float (deadline /. t.tick)
+
+let beyond_sweep t deadline = slot_of t deadline > t.cursor_abs
+
 let add t ~now ~deadline value =
   let deadline = if deadline < now then now else deadline in
   (* Place by absolute slot index, clamped to the cursor so a deadline
      whose natural slot has already been swept lands in the very next
      sweep instead of waiting a full revolution. *)
-  let k = int_of_float (deadline /. t.tick) in
+  let k = slot_of t deadline in
   let k = if k < t.cursor_abs then t.cursor_abs else k in
   let s = k mod t.slots in
   let timer = Timer { state = `Pending; deadline; value; owner = t; next = t.wheel.(s) } in

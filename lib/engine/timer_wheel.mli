@@ -21,6 +21,9 @@ val add : 'a t -> now:float -> deadline:float -> 'a -> 'a timer
     [deadline] — within one tick of it.  Deadlines in the past (below
     [now], or in an already-swept slot) fire on the next sweep. *)
 
+val none : 'a timer
+(** A placeholder that was never armed: cancelling it is a no-op. *)
+
 val cancel : 'a timer -> unit
 (** O(1); expired or already-cancelled timers are no-ops. *)
 
@@ -35,6 +38,12 @@ val next_sweep_at : 'a t -> float
     Slot boundaries are exact multiples of [tick] (derived from an
     integer slot counter), so the value is identical however the wheel
     was advanced to its current position. *)
+
+val beyond_sweep : 'a t -> float -> bool
+(** Whether a timer added now at this deadline would land in a slot past
+    the cursor's.  Inside an [advance] callback that is a slot the
+    current sweep has not reached: such a timer fires later in the same
+    [advance] only if that call's [now] passes the slot's end. *)
 
 val advance : 'a t -> now:float -> ('a -> unit) -> int
 (** [advance t ~now f] fires [f] on every timer whose deadline is

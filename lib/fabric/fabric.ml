@@ -11,7 +11,7 @@ type t = {
   topology : Topology.t;
   gateway : Gateway.t;
   switches : Vswitch.t option array;
-  vms : (int * Vnic.id, Vm.t) Hashtbl.t;
+  vms : Vm.t Vnic.Id_table.t option array; (* per server, made at its first attach *)
   mutable delivered_to_vms : int;
   mutable lost_no_vxlan : int;
   mutable lost_no_such_server : int;
@@ -94,6 +94,10 @@ let transit t ~src ~dst ~delay pkt deliver =
       Sim.cross ssim dsim ~delay (fun _ -> deliver pkt);
       Sim.cross ssim dsim ~delay:(delay +. extra) (fun _ -> deliver twin))
 
+let vm_of t sid vid =
+  if sid < 0 || sid >= Array.length t.vms then None
+  else match t.vms.(sid) with Some vms -> Vnic.Id_table.find_opt vms vid | None -> None
+
 let deliver_at_server t target pkt =
   match t.switches.(target) with
   | Some vs -> Vswitch.from_net vs pkt
@@ -107,7 +111,7 @@ let create ~sim ~topology =
       topology;
       gateway = Gateway.create ();
       switches = Array.make (Topology.server_count topology) None;
-      vms = Hashtbl.create 64;
+      vms = Array.make (Topology.server_count topology) None;
       delivered_to_vms = 0;
       lost_no_vxlan = 0;
       lost_no_such_server = 0;
@@ -355,7 +359,7 @@ let add_server t ?sim sid ~params =
         | Vswitch.To_net pkt -> deliver_to_server t ~src:sid pkt
         | Vswitch.To_vm (vid, pkt) -> (
           t.delivered_to_vms <- t.delivered_to_vms + 1;
-          match Hashtbl.find_opt t.vms (sid, vid) with
+          match vm_of t sid vid with
           | Some vm -> Vm.deliver vm pkt
           | None -> ()));
       on_net_batch = (fun batch -> deliver_batch_to_server t ~src:sid batch);
@@ -379,9 +383,16 @@ let server_of_vswitch t vs =
   in
   probe 0
 
-let attach_vm t sid vid vm = Hashtbl.replace t.vms (sid, vid) vm
-
-let vm_of t sid vid = Hashtbl.find_opt t.vms (sid, vid)
+let attach_vm t sid vid vm =
+  let vms =
+    match t.vms.(sid) with
+    | Some vms -> vms
+    | None ->
+      let vms = Vnic.Id_table.create 4 in
+      t.vms.(sid) <- Some vms;
+      vms
+  in
+  Vnic.Id_table.replace vms vid vm
 
 let set_tap t tap = t.tap <- tap
 

@@ -77,7 +77,8 @@ val server_of_vswitch : t -> Vswitch.t -> Topology.server_id
 
 val attach_vm : t -> Topology.server_id -> Vnic.id -> Vm.t -> unit
 (** Deliveries ([To_vm]) for this vNIC reach the VM's kernel model.
-    Unattached vNICs sink their deliveries (still counted). *)
+    Unattached vNICs sink their deliveries (still counted).
+    @raise Invalid_argument if the server id is out of range. *)
 
 val vm_of : t -> Topology.server_id -> Vnic.id -> Vm.t option
 

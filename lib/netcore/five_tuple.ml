@@ -17,11 +17,11 @@ let make ~src ~dst ~src_port ~dst_port ~proto =
 
 let reverse t = { t with src = t.dst; dst = t.src; src_port = t.dst_port; dst_port = t.src_port }
 
-let endpoint_le (a, ap) (b, bp) =
-  let c = Ipv4.compare a b in
-  c < 0 || (c = 0 && ap <= bp)
-
-let is_canonical t = endpoint_le (t.src, t.src_port) (t.dst, t.dst_port)
+(* The source endpoint orders first.  Every session hash runs this, so it
+   compares the fields in place rather than as (address, port) pairs. *)
+let is_canonical t =
+  let c = Ipv4.compare t.src t.dst in
+  c < 0 || (c = 0 && t.src_port <= t.dst_port)
 
 let canonical t = if is_canonical t then t else reverse t
 

@@ -136,11 +136,14 @@ let step_state_tx st ~flags ~proto ~wire_bytes =
   in
   { st with State.tcp = tcp'; stats = stats' }
 
-let store_state t key st =
+let store_state t ?handle key st =
   ignore
-    (Vswitch.store_session t.vs t.vnic.Vnic.id key
+    (Vswitch.store_session t.vs t.vnic.Vnic.id ?handle key
        { Vswitch.pre = None; state = Some st; generation = 0 }
       : Admission.t)
+
+(* The state a session handle holds, if any. *)
+let state_of = function Some h -> (Flow_table.value h).Vswitch.state | None -> None
 
 let send_to_fe t pkt ~fe ~nsh =
   Packet.set_nsh pkt nsh;
@@ -217,17 +220,15 @@ let local_rx_slow_path t pkt =
       let cycles = cycles + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt) in
       Vswitch.charge t.vs ~cycles (fun _ ->
           trace_stage t pkt ~name:"local_rx_slow_path" ~t0 ();
-          let prior =
-            Option.bind (Vswitch.find_session t.vs t.vnic.Vnic.id key) (fun s ->
-                s.Vswitch.state)
-          in
+          let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id key in
+          let prior = state_of handle in
           let verdict, out =
             Nf.process ~pre ~state:prior ~dir:Packet.Rx ~flags:pkt.Packet.flags
               ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
           in
           (match out with
-          | Nf.Init st | Nf.Update st -> store_state t key st
-          | Nf.Keep -> Vswitch.touch_session t.vs t.vnic.Vnic.id key);
+          | Nf.Init st | Nf.Update st -> store_state t ?handle key st
+          | Nf.Keep -> Vswitch.touch_session t.vs t.vnic.Vnic.id ?handle key);
           match verdict with
           | Nf.Deliver ->
             ignore (Packet.clear_nsh pkt : Packet.nsh option);
@@ -338,9 +339,14 @@ let handle_tx_batch t batch =
     let t0 = Sim.now (Vswitch.sim t.vs) in
     let p = params t in
     let cycles = ref 0 in
+    (* Each packet's session handle, found once here for the freshness
+       charge and kept for the commit. *)
+    let handles = Array.make n None in
     for i = 0 to n - 1 do
       let pkt = Pbatch.get batch i in
-      let fresh = Vswitch.find_session t.vs t.vnic.Vnic.id (key_of pkt) = None in
+      let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id (key_of pkt) in
+      handles.(i) <- handle;
+      let fresh = Option.is_none handle in
       cycles :=
         !cycles
         + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
@@ -350,18 +356,20 @@ let handle_tx_batch t batch =
     let accepted =
       Vswitch.charge_batch t.vs ~cycles:!cycles ~npkts:n (fun sim ->
           (* The batch keeps the FE-bound packets, in order. *)
+          let i = ref 0 in
           Pbatch.filter_in_place batch (fun pkt ->
               trace_stage t pkt ~name:"be_tx" ~t0 ();
               let key = key_of pkt in
+              let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id ?handle:handles.(!i) key in
+              incr i;
               let flags = pkt.Packet.flags and proto = pkt.Packet.flow.Five_tuple.proto in
               let st =
-                match Vswitch.find_session t.vs t.vnic.Vnic.id key with
-                | Some { Vswitch.state = Some st; _ } ->
-                  step_state_tx st ~flags ~proto ~wire_bytes:(Packet.wire_size pkt)
-                | Some { Vswitch.state = None; _ } | None ->
+                match state_of handle with
+                | Some st -> step_state_tx st ~flags ~proto ~wire_bytes:(Packet.wire_size pkt)
+                | None ->
                   State.init ~first_dir:Packet.Tx ?tcp:(Nf.tcp_phase_of_flags flags ~proto) ()
               in
-              store_state t key st;
+              store_state t ?handle key st;
               if all_suspect t && local_ruleset t <> None then begin
                 (* Every FE looks unreachable: skip the hop entirely rather
                    than queue a retransmission dance per packet. *)
@@ -420,8 +428,9 @@ let handle_notify t pkt nsh =
       match Option.map Pre_action.decode nsh.Packet.carried_pre_actions with
       | Some (Ok pre) -> (
         let key = key_of pkt in
-        match Vswitch.find_session t.vs t.vnic.Vnic.id key with
-        | Some { Vswitch.state = Some st; _ } ->
+        let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id key in
+        match state_of handle with
+        | Some st ->
           (* Arm or disarm the statistics counters per the rule-table
              lookup the FE just performed (§3.2.2). *)
           let stats' =
@@ -430,8 +439,8 @@ let handle_notify t pkt nsh =
             | Some _, None -> Some { State.packets = 0; bytes = 0 }
             | None, _ -> None
           in
-          store_state t key { st with State.stats = stats' }
-        | Some { Vswitch.state = None; _ } | None -> ())
+          store_state t ?handle key { st with State.stats = stats' }
+        | None -> ())
       | Some (Error _) | None -> ())
 
 let handle_rx_with_pre t pkt nsh pre_blob =
@@ -441,7 +450,8 @@ let handle_rx_with_pre t pkt nsh pre_blob =
   | Ok pre ->
     let p = params t in
     let key = key_of pkt in
-    let fresh = Vswitch.find_session t.vs t.vnic.Vnic.id key = None in
+    let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id key in
+    let fresh = Option.is_none handle in
     let cycles =
       Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
       + p.Params.split_fast_path_cycles
@@ -449,15 +459,16 @@ let handle_rx_with_pre t pkt nsh pre_blob =
     in
     Vswitch.charge t.vs ~cycles (fun _sim ->
         trace_stage t pkt ~name:"be_rx_finalize" ~t0 ();
-        let prior = Option.bind (Vswitch.find_session t.vs t.vnic.Vnic.id key) (fun s -> s.Vswitch.state) in
+        let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id ?handle key in
+        let prior = state_of handle in
         let verdict, out =
           Nf.process ~pre ~state:prior ~dir:Packet.Rx ~flags:pkt.Packet.flags
             ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt)
             ?decap_src:nsh.Packet.orig_outer_src ()
         in
         (match out with
-        | Nf.Init st | Nf.Update st -> store_state t key st
-        | Nf.Keep -> Vswitch.touch_session t.vs t.vnic.Vnic.id key);
+        | Nf.Init st | Nf.Update st -> store_state t ?handle key st
+        | Nf.Keep -> Vswitch.touch_session t.vs t.vnic.Vnic.id ?handle key);
         Stats.Counter.incr t.counters.rx_from_fe;
         match verdict with
         | Nf.Deliver ->

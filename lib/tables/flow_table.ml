@@ -1,10 +1,19 @@
 open Nezha_engine
 
+(* The two deadlines sit in an all-float record (like [Sim]'s clock), so
+   storing one writes an unboxed double instead of allocating. *)
+type deadlines = {
+  mutable deadline : float; (* when the entry ages out *)
+  mutable armed : float; (* what the entry's one wheel timer was armed for *)
+}
+
 type 'v entry = {
-  key : Flow_key.t; (* interned at first insert; re-arms reuse it *)
+  key : Flow_key.t; (* interned at first insert *)
   mutable value : 'v;
   mutable bytes : int; (* total accounted size, overhead included *)
-  mutable timer : Flow_key.t Timer_wheel.timer;
+  mutable live : bool; (* cleared by remove, expire and clear *)
+  mutable timer : 'v entry Timer_wheel.timer;
+  times : deadlines;
 }
 
 type 'v t = {
@@ -13,7 +22,7 @@ type 'v t = {
   value_bytes : 'v -> int;
   default_aging : float;
   entries : 'v entry Flow_key.Table.t;
-  wheel : Flow_key.t Timer_wheel.t;
+  wheel : 'v entry Timer_wheel.t;
   mutable used_bytes : int;
 }
 
@@ -35,28 +44,64 @@ let entry_size t v = t.entry_overhead + t.value_bytes v
 let fits t extra =
   match t.capacity with None -> true | Some cap -> t.used_bytes + extra <= cap
 
-let arm t ~now ~aging key =
-  Timer_wheel.add t.wheel ~now ~deadline:(now +. aging) key
+let aging_of t = function Some a -> a | None -> t.default_aging
+
+let arm t ~now e d =
+  e.times.armed <- d;
+  e.timer <- Timer_wheel.add t.wheel ~now ~deadline:d e
+
+(* Move [e]'s deadline to [now + aging].  A later deadline than the armed
+   one is only stored: the timer re-arms itself when it fires.  An
+   earlier one re-arms now. *)
+let set_deadline t ~now ~aging e =
+  let d = now +. aging in
+  e.times.deadline <- d;
+  if d < e.times.armed then begin
+    Timer_wheel.cancel e.timer;
+    arm t ~now e d
+  end
+
+let check_live fn e = if not e.live then invalid_arg ("Flow_table." ^ fn ^ ": dead entry")
+
+let find_entry t key = Flow_key.Table.find_opt t.entries key
+let live e = e.live
+let value e = e.value
+
+let refresh t ~now ?aging e =
+  check_live "refresh" e;
+  set_deadline t ~now ~aging:(aging_of t aging) e
+
+let replace t ~now ?aging e v =
+  check_live "replace" e;
+  let nbytes = entry_size t v in
+  if fits t (nbytes - e.bytes) then begin
+    t.used_bytes <- t.used_bytes + nbytes - e.bytes;
+    e.value <- v;
+    e.bytes <- nbytes;
+    set_deadline t ~now ~aging:(aging_of t aging) e;
+    Admission.ok
+  end
+  else Admission.table_full
 
 let insert t ~now ?aging key v =
-  let aging = Option.value aging ~default:t.default_aging in
   match Flow_key.Table.find_opt t.entries key with
-  | Some e ->
-    let nbytes = entry_size t v in
-    if fits t (nbytes - e.bytes) then begin
-      t.used_bytes <- t.used_bytes + nbytes - e.bytes;
-      e.value <- v;
-      e.bytes <- nbytes;
-      Timer_wheel.cancel e.timer;
-      e.timer <- arm t ~now ~aging e.key;
-      Admission.ok
-    end
-    else Admission.table_full
+  | Some e -> replace t ~now ?aging e v
   | None ->
     let nbytes = entry_size t v in
     if fits t nbytes then begin
-      let e = { key; value = v; bytes = nbytes; timer = arm t ~now ~aging key } in
-      Flow_key.Table.replace t.entries key e;
+      let d = now +. aging_of t aging in
+      let e =
+        {
+          key;
+          value = v;
+          bytes = nbytes;
+          live = true;
+          timer = Timer_wheel.none;
+          times = { deadline = d; armed = d };
+        }
+      in
+      e.timer <- Timer_wheel.add t.wheel ~now ~deadline:d e;
+      Flow_key.Table.add t.entries key e;
       t.used_bytes <- t.used_bytes + nbytes;
       Admission.ok
     end
@@ -68,12 +113,10 @@ let find t key =
   | None -> None
 
 let touch t ~now ?aging key =
-  let aging = Option.value aging ~default:t.default_aging in
   match Flow_key.Table.find_opt t.entries key with
   | None -> false
   | Some e ->
-    Timer_wheel.cancel e.timer;
-    e.timer <- arm t ~now ~aging e.key;
+    set_deadline t ~now ~aging:(aging_of t aging) e;
     true
 
 let update t ~now key f =
@@ -85,8 +128,7 @@ let update t ~now key f =
     t.used_bytes <- t.used_bytes + nbytes - e.bytes;
     e.value <- v;
     e.bytes <- nbytes;
-    Timer_wheel.cancel e.timer;
-    e.timer <- arm t ~now ~aging:t.default_aging e.key;
+    set_deadline t ~now ~aging:t.default_aging e;
     true
 
 let remove t key =
@@ -94,31 +136,45 @@ let remove t key =
   | None -> false
   | Some e ->
     Timer_wheel.cancel e.timer;
+    e.live <- false;
     Flow_key.Table.remove t.entries key;
     t.used_bytes <- t.used_bytes - e.bytes;
     true
 
+(* A firing timer whose entry's deadline lies in a slot the sweep has
+   not reached yet re-arms there; one whose deadline's slot is this one
+   expires the entry.  Either way the entry leaves the table at the same
+   [expire] call as a timer re-armed on every touch would. *)
 let expire t ~now ~on_expire =
   let fired = ref 0 in
   ignore
-    (Timer_wheel.advance t.wheel ~now (fun key ->
-         match Flow_key.Table.find_opt t.entries key with
-         | None -> ()
-         | Some e ->
-           Flow_key.Table.remove t.entries key;
+    (Timer_wheel.advance t.wheel ~now (fun e ->
+         let d = e.times.deadline in
+         if Timer_wheel.beyond_sweep t.wheel d then
+           (* [~now:d]: arm exactly at [d], which may already be past. *)
+           arm t ~now:d e d
+         else begin
+           e.live <- false;
+           Flow_key.Table.remove t.entries e.key;
            t.used_bytes <- t.used_bytes - e.bytes;
            incr fired;
-           on_expire key e.value)
+           on_expire e.key e.value
+         end)
       : int);
   !fired
 
 let length t = Flow_key.Table.length t.entries
 let memory_bytes t = t.used_bytes
 let capacity_bytes t = t.capacity
+let pending_timers t = Timer_wheel.pending t.wheel
 
 let iter t f = Flow_key.Table.iter (fun k e -> f k e.value) t.entries
 
 let clear t =
-  Flow_key.Table.iter (fun _ e -> Timer_wheel.cancel e.timer) t.entries;
+  Flow_key.Table.iter
+    (fun _ e ->
+      Timer_wheel.cancel e.timer;
+      e.live <- false)
+    t.entries;
   Flow_key.Table.reset t.entries;
   t.used_bytes <- 0

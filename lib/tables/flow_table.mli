@@ -6,9 +6,29 @@
     (SYN-state) sessions can be expired early (§7.3).  Memory is accounted
     as a fixed per-entry overhead plus a caller-supplied variable part, and
     insertion fails when a capacity budget would be exceeded — which is
-    precisely the mechanism that caps #concurrent flows on a SmartNIC. *)
+    precisely the mechanism that caps #concurrent flows on a SmartNIC.
+
+    {b Aging by deadline.}  Each entry stores its aging deadline and owns
+    one wheel timer, whose payload is the entry itself.  Refreshing an
+    entry to a later deadline only stores that deadline — it allocates
+    nothing and leaves the wheel alone; when the timer fires at the old
+    deadline it re-arms at the stored one.  A deadline moved earlier
+    (say, SYN aging after flow aging) re-arms at once.  An entry leaves
+    the table at the first {!expire} whose [now] reaches the end of its
+    deadline's wheel slot, exactly as if every refresh had re-armed its
+    timer; only the order of [on_expire] calls within one sweep can
+    differ.
+
+    {b Handles.}  {!find_entry} returns the entry itself.  While it is
+    {!live}, {!refresh} and {!replace} act on it with no further hash
+    lookup, so a packet's session path hashes its key once.  {!remove},
+    {!expire} and {!clear} kill the entry; a caller holding a dead
+    handle goes back to the key ({!find_entry} again, or {!insert}). *)
 
 type 'v t
+
+type 'v entry
+(** A handle on one binding. *)
 
 val create :
   ?capacity_bytes:int ->
@@ -28,6 +48,23 @@ val insert : 'v t -> now:float -> ?aging:float -> Flow_key.t -> 'v -> Admission.
 
 val find : 'v t -> Flow_key.t -> 'v option
 
+val find_entry : 'v t -> Flow_key.t -> 'v entry option
+
+val live : 'v entry -> bool
+(** [false] once the binding was removed, expired or cleared. *)
+
+val value : 'v entry -> 'v
+(** The entry's current value (its last one, once dead). *)
+
+val refresh : 'v t -> now:float -> ?aging:float -> 'v entry -> unit
+(** {!touch} through a handle.
+    @raise Invalid_argument if the entry is dead. *)
+
+val replace : 'v t -> now:float -> ?aging:float -> 'v entry -> 'v -> Admission.t
+(** {!insert} over the handle's own binding: same accounting, same
+    [Error `Table_full] rule.
+    @raise Invalid_argument if the entry is dead. *)
+
 val touch : 'v t -> now:float -> ?aging:float -> Flow_key.t -> bool
 (** Refresh the aging deadline of an entry; [false] if absent. *)
 
@@ -44,5 +81,12 @@ val expire : 'v t -> now:float -> on_expire:(Flow_key.t -> 'v -> unit) -> int
 val length : 'v t -> int
 val memory_bytes : 'v t -> int
 val capacity_bytes : 'v t -> int option
+
+val pending_timers : 'v t -> int
+(** Armed wheel timers: one per entry, however often entries are
+    refreshed. *)
+
 val iter : 'v t -> (Flow_key.t -> 'v -> unit) -> unit
+
 val clear : 'v t -> unit
+(** Drop every binding; all handles die. *)

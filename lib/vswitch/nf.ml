@@ -138,5 +138,9 @@ let process ~pre ~state ~dir ~flags ~proto ~wire_bytes ?decap_src () =
       | None, Some s, true -> Some s
       | kept, _, _ -> kept
     in
-    let st' = { st with State.tcp = tcp'; stats = stats'; decap_src = decap' } in
-    if State.equal st st' then (verdict, Keep) else (verdict, Update st')
+    if
+      State.equal_tcp st.State.tcp tcp'
+      && State.equal_stats st.State.stats stats'
+      && State.equal_decap st.State.decap_src decap'
+    then (verdict, Keep)
+    else (verdict, Update { st with State.tcp = tcp'; stats = stats'; decap_src = decap' })

@@ -19,13 +19,27 @@ let init ~first_dir ?tcp () = { first_dir; tcp; decap_src = None; stats = None }
 
 let is_establishing t = match t.tcp with Some Establishing -> true | Some _ | None -> false
 
+let equal_tcp a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (x : tcp_phase), Some y -> x = y (* an immediate type: an int compare *)
+  | None, Some _ | Some _, None -> false
+
+let equal_decap a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Ipv4.equal x y
+  | None, Some _ | Some _, None -> false
+
+let equal_stats a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Int.equal x.packets y.packets && Int.equal x.bytes y.bytes
+  | None, Some _ | Some _, None -> false
+
 let equal a b =
-  a.first_dir = b.first_dir && a.tcp = b.tcp
-  && (match (a.decap_src, b.decap_src) with
-     | None, None -> true
-     | Some x, Some y -> Ipv4.equal x y
-     | None, Some _ | Some _, None -> false)
-  && a.stats = b.stats
+  (a.first_dir : Packet.direction) = b.first_dir
+  && equal_tcp a.tcp b.tcp && equal_decap a.decap_src b.decap_src && equal_stats a.stats b.stats
 
 let pp ppf t =
   Format.fprintf ppf "state{first=%a%s%s%s}" Packet.pp_direction t.first_dir

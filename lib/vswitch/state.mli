@@ -34,6 +34,13 @@ val is_establishing : t -> bool
     entries get the short SYN aging time (§7.3). *)
 
 val equal : t -> t -> bool
+
+(** Field equalities, for a caller deciding whether a step changed a
+    state without building the new one. *)
+
+val equal_tcp : tcp_phase option -> tcp_phase option -> bool
+val equal_decap : Ipv4.t option -> Ipv4.t option -> bool
+val equal_stats : stats_counters option -> stats_counters option -> bool
 val pp : Format.formatter -> t -> unit
 
 val size_bytes : t -> int

@@ -427,36 +427,57 @@ let sync_rule_memory t vid =
 let find_session t vid key =
   match entry t vid with None -> None | Some e -> Flow_table.find e.sessions key
 
+(* SYN-state sessions age fast (§7.3); the rest take the table's default,
+   [flow_aging]. *)
 let aging_for t s =
   match s.state with
   | Some st when State.is_establishing st -> Some t.params.Params.syn_aging
-  | Some _ | None -> Some t.params.Params.flow_aging
+  | Some _ | None -> None
 
-let store_session t vid key s =
+(* Store [s] in [e]'s table: over [h], the key's live entry, or as a new
+   binding when there is none. *)
+let put_session t e h key s =
+  let old_bytes = match h with Some h -> session_bytes t.params (Flow_table.value h) | None -> 0 in
+  let delta = session_bytes t.params s - old_bytes in
+  let reserved = if delta > 0 then Smartnic.mem_reserve t.nic delta else true in
+  if not reserved then Admission.table_full
+  else begin
+    if delta < 0 then Smartnic.mem_release t.nic (-delta);
+    let now = Sim.now t.sim and aging = aging_for t s in
+    let stored =
+      match h with
+      | Some h -> Flow_table.replace e.sessions ~now ?aging h s
+      | None -> Flow_table.insert e.sessions ~now ?aging key s
+    in
+    match stored with
+    | Ok () ->
+      if Option.is_none h then Stats.Counter.incr t.counters.sessions_created;
+      Admission.ok
+    | Error _ ->
+      (* Unbounded table: cannot happen, but keep accounting honest. *)
+      if delta > 0 then Smartnic.mem_release t.nic delta;
+      Admission.table_full
+  end
+
+let refresh_session t e h =
+  Flow_table.refresh e.sessions ~now:(Sim.now t.sim) ?aging:(aging_for t (Flow_table.value h)) h
+
+(* The caller's handle while it lives, else the key's binding now. *)
+let current e handle key =
+  match handle with
+  | Some h when Flow_table.live h -> handle
+  | Some _ | None -> Flow_table.find_entry e.sessions key
+
+let session_entry t vid ?handle key =
+  match handle with
+  | Some h when Flow_table.live h -> handle
+  | Some _ | None -> (
+    match entry t vid with None -> None | Some e -> Flow_table.find_entry e.sessions key)
+
+let store_session t vid ?handle key s =
   match entry t vid with
   | None -> Admission.table_full
-  | Some e ->
-    let old_bytes =
-      match Flow_table.find e.sessions key with
-      | Some old -> session_bytes t.params old
-      | None -> 0
-    in
-    let new_bytes = session_bytes t.params s in
-    let delta = new_bytes - old_bytes in
-    let reserved = if delta > 0 then Smartnic.mem_reserve t.nic delta else true in
-    if not reserved then Admission.table_full
-    else begin
-      if delta < 0 then Smartnic.mem_release t.nic (-delta);
-      let aging = aging_for t s in
-      (match Flow_table.insert e.sessions ~now:(Sim.now t.sim) ?aging key s with
-      | Ok () ->
-        if old_bytes = 0 then Stats.Counter.incr t.counters.sessions_created;
-        Admission.ok
-      | Error _ ->
-        (* Unbounded table: cannot happen, but keep accounting honest. *)
-        if delta > 0 then Smartnic.mem_release t.nic delta;
-        Admission.table_full)
-    end
+  | Some e -> put_session t e (current e handle key) key s
 
 let remove_session t vid key =
   match entry t vid with
@@ -468,16 +489,11 @@ let remove_session t vid key =
       Smartnic.mem_release t.nic (session_bytes t.params v);
       Flow_table.remove e.sessions key)
 
-let touch_session t vid key =
+let touch_session t vid ?handle key =
   match entry t vid with
   | None -> ()
-  | Some e ->
-    let aging =
-      match Flow_table.find e.sessions key with
-      | Some s -> aging_for t s
-      | None -> None
-    in
-    ignore (Flow_table.touch e.sessions ~now:(Sim.now t.sim) ?aging key : bool)
+  | Some e -> (
+    match current e handle key with Some h -> refresh_session t e h | None -> ())
 
 let iter_sessions t vid f =
   match entry t vid with None -> () | Some e -> Flow_table.iter e.sessions f
@@ -602,12 +618,14 @@ let maybe_mirror t (pre : Pre_action.t) pkt =
    FE pick hashes the flow, identical within a group), fewer walk
    cycles. *)
 
-(* How a packet's flow group resolved.  [Cached] carries the session-
-   table entry that hit; [Walked] the entry a slow-path walk will store
-   (state filled in at commit) and the walk's lookup cycles. *)
+(* How a packet's flow group resolved.  [Cached] carries the session
+   that hit and its table entry; [Walked] the session a slow-path walk
+   will store (state filled in at commit), the walk's lookup cycles, and
+   the key's entry at resolve time, if any (a stale-generation or
+   state-only session). *)
 type resolution =
-  | Cached of Pre_action.t * session
-  | Walked of Pre_action.t * session * int
+  | Cached of Pre_action.t * session * session Flow_table.entry
+  | Walked of Pre_action.t * session * int * session Flow_table.entry option
   | Unroutable
 
 let dir_args = function Packet.Tx -> [ ("dir", "tx") ] | Packet.Rx -> [ ("dir", "rx") ]
@@ -626,32 +644,39 @@ let failed_walk_cycles t rs =
   Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
     ~tables:(Ruleset.table_count rs)
 
+(* A group leader missing the session table: one slow-path walk.  [h] is
+   the key's entry, if any. *)
+let walk_group t e rs ~dir ~generation pkt h =
+  Stats.Counter.incr e.slow_execs;
+  match walk t rs ~dir pkt with
+  | None -> Unroutable
+  | Some { Ruleset.pre; cycles } ->
+    if dir = Packet.Tx && pre.Pre_action.peer_server = None then
+      learn_mapping t ~vid:e.vnic.Vnic.id
+        ~addr:{ Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst };
+    Walked (pre, { pre = Some pre; state = None; generation }, cycles, h)
+
 (* A group leader: the session table, else one slow-path walk. *)
 let resolve t e rs ~dir ~generation pkt key =
-  match find_session t e.vnic.Vnic.id key with
-  | Some ({ pre = Some pre; _ } as s) when s.generation = generation ->
-    Stats.Counter.incr t.counters.fast_path_hits;
-    Cached (pre, s)
-  | Some _ | None -> (
-    Stats.Counter.incr e.slow_execs;
-    match walk t rs ~dir pkt with
-    | None -> Unroutable
-    | Some { Ruleset.pre; cycles } ->
-      if dir = Packet.Tx && pre.Pre_action.peer_server = None then
-        learn_mapping t ~vid:e.vnic.Vnic.id
-          ~addr:{ Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst };
-      Walked (pre, { pre = Some pre; state = None; generation }, cycles))
+  match Flow_table.find_entry e.sessions key with
+  | Some h as found -> (
+    match Flow_table.value h with
+    | { pre = Some pre; _ } as s when s.generation = generation ->
+      Stats.Counter.incr t.counters.fast_path_hits;
+      Cached (pre, s, h)
+    | { pre = Some _ | None; _ } -> walk_group t e rs ~dir ~generation pkt found)
+  | None -> walk_group t e rs ~dir ~generation pkt None
 
 (* A follower accounts what its own batch of one would have done. *)
 let follow t e rs ~dir pkt = function
   | Cached _ as r ->
     Stats.Counter.incr t.counters.fast_path_hits;
     r
-  | Walked (pre, s, _) ->
+  | Walked (pre, s, _, h) ->
     Stats.Counter.incr e.slow_execs;
     Stats.Counter.incr t.counters.slow_path_execs;
     Ruleset.note_megaflow_hit rs;
-    Walked (pre, s, t.params.Params.megaflow_hit_cycles)
+    Walked (pre, s, t.params.Params.megaflow_hit_cycles, h)
   | Unroutable ->
     (* Unroutable groups are not memoized: a batch of one burns a failed
        walk per packet, so replay it. *)
@@ -684,41 +709,69 @@ let rec group_of key = function
   | [] -> None
   | s :: rest -> if Flow_key.equal s.key key then Some s.res else group_of key rest
 
-let commit t vid ~dir ~t0 out { pkt; key; res; decap_src } =
+(* A commit writes through the handle its packet resolved while the
+   handle lives.  Once it has died (the session was removed, aged out or
+   wiped while the packet was in service), or when there was none (an
+   earlier packet of the burst may have created the entry since), the
+   commit takes the key path: the vNIC's entry and the key's binding as
+   they are now. *)
+let commit t e ~dir ~t0 out { pkt; key; res; decap_src } =
+  let vid = e.vnic.Vnic.id in
   match res with
-  | Cached (pre, s) -> (
+  | Cached (pre, s, h) -> (
     trace_stage t pkt ~name:"fast_path" ~args:(dir_args dir) ~t0 ();
     let verdict, out_state = run_nf ~dir ?decap_src ~pre ~state:s.state pkt in
+    let live = Flow_table.live h in
     (match out_state with
-    | Nf.Keep -> touch_session t vid key
+    | Nf.Keep -> if live then refresh_session t e h else touch_session t vid key
     | Nf.Init st | Nf.Update st ->
-      ignore (store_session t vid key { s with state = Some st } : Admission.t));
+      let s = { s with state = Some st } in
+      ignore
+        (if live then put_session t e (Some h) key s else store_session t vid key s
+          : Admission.t));
     match verdict with
     | Nf.Deliver -> deliver t vid ~dir out pre pkt
     | Nf.Drop reason -> count_drop t reason)
-  | Walked (pre, s, lookup) -> (
+  | Walked (pre, s, lookup, h) -> (
     trace_stage t pkt ~name:"slow_path" ~args:(dir_args dir) ~t0 ();
     if pkt.Packet.trace_id <> 0 then
       trace_detail t pkt ~name:"classification"
         ~args:[ ("lookup_cycles", string_of_int lookup) ]
         ~t0 ();
-    let prior = Option.bind (find_session t vid key) (fun s -> s.state) in
+    let target =
+      match h with
+      | Some x when Flow_table.live x -> Some (e, h)
+      | Some _ | None -> (
+        match entry t vid with
+        | Some e -> Some (e, Flow_table.find_entry e.sessions key)
+        | None -> None)
+    in
+    let prior =
+      match target with
+      | Some (_, Some x) -> (Flow_table.value x).state
+      | Some (_, None) | None -> None
+    in
     let verdict, out_state = run_nf ~dir ?decap_src ~pre ~state:prior pkt in
     let state =
       match out_state with Nf.Init st | Nf.Update st -> Some st | Nf.Keep -> prior
     in
-    match (store_session t vid key { s with state }, verdict) with
+    let stored =
+      match target with
+      | Some (e, h) -> put_session t e h key { s with state }
+      | None -> Admission.table_full
+    in
+    match (stored, verdict) with
     | Error _, _ -> count_drop t Nf.Table_full
     | Ok (), Nf.Deliver -> deliver t vid ~dir out pre pkt
     | Ok (), Nf.Drop reason -> count_drop t reason)
   | Unroutable -> count_drop t Nf.No_route
 
 (* Commit the slots oldest first; the list is newest first. *)
-let rec commit_all t vid ~dir ~t0 out = function
+let rec commit_all t e ~dir ~t0 out = function
   | [] -> ()
   | s :: older ->
-    commit_all t vid ~dir ~t0 out older;
-    commit t vid ~dir ~t0 out s
+    commit_all t e ~dir ~t0 out older;
+    commit t e ~dir ~t0 out s
 
 (* Owns [batch].  RX packets arrive still encapsulated and are decapped
    here, each outer source kept for stateful decapsulation. *)
@@ -753,10 +806,10 @@ let local_batch t e ~dir batch =
         +
         match res with
         | Cached _ -> p.Params.fast_path_cycles + encap
-        | Walked (_, _, lookup) -> lookup + p.Params.session_setup_cycles + encap
+        | Walked (_, _, lookup, _) -> lookup + p.Params.session_setup_cycles + encap
         | Unroutable -> failed_walk_cycles t rs
     done;
-    let slots = !slots and vid = e.vnic.Vnic.id and t0 = Sim.now t.sim in
+    let slots = !slots and t0 = Sim.now t.sim in
     let n = Pbatch.length batch in
     if n = 0 then Pbatch.recycle batch
     else if
@@ -765,7 +818,7 @@ let local_batch t e ~dir batch =
              (* The packets live on in [slots]; the batch is refilled with
                 what leaves for the net. *)
              Pbatch.clear batch;
-             commit_all t vid ~dir ~t0 batch slots;
+             commit_all t e ~dir ~t0 batch slots;
              emit_batch t batch))
     then Pbatch.recycle batch
 

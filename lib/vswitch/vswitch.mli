@@ -173,18 +173,34 @@ val sync_rule_memory : t -> Vnic.id -> Admission.t
 
     Sessions are per-vNIC.  An entry holds the cached bidirectional
     pre-actions and/or the session state; under Nezha the BE keeps only
-    states and the FE only pre-actions. *)
+    states and the FE only pre-actions.
+
+    A packet looks its session up once.  {!session_entry} returns a
+    {!Flow_table.entry} handle; a packet that carries it through
+    SmartNIC service passes it back as [?handle] to store or touch its
+    session without hashing the key again.  A handle that died in the
+    meantime (the session was removed, aged out or wiped), or an absent
+    one, sends the call down the key path. *)
 
 type session = { pre : Pre_action.t option; state : State.t option; generation : int }
 
 val find_session : t -> Vnic.id -> Flow_key.t -> session option
 
-val store_session : t -> Vnic.id -> Flow_key.t -> session -> Admission.t
+val session_entry :
+  t -> Vnic.id -> ?handle:session Flow_table.entry -> Flow_key.t ->
+  session Flow_table.entry option
+(** [handle] while it is live, else the key's entry now. *)
+
+val store_session :
+  t -> Vnic.id -> ?handle:session Flow_table.entry -> Flow_key.t -> session -> Admission.t
 (** Inserts or replaces, charging the memory model.  Establishing
     sessions get the short SYN aging time automatically (§7.3). *)
 
 val remove_session : t -> Vnic.id -> Flow_key.t -> bool
-val touch_session : t -> Vnic.id -> Flow_key.t -> unit
+
+val touch_session : t -> Vnic.id -> ?handle:session Flow_table.entry -> Flow_key.t -> unit
+(** Refresh the session's aging deadline; a no-op when it is gone. *)
+
 val iter_sessions : t -> Vnic.id -> (Flow_key.t -> session -> unit) -> unit
 val session_count : t -> Vnic.id -> int
 val total_sessions : t -> int

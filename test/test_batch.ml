@@ -399,6 +399,60 @@ let qtest_hop =
       in
       run false = run true)
 
+let heavy_key dport =
+  Flow_key.of_packet_fields ~vpc:vpc9 ~flow:(heavy_tx ~dport ()).Packet.flow
+
+let session_tcp vs key =
+  match Vswitch.find_session vs vnic1 key with
+  | Some { Vswitch.state = Some st; _ } -> st.State.tcp
+  | Some { Vswitch.state = None; _ } | None -> None
+
+(* Two packets of one new flow share a BE TX burst.  Both are fresh when
+   the burst is charged; at commit the first creates the session and the
+   second, which resolved no handle, finds it by key and steps it — as
+   two single sends would.  A FIN then an ACK tells a stepped state
+   (still closing) from a fresh one (established). *)
+let test_be_burst_new_flow_twice () =
+  let run batch =
+    let w = make_hop_world () in
+    let o = do_offload w in
+    Sim.run w.hsim ~until:5.0;
+    let created = Stats.Counter.value (Vswitch.counters w.heavy_vs).Vswitch.sessions_created in
+    let pkts =
+      [ heavy_tx ~dport:40007 ~flags:Packet.fin_ack (); heavy_tx ~dport:40007 ~flags:Packet.ack () ]
+    in
+    if batch then Vswitch.from_vnic_batch w.heavy_vs vnic1 (Pbatch.of_list pkts)
+    else List.iter (Vswitch.from_vm w.heavy_vs vnic1) pkts;
+    Sim.run w.hsim ~until:10.0;
+    check_int "one session created" (created + 1)
+      (Stats.Counter.value (Vswitch.counters w.heavy_vs).Vswitch.sessions_created);
+    check_bool "stepped, not re-initialized" true
+      (session_tcp w.heavy_vs (heavy_key 40007) = Some State.Closing);
+    (hop_observed w o, sessions_fp w.heavy_vs vnic1)
+  in
+  check_bool "burst == singles" true (run false = run true)
+
+(* A BE TX packet's session is removed while the packet is in service:
+   the commit's handle is dead, so it stores a fresh state by key.  The
+   session is closing, so an ACK stepping the dead entry's state would
+   leave it closing; initialized afresh, it is established. *)
+let test_be_handle_dies_in_service () =
+  let w = make_hop_world () in
+  ignore (do_offload w : Controller.offload);
+  Sim.run w.hsim ~until:5.0;
+  let key = heavy_key 40008 in
+  Vswitch.from_vm w.heavy_vs vnic1 (heavy_tx ~dport:40008 ~flags:Packet.fin_ack ());
+  Sim.run w.hsim ~until:6.0;
+  check_bool "closing session" true (session_tcp w.heavy_vs key = Some State.Closing);
+  let c = Vswitch.counters w.heavy_vs in
+  let created = Stats.Counter.value c.Vswitch.sessions_created in
+  Vswitch.from_vm w.heavy_vs vnic1 (heavy_tx ~dport:40008 ~flags:Packet.ack ());
+  check_bool "removed in service" true (Vswitch.remove_session w.heavy_vs vnic1 key);
+  Sim.run w.hsim ~until:7.0;
+  check_int "stored afresh" (created + 1) (Stats.Counter.value c.Vswitch.sessions_created);
+  check_bool "initialized from the packet" true
+    (session_tcp w.heavy_vs key = Some State.Established)
+
 (* ------------------------------------------------------------------ *)
 (* The hop under injected loss.  Only the BE -> FE data direction is
    impaired; Faults draws randomness exclusively on links with a
@@ -559,6 +613,8 @@ let () =
         Alcotest.test_case "rate-limit draw order" `Quick test_batch_rate_limit_differential
         :: Alcotest.test_case "BE->FE hop under 1% loss" `Quick test_batch_loss_differential
         :: Alcotest.test_case "declined NSH packet" `Quick test_declined_nsh_differential
+        :: Alcotest.test_case "BE burst: new flow twice" `Quick test_be_burst_new_flow_twice
+        :: Alcotest.test_case "BE handle dies in service" `Quick test_be_handle_dies_in_service
         :: qsuite );
       ( "arena",
         [

@@ -291,6 +291,196 @@ let prop_ft_memory_consistent =
       !sum = Flow_table.memory_bytes t)
 
 
+(* Handles: refresh and replace act on the binding without a lookup, and
+   every way out of the table kills the handle. *)
+let test_ft_handles () =
+  let t = mk_table () in
+  let k = key "1.1.1.1" "2.2.2.2" in
+  ignore (Flow_table.insert t ~now:0.0 k "a" : Admission.t);
+  let h = Option.get (Flow_table.find_entry t k) in
+  check_bool "live" true (Flow_table.live h);
+  check_bool "replace" true (Flow_table.replace t ~now:1.0 h "abc" = Ok ());
+  check_bool "replaced value" true (Flow_table.find t k = Some "abc");
+  check_int "memory follows replace" 103 (Flow_table.memory_bytes t);
+  Flow_table.refresh t ~now:7.0 h;
+  check_int "refreshed past the first deadline" 0
+    (Flow_table.expire t ~now:12.0 ~on_expire:(fun _ _ -> ()));
+  check_bool "still live" true (Flow_table.live h);
+  ignore (Flow_table.remove t k : bool);
+  check_bool "remove kills" false (Flow_table.live h);
+  check_bool "dead handle refuses refresh" true
+    (match Flow_table.refresh t ~now:13.0 h with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  ignore (Flow_table.insert t ~now:13.0 k "b" : Admission.t);
+  let h = Option.get (Flow_table.find_entry t k) in
+  ignore (Flow_table.expire t ~now:30.0 ~on_expire:(fun _ _ -> ()) : int);
+  check_bool "expire kills" false (Flow_table.live h);
+  ignore (Flow_table.insert t ~now:30.0 k "c" : Admission.t);
+  let h = Option.get (Flow_table.find_entry t k) in
+  Flow_table.clear t;
+  check_bool "clear kills" false (Flow_table.live h);
+  check_int "no timer left" 0 (Flow_table.pending_timers t)
+
+(* Refreshing a live entry re-arms nothing and allocates less than the
+   wheel node a re-arm would. *)
+let test_ft_touch_no_churn () =
+  let t = mk_table () in
+  let k = key "1.1.1.1" "2.2.2.2" in
+  ignore (Flow_table.insert t ~now:0.0 k "v" : Admission.t);
+  let n = 10_000 in
+  let nows = List.init n (fun i -> 0.001 *. float_of_int (i + 1)) in
+  let touch now = ignore (Flow_table.touch t ~now k : bool) in
+  let before = Gc.minor_words () in
+  List.iter touch nows;
+  let per_touch = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "one timer" 1 (Flow_table.pending_timers t);
+  check_bool (Printf.sprintf "%.1f minor words per touch < 7" per_touch) true (per_touch < 7.0)
+
+(* Differential test of deadline aging against an eager model: an entry
+   expires at the first [expire] whose [now] reaches the end of its
+   deadline's wheel slot (the wheel ticks at aging/8).  Times are
+   multiples of 0.25 s so the model's slot arithmetic is exact; the
+   occasional long jump spans more than a wheel revolution. *)
+type ft_op =
+  | Ins of int * int * float option (* key, value length, aging *)
+  | Touch of int * float option
+  | Upd of int * int
+  | Refresh of int * float option
+  | Replace of int * int * float option
+  | Rem of int
+  | Clear
+  | Expire
+
+let ft_aging = 8.0
+let ft_tick = ft_aging /. 8.0
+let ft_capacity = 450
+
+let ft_op_gen =
+  let open QCheck.Gen in
+  let k = int_bound 5 and len = int_bound 4 in
+  let aging = oneofl [ None; Some 2.0; Some 8.0; Some 20.0 ] in
+  frequency
+    [
+      (4, map3 (fun k l a -> Ins (k, l, a)) k len aging);
+      (3, map2 (fun k a -> Touch (k, a)) k aging);
+      (2, map2 (fun k l -> Upd (k, l)) k len);
+      (2, map2 (fun k a -> Refresh (k, a)) k aging);
+      (2, map3 (fun k l a -> Replace (k, l, a)) k len aging);
+      (1, map (fun k -> Rem k) k);
+      (1, return Clear);
+      (4, return Expire);
+    ]
+
+let ft_dt_gen =
+  QCheck.Gen.(
+    frequency
+      [ (12, map (fun i -> float_of_int i *. 0.25) (int_bound 24)); (1, return 300.0) ])
+
+let ft_show (dt, op) =
+  Printf.sprintf "+%g %s" dt
+    (match op with
+    | Ins (k, l, _) -> Printf.sprintf "ins %d/%d" k l
+    | Touch (k, _) -> Printf.sprintf "touch %d" k
+    | Upd (k, l) -> Printf.sprintf "upd %d/%d" k l
+    | Refresh (k, _) -> Printf.sprintf "refresh %d" k
+    | Replace (k, l, _) -> Printf.sprintf "replace %d/%d" k l
+    | Rem k -> Printf.sprintf "rem %d" k
+    | Clear -> "clear"
+    | Expire -> "expire")
+
+let ft_keys = Array.init 6 (fun i -> key "10.0.0.1" "10.0.0.2" ~sport:(2000 + i))
+
+let prop_ft_deadline_aging =
+  QCheck.Test.make ~name:"deadline aging matches eager re-arm model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map ft_show ops))
+       QCheck.Gen.(list_size (int_range 1 80) (pair ft_dt_gen ft_op_gen)))
+    (fun ops ->
+      let t =
+        Flow_table.create ~capacity_bytes:ft_capacity ~entry_overhead:100
+          ~value_bytes:String.length ~default_aging:ft_aging ()
+      in
+      (* The model: key index -> (value, deadline). *)
+      let model = Hashtbl.create 8 in
+      let used () = Hashtbl.fold (fun _ (v, _) acc -> acc + 100 + String.length v) model 0 in
+      let aging_of = Option.value ~default:ft_aging in
+      let m_store now k v aging =
+        let old = match Hashtbl.find_opt model k with Some (o, _) -> 100 + String.length o | None -> 0 in
+        if used () - old + 100 + String.length v <= ft_capacity then
+          Hashtbl.replace model k (v, now +. aging_of aging)
+      in
+      let m_touch now k aging =
+        match Hashtbl.find_opt model k with
+        | Some (v, _) -> Hashtbl.replace model k (v, now +. aging_of aging)
+        | None -> ()
+      in
+      let slot_end d = float_of_int (int_of_float (d /. ft_tick) + 1) *. ft_tick in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (dt, op) ->
+          now := !now +. dt;
+          let now = !now in
+          let expired_ok =
+            match op with
+            | Ins (k, l, aging) ->
+              let v = String.make l 'x' in
+              ignore (Flow_table.insert t ~now ?aging ft_keys.(k) v : Admission.t);
+              m_store now k v aging;
+              true
+            | Touch (k, aging) ->
+              ignore (Flow_table.touch t ~now ?aging ft_keys.(k) : bool);
+              m_touch now k aging;
+              true
+            | Upd (k, l) ->
+              let v = String.make l 'y' in
+              ignore (Flow_table.update t ~now ft_keys.(k) (fun _ -> v) : bool);
+              (match Hashtbl.find_opt model k with
+              | Some _ -> Hashtbl.replace model k (v, now +. ft_aging)
+              | None -> ());
+              true
+            | Refresh (k, aging) ->
+              (match Flow_table.find_entry t ft_keys.(k) with
+              | Some h -> Flow_table.refresh t ~now ?aging h
+              | None -> ());
+              m_touch now k aging;
+              true
+            | Replace (k, l, aging) ->
+              let v = String.make l 'z' in
+              (match Flow_table.find_entry t ft_keys.(k) with
+              | Some h -> ignore (Flow_table.replace t ~now ?aging h v : Admission.t)
+              | None -> ());
+              if Hashtbl.mem model k then m_store now k v aging;
+              true
+            | Rem k ->
+              ignore (Flow_table.remove t ft_keys.(k) : bool);
+              Hashtbl.remove model k;
+              true
+            | Clear ->
+              Flow_table.clear t;
+              Hashtbl.reset model;
+              true
+            | Expire ->
+              let got = ref [] in
+              ignore
+                (Flow_table.expire t ~now ~on_expire:(fun k v -> got := (k, v) :: !got) : int);
+              let due =
+                Hashtbl.fold (fun k (v, d) acc -> if slot_end d <= now then (k, v) :: acc else acc) model []
+              in
+              List.iter (fun (k, _) -> Hashtbl.remove model k) due;
+              let want = List.map (fun (k, v) -> (ft_keys.(k), v)) due in
+              let sort = List.sort (fun (a, _) (b, _) -> Flow_key.compare a b) in
+              List.equal
+                (fun (a, v) (b, w) -> Flow_key.equal a b && String.equal v w)
+                (sort !got) (sort want)
+          in
+          expired_ok
+          && Flow_table.length t = Hashtbl.length model
+          && Flow_table.memory_bytes t = used ()
+          && Flow_table.pending_timers t = Hashtbl.length model)
+        ops)
+
+
 (* ------------------------------------------------------------------ *)
 (* Tss: tuple-space search classifier *)
 
@@ -783,6 +973,8 @@ let () =
           Alcotest.test_case "short aging override" `Quick test_ft_short_aging_override;
           Alcotest.test_case "remove cancels timer" `Quick test_ft_remove;
           Alcotest.test_case "update in place" `Quick test_ft_update;
+          Alcotest.test_case "handles" `Quick test_ft_handles;
+          Alcotest.test_case "touch re-arms nothing" `Quick test_ft_touch_no_churn;
         ]
-        @ qsuite [ prop_ft_memory_consistent ] );
+        @ qsuite [ prop_ft_memory_consistent; prop_ft_deadline_aging ] );
     ]

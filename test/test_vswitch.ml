@@ -439,6 +439,17 @@ let test_params =
     queue_capacity = 64;
   }
 
+let world_ruleset ?(acl_deny_rx = false) () =
+  let acl = Acl.create () in
+  if acl_deny_rx then
+    Acl.add acl (Acl.rule ~priority:1 ~dst:(pfx "10.0.0.1/32") Acl.Deny);
+  let rs = Ruleset.create ~vni:5 ~acl () in
+  Ruleset.add_route rs (pfx "10.0.0.0/8");
+  Ruleset.add_mapping rs
+    { Vnic.Addr.vpc = Vpc.make 5; ip = ip "10.0.0.2" }
+    (ip "192.168.0.2");
+  rs
+
 let make_world ?(params = test_params) ?(acl_deny_rx = false) () =
   let sim = Sim.create () in
   let vs =
@@ -457,15 +468,7 @@ let make_world ?(params = test_params) ?(acl_deny_rx = false) () =
           Pbatch.iter batch (fun p -> to_net := p :: !to_net);
           Pbatch.recycle batch);
     };
-  let acl = Acl.create () in
-  if acl_deny_rx then
-    Acl.add acl (Acl.rule ~priority:1 ~dst:(pfx "10.0.0.1/32") Acl.Deny);
-  let rs = Ruleset.create ~vni:5 ~acl () in
-  Ruleset.add_route rs (pfx "10.0.0.0/8");
-  Ruleset.add_mapping rs
-    { Vnic.Addr.vpc = Vpc.make 5; ip = ip "10.0.0.2" }
-    (ip "192.168.0.2");
-  (match Vswitch.add_vnic vs vnic_a rs with
+  (match Vswitch.add_vnic vs vnic_a (world_ruleset ~acl_deny_rx ()) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "vnic must fit");
   { sim; vs; to_net; to_vm }
@@ -693,6 +696,101 @@ let test_vs_queue_overflow_under_burst () =
   check_bool "some got through" true (List.length !(w.to_net) > 0)
 
 
+(* A session dies while a packet that resolved it is in SmartNIC
+   service.  The commit finds its handle dead and takes the key path,
+   as if it had never held one: an [Update] stores the session afresh
+   (a new entry, counted as created) in whatever table the vNIC has
+   now; a [Keep] finds nothing to touch.  Either way the packet is
+   forwarded and the NIC's memory matches the tables. *)
+let tx_key = Flow_key.of_packet_fields ~vpc:(Vpc.make 5) ~flow:(tuple "10.0.0.1" "10.0.0.2")
+
+let in_service_kill ~established ~kill () =
+  let w = make_world () in
+  let vid = vnic_a.Vnic.id in
+  let c = Vswitch.counters w.vs in
+  Vswitch.from_vm w.vs vid (tx_packet ~flags:Packet.syn ());
+  Sim.run w.sim ~until:0.5;
+  (* The handshake's ACK moves the session to established (an [Update]);
+     a later ACK changes nothing (a [Keep]). *)
+  if established then begin
+    Vswitch.from_vm w.vs vid (tx_packet ~flags:Packet.ack ());
+    Sim.run w.sim ~until:1.0
+  end;
+  let hits = Stats.Counter.value c.Vswitch.fast_path_hits in
+  Vswitch.from_vm w.vs vid (tx_packet ~flags:Packet.ack ());
+  check_int "resolved as a fast-path hit" (hits + 1) (Stats.Counter.value c.Vswitch.fast_path_hits);
+  kill w;
+  check_bool "session gone before the commit" true (Vswitch.find_session w.vs vid tx_key = None);
+  let created = Stats.Counter.value c.Vswitch.sessions_created in
+  let forwarded = Stats.Counter.value c.Vswitch.forwarded in
+  Sim.run w.sim ~until:(Sim.now w.sim +. 0.5);
+  check_int "forwarded" (forwarded + 1) (Stats.Counter.value c.Vswitch.forwarded);
+  (match Vswitch.find_session w.vs vid tx_key with
+  | Some s ->
+    check_bool "update re-creates" false established;
+    check_bool "established state" true
+      (match s.Vswitch.state with
+      | Some st -> st.State.tcp = Some State.Established
+      | None -> false);
+    check_int "counted as created" (created + 1)
+      (Stats.Counter.value c.Vswitch.sessions_created)
+  | None ->
+    check_bool "keep touches nothing" true established;
+    check_int "nothing created" created (Stats.Counter.value c.Vswitch.sessions_created));
+  check_int "NIC memory matches the tables" (Vswitch.vnic_memory_bytes w.vs vid)
+    (Smartnic.mem_used (Vswitch.nic w.vs))
+
+let kill_routes =
+  let vid = vnic_a.Vnic.id in
+  [
+    ("wipe_volatile", fun w -> Vswitch.wipe_volatile w.vs);
+    ("remove_session", fun w -> ignore (Vswitch.remove_session w.vs vid tx_key : bool));
+    ( "invalidate_cached_flows",
+      fun w ->
+        Ruleset.bump_generation (Option.get (Vswitch.ruleset w.vs vid));
+        Vswitch.invalidate_cached_flows w.vs vid );
+    ( "vnic remove and re-add",
+      fun w ->
+        Vswitch.remove_vnic w.vs vid;
+        check_bool "re-added" true (Vswitch.add_vnic w.vs vnic_a (world_ruleset ()) = Ok ()) );
+  ]
+
+let test_vs_handle_dies_in_service () =
+  List.iter
+    (fun (_, kill) ->
+      in_service_kill ~established:false ~kill ();
+      in_service_kill ~established:true ~kill ())
+    kill_routes
+
+(* The aging route: the packet resolves a microsecond before the aging
+   pump that expires its session, and commits after it.  A SYN-state
+   session (2 s aging, created at ~0 s) goes at the 4 s pump; an
+   established one (8 s aging from ~0.5 s) at the 10 s pump. *)
+let test_vs_handle_dies_by_aging () =
+  let run ~established ~pump =
+    let w = make_world () in
+    let vid = vnic_a.Vnic.id in
+    let c = Vswitch.counters w.vs in
+    Vswitch.from_vm w.vs vid (tx_packet ~flags:Packet.syn ());
+    Sim.run w.sim ~until:0.5;
+    if established then Vswitch.from_vm w.vs vid (tx_packet ~flags:Packet.ack ());
+    Sim.run w.sim ~until:(pump -. 1e-6);
+    check_bool "alive just before the pump" true (Vswitch.find_session w.vs vid tx_key <> None);
+    let created = Stats.Counter.value c.Vswitch.sessions_created in
+    Vswitch.from_vm w.vs vid (tx_packet ~flags:Packet.ack ());
+    Sim.run w.sim ~until:pump;
+    check_bool "aged out while in service" true (Vswitch.find_session w.vs vid tx_key = None);
+    Sim.run w.sim ~until:(pump +. 0.5);
+    check_bool "update re-creates, keep does not" (not established)
+      (Vswitch.find_session w.vs vid tx_key <> None);
+    check_int "created count" (if established then created else created + 1)
+      (Stats.Counter.value c.Vswitch.sessions_created);
+    check_int "NIC memory matches the tables" (Vswitch.vnic_memory_bytes w.vs vid)
+      (Smartnic.mem_used (Vswitch.nic w.vs))
+  in
+  run ~established:false ~pump:4.0;
+  run ~established:true ~pump:10.0
+
 let test_vs_flow_logging () =
   let w = make_world () in
   (* Arm statistics for the peer prefix so sessions count traffic. *)
@@ -865,6 +963,8 @@ let () =
           Alcotest.test_case "drop and restore ruleset" `Quick test_vs_drop_and_restore_ruleset;
           Alcotest.test_case "generation invalidation" `Quick test_vs_generation_invalidation;
           Alcotest.test_case "queue overflow under burst" `Quick test_vs_queue_overflow_under_burst;
+          Alcotest.test_case "handle dies in service" `Quick test_vs_handle_dies_in_service;
+          Alcotest.test_case "handle dies by aging" `Quick test_vs_handle_dies_by_aging;
           Alcotest.test_case "flow logging" `Quick test_vs_flow_logging;
           Alcotest.test_case "traffic mirroring" `Quick test_vs_mirroring;
           Alcotest.test_case "session iteration and version" `Quick test_vs_iter_sessions_and_version;
