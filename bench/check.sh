@@ -5,7 +5,8 @@
 #
 #   bench/check.sh [OUT.json]      (default /tmp/nezha_bench_check.json)
 #   bench/check.sh --smoke         quick mode: build + the A/B verdict
-#                                  selftest + the SLO elastic
+#                                  selftest + chaos input validation
+#                                  + the SLO elastic
 #                                  control-plane gate at reduced scale
 #                                  (tier-1 time budget; same assertions
 #                                  as the full macro SLO gate)
@@ -80,6 +81,11 @@ if [ "${1:-}" = "--smoke" ]; then
   dune build
   echo "== A/B verdict selftest"
   python3 bench/ab.py --selftest
+  echo "== chaos rejects an out-of-range --loss before simulating"
+  if dune exec --no-build bin/nezha_sim.exe -- chaos --loss 1.5 >/dev/null 2>&1; then
+    echo "nezha_sim chaos accepted --loss 1.5"
+    exit 1
+  fi
   smoke_out=/tmp/nezha_slo_smoke.json
   echo "== bench slo_smoke --json ($smoke_out)"
   dune exec --no-build bench/main.exe -- slo_smoke --json "$smoke_out"

@@ -215,7 +215,7 @@ let fig13 () =
     (fun cause ->
       let days =
         Region.daily_overloads rng ~n_vswitches:20_000 ~capacities:Region.default_capacities
-          ~cause ~days:30 ()
+          ~cause ~days:30
       in
       let before = List.fold_left (fun a d -> a + d.Region.before) 0 days in
       let after = List.fold_left (fun a d -> a + d.Region.after) 0 days in
@@ -565,7 +565,6 @@ let micro_results () =
   in
   let acl_matrix = make_acl_matrix [ micro_acl_rules ] in
   let acl_tests = acl_tests_of acl_matrix in
-  let params = Nezha_vswitch.Params.default in
   let vpc = Nezha_net.Vpc.make 7 in
   let ruleset =
     let rs = Nezha_vswitch.Ruleset.create ~vni:9 ~acl:(micro_make_acl ()) () in
@@ -576,7 +575,7 @@ let micro_results () =
     rs
   in
   (* Prime the megaflow cache so the loop below measures the hit path. *)
-  (match Nezha_vswitch.Ruleset.lookup ruleset ~params ~vpc ~flow_tx:tuple with
+  (match Nezha_vswitch.Ruleset.lookup ruleset ~vpc ~flow_tx:tuple with
   | Some _ -> ()
   | None -> failwith "micro: ruleset probe unroutable");
   let flow_key =
@@ -629,7 +628,7 @@ let micro_results () =
     @ [
       Test.make ~name:"acl_cached_1k"
         (Staged.stage (fun () ->
-             Nezha_vswitch.Ruleset.lookup ruleset ~params ~vpc ~flow_tx:tuple));
+             Nezha_vswitch.Ruleset.lookup ruleset ~vpc ~flow_tx:tuple));
       Test.make ~name:"flow_table_insert"
         (Staged.stage (fun () ->
              upsert_now := !upsert_now +. 0.001;
@@ -703,7 +702,6 @@ let micro_batch_flows = 4
 let micro_batch_results () =
   let open Bechamel in
   let ip = Nezha_net.Ipv4.of_octets in
-  let params = Nezha_vswitch.Params.default in
   let vpc = Nezha_net.Vpc.make 7 in
   let flows =
     Array.init micro_batch_flows (fun i ->
@@ -725,7 +723,7 @@ let micro_batch_results () =
     (* Prime the megaflow cache: the sweep measures the steady state. *)
     Array.iter
       (fun f ->
-        match Nezha_vswitch.Ruleset.lookup rs ~params ~vpc ~flow_tx:f with
+        match Nezha_vswitch.Ruleset.lookup rs ~vpc ~flow_tx:f with
         | Some _ -> ()
         | None -> failwith "micro batch: sweep flow unroutable")
       flows;
@@ -788,7 +786,7 @@ let micro_batch_results () =
                (grouped batch_cached
                   ~leader:(fun g ->
                     ignore
-                      (Nezha_vswitch.Ruleset.lookup ruleset ~params ~vpc ~flow_tx:flows.(g)
+                      (Nezha_vswitch.Ruleset.lookup ruleset ~vpc ~flow_tx:flows.(g)
                         : Nezha_vswitch.Ruleset.lookup_result option))
                   ~follower:(fun _ -> Nezha_vswitch.Ruleset.note_megaflow_hit ruleset)));
           Test.make

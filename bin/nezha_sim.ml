@@ -322,18 +322,32 @@ let trace_cmd =
              (optionally exporting the flight recorder as Chrome trace-event JSON).")
     Term.(const run $ seed_arg $ json_arg)
 
+(* A float argument that [ok] accepts; anything else is a usage error. *)
+let checked_float ~what ok =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "must be %s, got %s" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let chaos_cmd =
   let loss_arg =
-    Arg.(value & opt float 0.005 & info [ "loss" ] ~docv:"P"
-           ~doc:"Underlay drop probability at full ramp (default 0.5%).")
+    Arg.(value
+         & opt (checked_float ~what:"a probability in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)) 0.005
+         & info [ "loss" ] ~docv:"P"
+             ~doc:"Underlay drop probability at full ramp (default 0.5%).")
   in
   let no_partition_arg =
     Arg.(value & flag & info [ "no-partition" ]
            ~doc:"Skip the hard partition of a surviving FE's server at t=6s.")
   in
   let duration_arg =
-    Arg.(value & opt float 13.0 & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Load duration (the fault schedule assumes at least 13 s).")
+    Arg.(value
+         & opt (checked_float ~what:"at least 13" (fun d -> d >= 13.0)) 13.0
+         & info [ "duration" ] ~docv:"SECONDS"
+             ~doc:"Load duration, at least 13 s (the end of the fault schedule).")
   in
   let json_arg =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"

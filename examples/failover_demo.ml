@@ -18,9 +18,11 @@ let () =
   let o = Testbed.offload t () in
   Controller.start t.Testbed.ctl;
   let fes0 = Controller.offload_fe_servers o in
-  say "Offloaded to FEs on servers %s (monitor probing every %.1fs, %d misses to declare failure)"
-    (String.concat ", " (List.map string_of_int fes0))
-    Controller.ping_interval Controller.ping_misses_to_fail;
+  say "Offloaded to FEs on servers %s" (String.concat ", " (List.map string_of_int fes0));
+  say "Monitor: a probe every %.2fs, reply due within %.2fs, %d misses declare a failure, \
+       removal suspended when %.0f%% of FEs fail at once"
+    Monitor.interval Monitor.probe_timeout Monitor.misses_to_fail
+    (100.0 *. Monitor.mass_failure_fraction);
 
   (* Steady connection load through the pool. *)
   Array.iter

@@ -45,7 +45,7 @@ let () =
     (fun cause ->
       let days =
         Region.daily_overloads rng ~n_vswitches:n ~capacities:Region.default_capacities ~cause
-          ~days:30 ()
+          ~days:30
       in
       let before = List.fold_left (fun a d -> a + d.Region.before) 0 days in
       let after = List.fold_left (fun a d -> a + d.Region.after) 0 days in

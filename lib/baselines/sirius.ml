@@ -30,9 +30,10 @@ type t = {
   mutable cycles : int;
 }
 
-let n_buckets_default = 64
+(* Flows hash into 64 buckets, each assigned to one card pair. *)
+let n_buckets = 64
 
-let rec create ~fabric ~cards ?(dpu_speedup = 4.0) ?(buckets = n_buckets_default) () =
+let rec create ~fabric ~cards ?(dpu_speedup = 4.0) () =
   let n = List.length cards in
   if n < 2 || n mod 2 <> 0 then
     invalid_arg "Sirius.create: need an even number (>= 2) of cards";
@@ -49,7 +50,7 @@ let rec create ~fabric ~cards ?(dpu_speedup = 4.0) ?(buckets = n_buckets_default
     {
       fabric;
       pairs;
-      buckets = Array.init buckets (fun i -> i mod (n / 2));
+      buckets = Array.init n_buckets (fun i -> i mod (n / 2));
       served = Vnic.Addr.Table.create 8;
       dpu_params;
       connections = 0;
@@ -79,7 +80,7 @@ and sessions_for s pair_idx t =
     let table =
       Flow_table.create ~entry_overhead:0
         ~value_bytes:(fun e ->
-          t.dpu_params.Params.session_entry_overhead
+          Params.session_entry_overhead
           + match e.state with Some _ -> t.dpu_params.Params.state_slot_bytes | None -> 0)
         ~default_aging:t.dpu_params.Params.flow_aging ()
     in
@@ -96,7 +97,6 @@ and process_on_primary t s pair_idx pkt ~outer =
   let dir =
     if Ipv4.equal pkt.Packet.flow.Five_tuple.src s.vnic.Vnic.ip then Packet.Tx else Packet.Rx
   in
-  let p = t.dpu_params in
   let finish pre verdict =
     match verdict with
     | Nf.Drop reason -> Vswitch.count_drop vs reason
@@ -115,9 +115,9 @@ and process_on_primary t s pair_idx pkt ~outer =
   let run ~pre ~prior_state ~lookup_cycles ~fresh =
     let decap_src = Option.map (fun v -> v.Packet.outer_src) outer in
     let cycles =
-      Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-      + lookup_cycles + p.Params.encap_cycles
-      + if fresh then p.Params.session_setup_cycles else 0
+      Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt)
+      + lookup_cycles + Params.encap_cycles
+      + if fresh then Params.session_setup_cycles else 0
     in
     charge t vs ~cycles (fun _ ->
         let verdict, out =
@@ -153,9 +153,9 @@ and process_on_primary t s pair_idx pkt ~outer =
                setup cost, which is why in-line replication halves the
                pool's CPS (§2.3.3). *)
             (match out with
-            | Nf.Init _ -> p.Params.session_setup_cycles + p.Params.fast_path_cycles
-            | Nf.Update _ | Nf.Keep -> p.Params.fast_path_cycles + p.Params.state_update_cycles)
-            + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
+            | Nf.Init _ -> Params.session_setup_cycles + Params.fast_path_cycles
+            | Nf.Update _ | Nf.Keep -> Params.fast_path_cycles + Params.state_update_cycles)
+            + Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt)
           in
           t.cycles <- t.cycles + replicate_cycles;
           if
@@ -167,7 +167,7 @@ and process_on_primary t s pair_idx pkt ~outer =
   in
   match Flow_table.find table key with
   | Some { pre; state } ->
-    run ~pre ~prior_state:state ~lookup_cycles:p.Params.fast_path_cycles ~fresh:false
+    run ~pre ~prior_state:state ~lookup_cycles:Params.fast_path_cycles ~fresh:false
   | None -> (
     match Hashtbl.find_opt s.replicas t.pairs.(pair_idx).primary with
     | None -> Vswitch.count_drop vs Nf.No_route
@@ -177,7 +177,7 @@ and process_on_primary t s pair_idx pkt ~outer =
       in
       match Vswitch.slow_path vs rs ~vpc:pkt.Packet.vpc ~flow_tx with
       | None ->
-        charge t vs ~cycles:p.Params.table_base_cycles (fun _ ->
+        charge t vs ~cycles:Params.table_base_cycles (fun _ ->
             Vswitch.count_drop vs Nf.No_route)
       | Some { Ruleset.pre; cycles } -> run ~pre ~prior_state:None ~lookup_cycles:cycles ~fresh:true))
 
@@ -201,8 +201,7 @@ and card_hook t self pkt ~outer =
     else begin
       (* Sender ECMP hashed to a card that does not own this bucket:
          forward to the owner (one intra-pool hop). *)
-      let p = t.dpu_params in
-      charge t vs ~cycles:(p.Params.fast_path_cycles / 2) (fun _ ->
+      charge t vs ~cycles:(Params.fast_path_cycles / 2) (fun _ ->
           Packet.encap_vxlan pkt ~vni:s.vni ~outer_src:(Vswitch.underlay_ip vs)
             ~outer_dst:
               (Topology.underlay_ip (Fabric.topology t.fabric) t.pairs.(pair_idx).primary);
@@ -253,8 +252,7 @@ let offload_vnic t ~server ~vnic =
              Vswitch.on_tx =
                (fun pkt ->
                  let pair_idx = t.buckets.(bucket_of t pkt) in
-                 let p = Vswitch.params host_vs in
-                 Vswitch.charge host_vs ~cycles:p.Params.encap_cycles (fun _ ->
+                 Vswitch.charge host_vs ~cycles:Params.encap_cycles (fun _ ->
                      Packet.encap_vxlan pkt ~vni:s.vni
                        ~outer_src:(Vswitch.underlay_ip host_vs)
                        ~outer_dst:
@@ -264,8 +262,7 @@ let offload_vnic t ~server ~vnic =
                  `Handled);
              on_rx =
                (fun pkt ->
-                 let p = Vswitch.params host_vs in
-                 Vswitch.charge host_vs ~cycles:(p.Params.fast_path_cycles / 4) (fun _ ->
+                 Vswitch.charge host_vs ~cycles:(Params.fast_path_cycles / 4) (fun _ ->
                      Vswitch.deliver_local host_vs vnic pkt);
                  `Handled);
              on_tx_batch = None;

@@ -8,7 +8,7 @@
     pair: a new connection consumes processing on both cards, so the
     achievable CPS is half the pool's aggregate capacity (§2.3.3).
 
-    Load balancing hashes flows into a fixed number of buckets assigned
+    Load balancing hashes flows into 64 buckets assigned
     to card pairs; moving load reassigns buckets, and sessions of
     long-lived flows must be state-transferred to the new owner.
 
@@ -26,7 +26,6 @@ val create :
   fabric:Fabric.t ->
   cards:Topology.server_id list ->
   ?dpu_speedup:float ->
-  ?buckets:int ->
   unit ->
   t
 (** Build a DPU pool on the given (otherwise empty) servers.  Cards are

@@ -2,19 +2,23 @@ open Nezha_engine
 
 type endpoint = Server of Topology.server_id | Gateway
 
-type impairment = {
-  loss : float;
-  dup : float;
-  dup_delay : float;
-  reorder : float;
-  reorder_delay : float;
-}
+type impairment = { loss : float; dup : float; reorder : float }
 
-let perfect = { loss = 0.0; dup = 0.0; dup_delay = 0.0; reorder = 0.0; reorder_delay = 0.0 }
+(* Max extra delay of a duplicate or a reordered packet: a few
+   cross-rack latencies, enough to reorder. *)
+let jitter_max = 100e-6
 
-let impair ?(loss = 0.0) ?(dup = 0.0) ?(dup_delay = 100e-6) ?(reorder = 0.0)
-    ?(reorder_delay = 100e-6) () =
-  { loss; dup; dup_delay; reorder; reorder_delay }
+let perfect = { loss = 0.0; dup = 0.0; reorder = 0.0 }
+
+let impair ?(loss = 0.0) ?(dup = 0.0) ?(reorder = 0.0) () =
+  let check name p =
+    if not (p >= 0.0 && p <= 1.0) then
+      invalid_arg (Printf.sprintf "Faults.impair: %s must be a probability in [0, 1]" name)
+  in
+  check "loss" loss;
+  check "dup" dup;
+  check "reorder" reorder;
+  { loss; dup; reorder }
 
 let trivial i = i.loss <= 0.0 && i.dup <= 0.0 && i.reorder <= 0.0
 
@@ -159,11 +163,11 @@ let consult t ~src ~dst =
     end
     else if imp.dup > 0.0 && Rng.chance t.rng imp.dup then begin
       t.dups <- t.dups + 1;
-      Duplicate (Rng.float t.rng (Float.max 1e-9 imp.dup_delay))
+      Duplicate (Rng.float t.rng jitter_max)
     end
     else if imp.reorder > 0.0 && Rng.chance t.rng imp.reorder then begin
       t.reorders <- t.reorders + 1;
-      Delay (Rng.float t.rng (Float.max 1e-9 imp.reorder_delay))
+      Delay (Rng.float t.rng jitter_max)
     end
     else Pass
   end

@@ -20,21 +20,20 @@ type t
     everything else is a server addressed by its topology id. *)
 type endpoint = Server of Topology.server_id | Gateway
 
-type impairment = {
+type impairment = private {
   loss : float;  (** P(drop) per traversal *)
-  dup : float;  (** P(duplicate); the copy arrives after an extra delay *)
-  dup_delay : float;  (** max extra delay of the duplicate, seconds *)
-  reorder : float;  (** P(extra jitter delay), which reorders vs later sends *)
-  reorder_delay : float;  (** max extra jitter, seconds *)
+  dup : float;  (** P(duplicate); the copy arrives up to 100 µs later *)
+  reorder : float;
+      (** P(extra jitter delay of up to 100 µs), which reorders vs later
+          sends *)
 }
 
 val perfect : impairment
 (** All probabilities zero — the seed fabric's behaviour. *)
 
-val impair : ?loss:float -> ?dup:float -> ?dup_delay:float -> ?reorder:float ->
-  ?reorder_delay:float -> unit -> impairment
-(** Build an impairment from the fields that matter; the delays default
-    to 100 µs (a few cross-rack latencies, enough to reorder). *)
+val impair : ?loss:float -> ?dup:float -> ?reorder:float -> unit -> impairment
+(** Build an impairment; an absent probability is zero.
+    @raise Invalid_argument when a probability is outside [0, 1]. *)
 
 val create : sim:Sim.t -> topology:Topology.t -> rng:Rng.t -> unit -> t
 (** The plane starts perfect: no impairments, no partitions. *)

@@ -53,7 +53,7 @@ let vnics_capacity ~fes:m ~table_bytes =
   let mem = Params.default.Params.mem_bytes in
   if m = 0 then mem / table_bytes
   else begin
-    let residual = Params.default.Params.be_residual_bytes_per_vnic in
+    let residual = Params.be_residual_bytes_per_vnic in
     let replicas = min 4 m in
     let fe_free = Array.make m mem in
     let be_free = ref mem in
@@ -281,7 +281,7 @@ let fig12_capacity_pps =
      plus the full fast path; delivery to the VM adds no encap. *)
   let p = fig12_params in
   let per_pkt =
-    float_of_int p.Params.fast_path_cycles +. (p.Params.byte_move_cycles *. 292.0)
+    float_of_int Params.fast_path_cycles +. (Params.byte_move_cycles *. 292.0)
   in
   p.Params.cpu_hz /. per_pkt
 
@@ -484,6 +484,36 @@ let table4 ?(seed = 1) ?(events = 200) () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 14 *)
 
+(* Every packet dropped in the testbed so far: fabric losses plus each
+   vSwitch's drops. *)
+let all_drops t =
+  List.fold_left
+    (fun acc s ->
+      match Fabric.vswitch_opt t.Testbed.fabric s with
+      | Some vs -> acc + Vswitch.total_drops vs
+      | None -> acc)
+    (Fabric.lost t.Testbed.fabric)
+    (Topology.servers (Fabric.topology t.Testbed.fabric))
+
+(* Every 0.25 s until [until] seconds from now, [sample ~at ~loss] gets
+   the offset from now and the share of packets dropped since the last
+   sample. *)
+let sample_loss t ~until sample =
+  let fabric = t.Testbed.fabric in
+  let last_drops = ref (all_drops t) and last_del = ref (Fabric.delivered_to_vms fabric) in
+  let t0 = Sim.now t.Testbed.sim in
+  Sim.every t.Testbed.sim ~period:0.25 (fun sim ->
+      let at = Sim.now sim -. t0 in
+      if at <= until then begin
+        let drops = all_drops t and delivered = Fabric.delivered_to_vms fabric in
+        let dd = drops - !last_drops and dl = delivered - !last_del in
+        last_drops := drops;
+        last_del := delivered;
+        sample ~at ~loss:(if dd + dl = 0 then 0.0 else float_of_int dd /. float_of_int (dd + dl));
+        true
+      end
+      else false)
+
 let fig14 ?(seed = 1) ?underlay_loss () =
   let t = Testbed.create ~seed () in
   let o = Testbed.offload t () in
@@ -506,31 +536,8 @@ let fig14 ?(seed = 1) ?underlay_loss () =
          | s :: _ -> Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric s))
          | [] -> ())
       : Sim.handle);
-  let all_drops () =
-    List.fold_left
-      (fun acc s ->
-        match Fabric.vswitch_opt t.Testbed.fabric s with
-        | Some vs -> acc + Vswitch.total_drops vs
-        | None -> acc)
-      (Fabric.lost t.Testbed.fabric)
-      (Topology.servers (Fabric.topology t.Testbed.fabric))
-  in
-  let all_delivered () = Fabric.delivered_to_vms t.Testbed.fabric in
   let samples = ref [] in
-  let last_drops = ref (all_drops ()) and last_del = ref (all_delivered ()) in
-  let t0 = Sim.now t.Testbed.sim in
-  Sim.every t.Testbed.sim ~period:0.25 (fun sim ->
-      let now = Sim.now sim -. t0 in
-      if now <= 14.0 then begin
-        let drops = all_drops () and delivered = all_delivered () in
-        let dd = drops - !last_drops and dl = delivered - !last_del in
-        last_drops := drops;
-        last_del := delivered;
-        let loss = if dd + dl = 0 then 0.0 else float_of_int dd /. float_of_int (dd + dl) in
-        samples := (now, loss) :: !samples;
-        true
-      end
-      else false);
+  sample_loss t ~until:14.0 (fun ~at ~loss -> samples := (at, loss) :: !samples);
   Sim.run t.Testbed.sim ~until:(Sim.now t.Testbed.sim +. 15.0);
   List.rev !samples
 
@@ -609,30 +616,9 @@ let chaos ?(seed = 42) ?(loss = 0.005) ?(partition = true) ?(duration = 13.0)
          t.Testbed.clients)
   in
   let be = Controller.offload_be o in
-  let all_drops () =
-    List.fold_left
-      (fun acc s ->
-        match Fabric.vswitch_opt t.Testbed.fabric s with
-        | Some vs -> acc + Vswitch.total_drops vs
-        | None -> acc)
-      (Fabric.lost t.Testbed.fabric)
-      (Topology.servers (Fabric.topology t.Testbed.fabric))
-  in
   let samples = ref [] in
-  let last_drops = ref (all_drops ()) in
-  let last_del = ref (Fabric.delivered_to_vms t.Testbed.fabric) in
-  Sim.every sim ~period:0.25 (fun sim' ->
-      let now = Sim.now sim' -. t0 in
-      if now <= duration then begin
-        let drops = all_drops () and delivered = Fabric.delivered_to_vms t.Testbed.fabric in
-        let dd = drops - !last_drops and dl = delivered - !last_del in
-        last_drops := drops;
-        last_del := delivered;
-        let loss = if dd + dl = 0 then 0.0 else float_of_int dd /. float_of_int (dd + dl) in
-        samples := { at = now; loss; outstanding = Be.outstanding be } :: !samples;
-        true
-      end
-      else false);
+  sample_loss t ~until:duration (fun ~at ~loss ->
+      samples := { at; loss; outstanding = Be.outstanding be } :: !samples);
   Sim.run sim ~until:(t0 +. duration +. 2.0);
   let samples = List.rev !samples in
   let sum f = List.fold_left (fun acc g -> acc + f g) 0 gens in
@@ -687,8 +673,8 @@ let tableA1 () =
         List.map
           (fun n ->
             let cycles =
-              Params.rule_lookup_cycles p ~acl_rules_scanned:n ~lpm_depth:8 ~tables:5
-              + Params.packet_cycles p ~wire_bytes:size
+              Params.rule_lookup_cycles ~acl_rules_scanned:n ~lpm_depth:8 ~tables:5
+              + Params.packet_cycles ~wire_bytes:size
             in
             (n, p.Params.cpu_hz /. float_of_int cycles /. 1e6))
           rules ))

@@ -41,11 +41,11 @@ let client_ip i = Ipv4.of_octets 10 0 1 (i + 1)
 
 let ten_slash_8 = Ipv4.Prefix.make (Ipv4.of_octets 10 0 0 0) 8
 
-let basic_ruleset ~acl_rules () =
+let basic_ruleset () =
   let acl = Acl.create () in
-  (* Rules that never match the test traffic: every lookup scans them
-     all, the worst-case cost the paper's Table A1 sweeps. *)
-  for i = 1 to acl_rules do
+  (* 100 rules that never match the test traffic: every lookup scans
+     them all, the worst-case cost the paper's Table A1 sweeps. *)
+  for i = 1 to 100 do
     Acl.add acl
       (Acl.rule ~priority:i ~src:(Ipv4.Prefix.make (Ipv4.of_octets 172 16 0 0) 12) Acl.Deny)
   done;
@@ -54,8 +54,7 @@ let basic_ruleset ~acl_rules () =
   rs
 
 let create ?(seed = 1) ?(racks = 5) ?(servers_per_rack = 8) ?(params = Params.scaled) ?ruleset
-    ?middlebox ?(acl_rules = 100) ?(server_vcpus = 64) ?(kernel = scaled_kernel) ?(clients = 4)
-    ?(fe_preload_fraction = 0.0)
+    ?middlebox ?(server_vcpus = 64) ?(clients = 4)
     ?(controller_config =
       { Controller.default_config with Controller.auto_offload = false; auto_scale = false })
     ?(reserve_servers = []) () =
@@ -96,7 +95,7 @@ let create ?(seed = 1) ?(racks = 5) ?(servers_per_rack = 8) ?(params = Params.sc
     match (ruleset, middlebox) with
     | Some rs, _ -> rs
     | None, Some kind -> Middlebox.make_ruleset kind ~rng ~vni:9 ~mem_scale:1000.0 ()
-    | None, None -> basic_ruleset ~acl_rules ()
+    | None, None -> basic_ruleset ()
   in
   List.iteri
     (fun i s ->
@@ -107,7 +106,7 @@ let create ?(seed = 1) ?(racks = 5) ?(servers_per_rack = 8) ?(params = Params.sc
   let heavy_vnic = Vnic.make ~id:1 ~vpc ~ip:heavy_ip ~mac:(Mac.of_int64 1L) in
   Admission.exn ~context:"Testbed: heavy vNIC"
     (Vswitch.add_vnic heavy_vs heavy_vnic heavy_rs);
-  let server_vm = Vm.create ~sim ~name:"heavy-vm" ~vcpus:server_vcpus ~kernel () in
+  let server_vm = Vm.create ~sim ~name:"heavy-vm" ~vcpus:server_vcpus ~kernel:scaled_kernel () in
   Fabric.attach_vm fabric heavy_server heavy_vnic.Vnic.id server_vm;
   Vm.set_tracer server_vm (Some trace);
   Gateway.set_route (Fabric.gateway fabric)
@@ -134,19 +133,6 @@ let create ?(seed = 1) ?(racks = 5) ?(servers_per_rack = 8) ?(params = Params.sc
            { Tcp_crr.vs; vnic = vnic.Vnic.id; vm; ip = cip })
          client_servers)
   in
-  (* Pre-load the FE candidates' memory to model vSwitches that already
-     serve local tenants (shapes the small-#FE region of Fig. 9). *)
-  if fe_preload_fraction > 0.0 then
-    List.iter
-      (fun s ->
-        if s <> heavy_server && not (List.mem s client_servers) then begin
-          let nic = Vswitch.nic (Fabric.vswitch fabric s) in
-          let want =
-            int_of_float (fe_preload_fraction *. float_of_int (Smartnic.mem_capacity nic))
-          in
-          ignore (Smartnic.mem_reserve nic want : bool)
-        end)
-      (Topology.servers topo);
   let ctl = Controller.create ~config:controller_config ~fabric ~rng:(Rng.split rng) () in
   let telemetry = Nezha_telemetry.Telemetry.create () in
   List.iter
@@ -195,10 +181,10 @@ let local_cps_capacity_estimate t =
     match rs with Some rs -> Acl.rule_count (Ruleset.acl rs) | None -> 100
   in
   let tables = match rs with Some rs -> Ruleset.table_count rs | None -> 5 in
-  let lookup = Params.rule_lookup_cycles p ~acl_rules_scanned:acl_scanned ~lpm_depth:8 ~tables in
+  let lookup = Params.rule_lookup_cycles ~acl_rules_scanned:acl_scanned ~lpm_depth:8 ~tables in
   let per_conn =
-    lookup + p.Params.session_setup_cycles
-    + (5 * (p.Params.fast_path_cycles + p.Params.encap_cycles + 300))
+    lookup + Params.session_setup_cycles
+    + (5 * (Params.fast_path_cycles + Params.encap_cycles + 300))
   in
   p.Params.cpu_hz /. float_of_int per_conn
 

@@ -40,11 +40,6 @@ type t = {
           interest *)
 }
 
-val scaled_kernel : Vm.kernel
-(** The VM kernel at the same scale as {!Params.scaled}: a 64-vCPU VM
-    accepts ≈3× the connections a local vSwitch can set up, which is
-    what turns the VM into the post-Nezha bottleneck (§6.2.2). *)
-
 val create :
   ?seed:int ->
   ?racks:int ->
@@ -52,20 +47,18 @@ val create :
   ?params:Params.t ->
   ?ruleset:Ruleset.t ->
   ?middlebox:Middlebox.kind ->
-  ?acl_rules:int ->
   ?server_vcpus:int ->
-  ?kernel:Vm.kernel ->
   ?clients:int ->
-  ?fe_preload_fraction:float ->
   ?controller_config:Controller.config ->
   ?reserve_servers:Topology.server_id list ->
   unit ->
   t
 (** Defaults: seed 1, 5 racks × 8 servers, {!Params.scaled}, a plain
-    100-rule ruleset, a 64-vCPU server VM with {!scaled_kernel}, 4
-    clients (on CPU-generous vSwitches so they never bottleneck), FE
-    candidates pre-loaded to [fe_preload_fraction] (default 0) of their
-    memory, manual controller (no auto policies). *)
+    100-rule ruleset, a 64-vCPU server VM whose kernel is scaled like
+    {!Params.scaled} (it accepts ≈3× the connections a local vSwitch can
+    set up, which makes the VM the post-Nezha bottleneck, §6.2.2), 4
+    clients (on CPU-generous vSwitches so they never bottleneck), manual
+    controller (no auto policies). *)
 
 val heavy_vnic_id : Vnic.id
 val heavy_ip : Ipv4.t

@@ -80,8 +80,6 @@ let fe_for t flow =
 
 let key_of pkt = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow
 
-let params t = Vswitch.params t.vs
-
 let trace_stage t pkt ~name ?args ~t0 () =
   if pkt.Packet.trace_id <> 0 then
     Vswitch.trace_span t.vs pkt ~name ~component:("be/" ^ Vswitch.name t.vs) ?args ~t0 ()
@@ -95,7 +93,7 @@ let note_wait t pd =
 
 let is_suspect t fe =
   match Hashtbl.find_opt t.suspects fe with
-  | Some n -> !n >= (params t).Params.offload_suspect_after
+  | Some n -> !n >= Params.offload_suspect_after
   | None -> false
 
 let all_suspect t = Array.for_all (fun fe -> is_suspect t fe) t.fes
@@ -166,17 +164,16 @@ let local_slow_path t pkt =
   match local_ruleset t with
   | None -> false
   | Some rs -> (
-    let p = params t in
     match Vswitch.slow_path t.vs rs ~vpc:t.vnic.Vnic.vpc ~flow_tx:pkt.Packet.flow with
     | None ->
-      Vswitch.charge t.vs ~cycles:p.Params.table_base_cycles (fun _ ->
+      Vswitch.charge t.vs ~cycles:Params.table_base_cycles (fun _ ->
           Vswitch.count_drop t.vs Nf.No_route);
       true
     | Some { Ruleset.pre; cycles } ->
       let cycles =
         cycles
-        + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-        + p.Params.encap_cycles
+        + Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt)
+        + Params.encap_cycles
       in
       Vswitch.charge t.vs ~cycles (fun _ ->
           trace_stage t pkt ~name:"local_slow_path" ~t0 ();
@@ -206,18 +203,17 @@ let local_rx_slow_path t pkt =
   match local_ruleset t with
   | None -> false
   | Some rs -> (
-    let p = params t in
     match
       Vswitch.slow_path t.vs rs ~vpc:t.vnic.Vnic.vpc
         ~flow_tx:(Five_tuple.reverse pkt.Packet.flow)
     with
     | None ->
-      Vswitch.charge t.vs ~cycles:p.Params.table_base_cycles (fun _ ->
+      Vswitch.charge t.vs ~cycles:Params.table_base_cycles (fun _ ->
           Vswitch.count_drop t.vs Nf.No_route);
       true
     | Some { Ruleset.pre; cycles } ->
       let key = key_of pkt in
-      let cycles = cycles + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt) in
+      let cycles = cycles + Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt) in
       Vswitch.charge t.vs ~cycles (fun _ ->
           trace_stage t pkt ~name:"local_rx_slow_path" ~t0 ();
           let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id key in
@@ -248,8 +244,7 @@ let give_up t pd =
 let resend t pd fe =
   let t0 = Sim.now (Vswitch.sim t.vs) in
   let pkt = Packet.copy pd.clean in
-  let p = params t in
-  Vswitch.charge t.vs ~cycles:p.Params.encap_cycles (fun sim ->
+  Vswitch.charge t.vs ~cycles:Params.encap_cycles (fun sim ->
       trace_stage t pkt ~name:"be_retx"
         ~args:[ ("retries", string_of_int pd.retries) ]
         ~t0 ();
@@ -261,7 +256,7 @@ let arm_timer t pd =
   pd.timer <-
     Some
       (Timer_wheel.add t.wheel ~now
-         ~deadline:(now +. (params t).Params.offload_retx_timeout)
+         ~deadline:(now +. Params.offload_retx_timeout)
          pd.seq)
 
 let on_timeout t seq =
@@ -271,7 +266,6 @@ let on_timeout t seq =
     Stats.Counter.incr t.counters.offload_timeouts;
     note_wait t pd;
     bump_suspect t pd.last_fe;
-    let p = params t in
     let tried = pd.last_fe :: pd.tried in
     let untried =
       Array.to_list t.fes
@@ -296,7 +290,7 @@ let on_timeout t seq =
           else Some pd.last_fe)
     in
     match candidate with
-    | Some fe when pd.retries < p.Params.offload_retx_max ->
+    | Some fe when pd.retries < Params.offload_retx_max ->
       pd.retries <- pd.retries + 1;
       pd.tried <- tried;
       if not (Ipv4.equal fe pd.last_fe) then
@@ -337,7 +331,6 @@ let handle_tx_batch t batch =
   if n = 0 then Pbatch.recycle batch
   else begin
     let t0 = Sim.now (Vswitch.sim t.vs) in
-    let p = params t in
     let cycles = ref 0 in
     (* Each packet's session handle, found once here for the freshness
        charge and kept for the commit. *)
@@ -349,9 +342,9 @@ let handle_tx_batch t batch =
       let fresh = Option.is_none handle in
       cycles :=
         !cycles
-        + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-        + p.Params.split_fast_path_cycles + p.Params.encap_cycles
-        + if fresh then p.Params.state_init_cycles else 0
+        + Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt)
+        + Params.split_fast_path_cycles + Params.encap_cycles
+        + if fresh then Params.state_init_cycles else 0
     done;
     let accepted =
       Vswitch.charge_batch t.vs ~cycles:!cycles ~npkts:n (fun sim ->
@@ -384,7 +377,7 @@ let handle_tx_batch t batch =
                 in
                 let fe = pick_fe t pkt.Packet.flow in
                 let nsh =
-                  if Hashtbl.length t.outstanding < p.Params.offload_track_capacity
+                  if Hashtbl.length t.outstanding < Params.offload_track_capacity
                   then begin
                     let seq = t.next_seq in
                     t.next_seq <- t.next_seq + 1;
@@ -423,8 +416,7 @@ let handle_tx_batch t batch =
 
 let handle_notify t pkt nsh =
   Stats.Counter.incr t.counters.notify_received;
-  let p = params t in
-  Vswitch.charge t.vs ~cycles:p.Params.state_update_cycles (fun _ ->
+  Vswitch.charge t.vs ~cycles:Params.state_update_cycles (fun _ ->
       match Option.map Pre_action.decode nsh.Packet.carried_pre_actions with
       | Some (Ok pre) -> (
         let key = key_of pkt in
@@ -448,14 +440,13 @@ let handle_rx_with_pre t pkt nsh pre_blob =
   match Pre_action.decode pre_blob with
   | Error _ -> Vswitch.count_drop t.vs Nf.No_route
   | Ok pre ->
-    let p = params t in
     let key = key_of pkt in
     let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id key in
     let fresh = Option.is_none handle in
     let cycles =
-      Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-      + p.Params.split_fast_path_cycles
-      + if fresh then p.Params.state_init_cycles else 0
+      Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt)
+      + Params.split_fast_path_cycles
+      + if fresh then Params.state_init_cycles else 0
     in
     Vswitch.charge t.vs ~cycles (fun _sim ->
         trace_stage t pkt ~name:"be_rx_finalize" ~t0 ();
@@ -491,8 +482,7 @@ let handle_rx_bare t pkt =
          the retention window: bounce the packet through an FE. *)
       Stats.Counter.incr t.counters.bounced;
       let t0 = Sim.now (Vswitch.sim t.vs) in
-      let p = params t in
-      Vswitch.charge t.vs ~cycles:p.Params.encap_cycles (fun _ ->
+      Vswitch.charge t.vs ~cycles:Params.encap_cycles (fun _ ->
           trace_stage t pkt ~name:"be_bounce" ~t0 ();
           let fe = pick_fe t pkt.Packet.flow in
           Packet.encap_vxlan pkt ~vni:t.vni ~outer_src:(Vswitch.underlay_ip t.vs)
@@ -535,7 +525,6 @@ end
 
 let install ~vs ~vnic ~vni ~fes ?fallback_ruleset () =
   if Array.length fes = 0 then invalid_arg "Be.install: empty FE set";
-  let p = Vswitch.params vs in
   let t =
     {
       vs;
@@ -550,7 +539,7 @@ let install ~vs ~vnic ~vni ~fes ?fallback_ruleset () =
       next_seq = 0;
       outstanding = Hashtbl.create 64;
       wheel =
-        Timer_wheel.create ~tick:(p.Params.offload_retx_timeout /. 4.0) ~slots:64;
+        Timer_wheel.create ~tick:(Params.offload_retx_timeout /. 4.0) ~slots:64;
       suspects = Hashtbl.create 4;
       hop_hist = Stats.Histogram.create ();
       hop_window = [];
@@ -575,7 +564,7 @@ let install ~vs ~vnic ~vni ~fes ?fallback_ruleset () =
     }
   in
   (* Retransmission-timer pump; dies with the intercept. *)
-  Sim.every (Vswitch.sim vs) ~period:(p.Params.offload_retx_timeout /. 4.0) (fun sim ->
+  Sim.every (Vswitch.sim vs) ~period:(Params.offload_retx_timeout /. 4.0) (fun sim ->
       ignore (Timer_wheel.advance t.wheel ~now:(Sim.now sim) (on_timeout t) : int);
       not t.closed);
   Vswitch.set_intercept vs vnic.Vnic.id

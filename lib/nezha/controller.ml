@@ -12,11 +12,22 @@ let initial_fes = 4 (* App. B.2 *)
 let learning_interval = 0.2 (* vNIC-server learning, §4.2.1 *)
 let rtt = 0.0005 (* in-flight slack *)
 let push_bytes_per_s = 200e6 (* rule-table push bandwidth to an FE *)
-let ping_interval = 0.5 (* FE health probes, §4.4 *)
-let ping_misses_to_fail = 3
 let fe_mem_max = 0.50 (* idle-candidate memory ceiling *)
 let ewma_alpha = 0.3 (* smoothing of the p2c CPU load signal *)
 let fe_pressure_weight = 0.05 (* p2c load per vNIC already steered at a server *)
+
+(* Control-plane RPCs to servers: log-normal latency around a 180 ms
+   median, an attempt declared lost after 500 ms, base-2 backoff capped
+   at 5 s, abandoned after 4 retries. *)
+let rpc_latency = 0.18
+let rpc_timeout = 0.5
+let rpc_backoff = 2.0
+let rpc_backoff_cap = 5.0
+let rpc_max_retries = 4
+
+let rpc_retry_delay ~attempt =
+  if attempt < 0 then invalid_arg "Controller.rpc_retry_delay: attempt must be >= 0";
+  Float.min (rpc_timeout *. (rpc_backoff ** float_of_int attempt)) rpc_backoff_cap
 
 (* How long a replaced route's old targets stay configured: the
    learning window plus in-flight slack. *)
@@ -137,9 +148,9 @@ let config t = t.cfg
 let fabric t = t.fabric
 let monitor t = t.monitor
 
-(* Control-plane RPC latency: median [Rpc_policy.default.latency] with a log-normal
+(* Control-plane RPC latency: median [rpc_latency] with a log-normal
    tail, which is what produces Table 4's P999/median spread. *)
-let rpc t = Rpc_policy.default.Rpc_policy.latency *. Rng.lognormal t.rng ~mu:0.0 ~sigma:0.6
+let rpc t = rpc_latency *. Rng.lognormal t.rng ~mu:0.0 ~sigma:0.6
 
 (* One controller→server RPC over the (possibly impaired) management
    path.  Delivery is decided by the fault plane; a lost attempt retries
@@ -181,15 +192,13 @@ let rpc_to t server k =
     t.rpc_attempts <- t.rpc_attempts + 1;
     if delivered () then
       ignore (Sim.schedule t.sim ~delay:(rpc t) (fun _ -> k true) : Sim.handle)
-    else if n >= Rpc_policy.default.Rpc_policy.max_retries then begin
+    else if n >= rpc_max_retries then begin
       t.rpc_failures <- t.rpc_failures + 1;
-      ignore
-        (Sim.schedule t.sim ~delay:Rpc_policy.default.Rpc_policy.timeout (fun _ -> k false)
-          : Sim.handle)
+      ignore (Sim.schedule t.sim ~delay:rpc_timeout (fun _ -> k false) : Sim.handle)
     end
     else begin
       t.rpc_retries <- t.rpc_retries + 1;
-      let backoff = Rpc_policy.retry_delay Rpc_policy.default ~attempt:n in
+      let backoff = rpc_retry_delay ~attempt:n in
       ignore (Sim.schedule t.sim ~delay:backoff (fun _ -> attempt (n + 1)) : Sim.handle)
     end
   in
@@ -971,7 +980,7 @@ let migrate_be t o ~to_server =
            footprint; the hypervisor brings the session states along. *)
         let shim =
           Ruleset.create ~vni:o.vni
-            ~fixed_overhead_bytes:(Vswitch.params new_vs).Params.be_residual_bytes_per_vnic ()
+            ~fixed_overhead_bytes:Params.be_residual_bytes_per_vnic ()
         in
         match Vswitch.add_vnic new_vs o.vnic shim with
         | Error _ -> Error "target lacks memory for BE residual state"
@@ -1193,8 +1202,7 @@ let create ?(config = default_config) ~fabric ~rng () =
       slow_prev = Hashtbl.create 64;
       remote_prev = Hashtbl.create 32;
       busy_prev = Hashtbl.create 64;
-      monitor =
-        Monitor.create ~sim ~interval:ping_interval ~misses_to_fail:ping_misses_to_fail ();
+      monitor = Monitor.create ~sim;
       completion_ms = Stats.Histogram.create ();
       overloads = Hashtbl.create 64;
       last_scaled = Hashtbl.create 16;

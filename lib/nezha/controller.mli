@@ -37,17 +37,38 @@ val fe_mem_max : float
 val push_bytes_per_s : float
 (** Rule-table push bandwidth to an FE: 200 MB/s. *)
 
-val ping_interval : float
-(** FE health-probe period (0.5 s, §4.4). *)
+(** {2 Control-plane RPCs}
 
-val ping_misses_to_fail : int
-(** Consecutive missed probes before an FE is declared dead (3). *)
+    Every controller→server RPC takes a log-normal latency around
+    [rpc_latency]; an attempt the fault plane loses is retried after
+    {!rpc_retry_delay}, and the RPC is abandoned after [rpc_max_retries]
+    retries. *)
+
+val rpc_latency : float
+(** Median RPC latency: 180 ms. *)
+
+val rpc_timeout : float
+(** An attempt is declared lost after 500 ms. *)
+
+val rpc_backoff : float
+(** Exponential backoff base: 2. *)
+
+val rpc_backoff_cap : float
+(** Ceiling on any single backoff wait: 5 s. *)
+
+val rpc_max_retries : int
+(** Retries before giving up on a server: 4. *)
+
+val rpc_retry_delay : attempt:int -> float
+(** The wait before re-attempting after failed attempt number [attempt]
+    (0-based): [min (rpc_timeout × rpc_backoff^attempt) rpc_backoff_cap].
+    @raise Invalid_argument on a negative [attempt]. *)
 
 (** The remaining policy constants stay internal: the Fig. 8 scale
     threshold (40%) and safe level (40%), the 200 ms vNIC-server
-    learning interval (§4.2.1) plus 0.5 ms in-flight slack, the
-    {!Rpc_policy.default} RPC policy, and the p2c load signal's EWMA
-    weight (0.3) and per-steered-vNIC pressure (0.05). *)
+    learning interval (§4.2.1) plus 0.5 ms in-flight slack, and the p2c
+    load signal's EWMA weight (0.3) and per-steered-vNIC pressure
+    (0.05).  FE health probing is {!Monitor}'s (§4.4). *)
 
 type config = {
   report_interval : float;  (** utilization report period *)
@@ -262,8 +283,7 @@ val rpc_retries : t -> int
 (** Control-plane RPC attempts lost to the fault plane and retried. *)
 
 val rpc_failures : t -> int
-(** RPCs abandoned after {!Rpc_policy.default}'s [max_retries]
-    retries. *)
+(** RPCs abandoned after {!rpc_max_retries} retries. *)
 
 val overload_occurrences : t -> Topology.server_id -> int
 (** Report ticks with utilization above [overload_level] (Fig. 13). *)

@@ -31,8 +31,6 @@ type t = {
 
 let params t = Vswitch.params t.vs
 
-let flow_entry_bytes t = (params t).Params.session_entry_overhead
-
 let key_of pkt = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow
 
 (* FE stage spans are the remote share of a flow's latency — the work that
@@ -53,14 +51,14 @@ let resolve_pre t s ~flow_tx ~key =
   | Some h when (Flow_table.value h).generation = generation ->
     Stats.Counter.incr t.counters.fast_hits;
     Flow_table.refresh s.flows ~now:(Sim.now (Vswitch.sim t.vs)) h;
-    Some ((Flow_table.value h).pre, (params t).Params.split_fast_path_cycles, false)
+    Some ((Flow_table.value h).pre, Params.split_fast_path_cycles, false)
   | Some _ | None -> (
     Stats.Counter.incr t.counters.rule_lookups;
     match Vswitch.slow_path t.vs s.ruleset ~vpc:s.vnic.Vnic.vpc ~flow_tx with
     | None -> None
     | Some { Ruleset.pre; cycles } ->
       let entry = { pre; generation } in
-      let bytes = flow_entry_bytes t in
+      let bytes = Params.session_entry_overhead in
       if Smartnic.mem_reserve (Vswitch.nic t.vs) bytes then begin
         match Flow_table.insert s.flows ~now:(Sim.now (Vswitch.sim t.vs)) key entry with
         | Ok () -> ()
@@ -68,7 +66,7 @@ let resolve_pre t s ~flow_tx ~key =
       end;
       (* Creating the bidirectional cached flow is the expensive share of
          session setup, and it now happens here, not at the BE. *)
-      Some (pre, cycles + (params t).Params.flow_cache_cycles, true))
+      Some (pre, cycles + Params.flow_cache_cycles, true))
 
 let send_notify t s pkt pre =
   Stats.Counter.incr t.counters.notify_sent;
@@ -185,7 +183,6 @@ let rec commit_all t ~t0 out = function
    workflows in order and refills the batch with the outgoing packets,
    one burst for the sink. *)
 let process_batch t batch =
-  let p = params t in
   let jobs = ref [] and handled = ref 0 and total = ref 0 in
   let leftover = ref None in
   (* Members of a flow group carry physically-equal pre-actions, so a run
@@ -207,7 +204,7 @@ let process_batch t batch =
       with
       | None ->
         jobs := No_route :: !jobs;
-        total := !total + p.Params.table_base_cycles
+        total := !total + Params.table_base_cycles
       | Some (pre, lookup_cycles, fresh) ->
         (match !last_pre with
         | Some lp when lp == pre -> ()
@@ -217,8 +214,8 @@ let process_batch t batch =
         jobs := To_be { pkt; s; blob = !last_blob; fresh; outer_src } :: !jobs;
         total :=
           !total
-          + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-          + lookup_cycles + p.Params.encap_cycles)
+          + Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt)
+          + lookup_cycles + Params.encap_cycles)
     | None -> (
       match
         ( Vnic.Addr.Table.find_opt t.served
@@ -238,16 +235,16 @@ let process_batch t batch =
           match resolve_pre t s ~flow_tx:pkt.Packet.flow ~key:(key_of pkt) with
           | None ->
             jobs := No_route :: !jobs;
-            total := !total + p.Params.table_base_cycles
+            total := !total + Params.table_base_cycles
           | Some (pre, lookup_cycles, fresh) ->
             jobs := Finalize { pkt; s; pre; fresh; state; nsh } :: !jobs;
             let ack_cycles =
-              match nsh.Packet.hop_seq with None -> 0 | Some _ -> p.Params.encap_cycles
+              match nsh.Packet.hop_seq with None -> 0 | Some _ -> Params.encap_cycles
             in
             total :=
               !total
-              + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-              + lookup_cycles + p.Params.encap_cycles + ack_cycles))
+              + Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt)
+              + lookup_cycles + Params.encap_cycles + ack_cycles))
       | (Some _ | None), _ ->
         (* A packet from a served source whose NSH carries no state is
            not FE work: it goes back untouched, header included. *)
@@ -320,7 +317,7 @@ let install vs =
         (fun _ s ->
           ignore
             (Flow_table.expire s.flows ~now ~on_expire:(fun _ _ ->
-                 Smartnic.mem_release (Vswitch.nic vs) (flow_entry_bytes t))
+                 Smartnic.mem_release (Vswitch.nic vs) Params.session_entry_overhead)
               : int))
         t.served;
       true);
@@ -330,7 +327,7 @@ let vswitch t = t.vs
 
 let release_served t s =
   Flow_table.iter s.flows (fun _ _ ->
-      Smartnic.mem_release (Vswitch.nic t.vs) (flow_entry_bytes t));
+      Smartnic.mem_release (Vswitch.nic t.vs) Params.session_entry_overhead);
   Flow_table.clear s.flows;
   Smartnic.mem_release (Vswitch.nic t.vs) s.rule_bytes
 
@@ -350,7 +347,7 @@ let serve t ~vnic ~ruleset ~be =
         be;
         flows =
           Flow_table.create ~entry_overhead:0
-            ~value_bytes:(fun _ -> flow_entry_bytes t)
+            ~value_bytes:(fun _ -> Params.session_entry_overhead)
             ~default_aging:p.Params.flow_aging ();
         rule_bytes = bytes;
       }
@@ -398,7 +395,7 @@ let invalidate_cached_flows t addr =
     List.iter
       (fun k ->
         if Flow_table.remove s.flows k then
-          Smartnic.mem_release (Vswitch.nic t.vs) (flow_entry_bytes t))
+          Smartnic.mem_release (Vswitch.nic t.vs) Params.session_entry_overhead)
       !victims
 
 let counters t = t.counters

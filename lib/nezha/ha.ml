@@ -1,22 +1,24 @@
 open Nezha_engine
 open Nezha_fabric
 
+(* The primary's lease: a heartbeat every 0.5 s; three missed beats
+   hand control to the standby. *)
+let lease_interval = 0.5
+let lease_misses = 3
+
 type t = {
   sim : Sim.t;
   fabric : Fabric.t;
   primary : Controller.t;
   standby : Controller.t;
   registry : Controller.Registry.t;
-  lease_interval : float;
-  lease_misses : int;
   mutable missed : int;
   mutable active : Controller.t;
   mutable takeovers : int;
   mutable started : bool;
 }
 
-let create ?(lease_interval = 0.5) ?(lease_misses = 3) ~fabric ~primary ~standby
-    () =
+let create ~fabric ~primary ~standby =
   if primary == standby then invalid_arg "Ha.create: primary == standby";
   let registry = Controller.Registry.create () in
   Controller.set_registry primary registry;
@@ -31,8 +33,6 @@ let create ?(lease_interval = 0.5) ?(lease_misses = 3) ~fabric ~primary ~standby
     primary;
     standby;
     registry;
-    lease_interval;
-    lease_misses;
     missed = 0;
     active = primary;
     takeovers = 0;
@@ -74,12 +74,12 @@ let start t =
   if not t.started then begin
     t.started <- true;
     Controller.start t.primary;
-    Sim.every t.sim ~period:t.lease_interval (fun _ ->
+    Sim.every t.sim ~period:lease_interval (fun _ ->
         if t.active == t.primary then begin
           if Controller.alive t.primary then t.missed <- 0
           else begin
             t.missed <- t.missed + 1;
-            if t.missed >= t.lease_misses then takeover t
+            if t.missed >= lease_misses then takeover t
           end
         end;
         true)

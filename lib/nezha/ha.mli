@@ -3,7 +3,7 @@
     A primary/standby {!Controller} pair shares one {!Controller.Registry}
     — the rendezvous for node-owned state (BE re-advertisements, FE
     service handles) that survives a controller crash by construction.
-    A lease heartbeat watches the primary; after [lease_misses] missed
+    A lease heartbeat watches the primary every 0.5 s; after three missed
     beats the standby takes over: it bumps the epoch past the fleet's
     high-water mark, {e broadcasts} the new epoch to the gateway and
     every vSwitch (eager fencing — lazy fencing would leave components
@@ -18,14 +18,7 @@ open Nezha_fabric
 
 type t
 
-val create :
-  ?lease_interval:float ->
-  ?lease_misses:int ->
-  fabric:Fabric.t ->
-  primary:Controller.t ->
-  standby:Controller.t ->
-  unit ->
-  t
+val create : fabric:Fabric.t -> primary:Controller.t -> standby:Controller.t -> t
 (** Wire the pair: both controllers attach the shared registry and the
     standby starts fenced one epoch below the primary.  Call {!start}
     to begin the primary's report loop and the lease watchdog.
@@ -35,8 +28,8 @@ val start : t -> unit
 
 val crash_primary : t -> unit
 (** Halt the primary process (it applies nothing further; its in-flight
-    RPC replies are dropped).  The lease expires [lease_misses ×
-    lease_interval] later and the standby takes over. *)
+    RPC replies are dropped).  The lease expires three 0.5 s beats
+    later and the standby takes over. *)
 
 val revive_primary : t -> unit
 (** Bring the crashed primary back with its stale in-memory state and

@@ -10,12 +10,13 @@ type target = {
    before the collect deadline, or the probe counts as missed. *)
 type slot = { key : int; tgt : target; mutable replied : bool }
 
+let interval = 0.5
+let probe_timeout = interval /. 2.0
+let misses_to_fail = 3
+let mass_failure_fraction = 0.8
+
 type t = {
   sim : Sim.t;
-  interval : float;
-  probe_timeout : float;
-  misses_to_fail : int;
-  mass_failure_fraction : float;
   targets : (int, target) Hashtbl.t;
   mutable running : bool;
   mutable probes : int;
@@ -24,18 +25,9 @@ type t = {
   mutable mass_suspected : int;
 }
 
-let create ~sim ?(interval = 0.5) ?probe_timeout ?(misses_to_fail = 3)
-    ?(mass_failure_fraction = 0.8) () =
-  if interval <= 0.0 then invalid_arg "Monitor.create: interval must be positive";
-  let probe_timeout = Option.value probe_timeout ~default:(interval *. 0.5) in
-  if probe_timeout <= 0.0 || probe_timeout > interval then
-    invalid_arg "Monitor.create: probe_timeout must be in (0, interval]";
+let create ~sim =
   {
     sim;
-    interval;
-    probe_timeout;
-    misses_to_fail;
-    mass_failure_fraction;
     targets = Hashtbl.create 16;
     running = false;
     probes = 0;
@@ -87,7 +79,7 @@ let collect t slots =
         else begin
           t.missed <- t.missed + 1;
           s.tgt.misses <- s.tgt.misses + 1;
-          if s.tgt.misses >= t.misses_to_fail then
+          if s.tgt.misses >= misses_to_fail then
             newly_failed := (s.key, s.tgt) :: !newly_failed
         end)
       live;
@@ -95,13 +87,13 @@ let collect t slots =
     let failed_count = List.length newly_failed in
     if
       failed_count > 0
-      && float_of_int failed_count >= t.mass_failure_fraction *. float_of_int n
+      && float_of_int failed_count >= mass_failure_fraction *. float_of_int n
       && n > 1
     then begin
       (* §C.2: a majority of FEs "failing" at once smells like a monitor
          bug; hold off automatic removal and retry next round. *)
       t.mass_suspected <- t.mass_suspected + 1;
-      List.iter (fun (_, tgt) -> tgt.misses <- t.misses_to_fail - 1) newly_failed
+      List.iter (fun (_, tgt) -> tgt.misses <- misses_to_fail - 1) newly_failed
     end
     else
       List.iter
@@ -132,7 +124,7 @@ let probe_round t =
         keys
     in
     ignore
-      (Sim.schedule t.sim ~delay:t.probe_timeout (fun _ ->
+      (Sim.schedule t.sim ~delay:probe_timeout (fun _ ->
            if t.running then collect t slots)
         : Sim.handle)
   end
@@ -140,7 +132,7 @@ let probe_round t =
 let start t =
   if not t.running then begin
     t.running <- true;
-    Sim.every t.sim ~period:t.interval (fun _ ->
+    Sim.every t.sim ~period:interval (fun _ ->
         if t.running then probe_round t;
         t.running)
   end

@@ -2,14 +2,14 @@
 
     A single module health-checks every vSwitch hosting FEs.  Probes are
     asynchronous: each round fires one probe per target, and a collect
-    sweep [probe_timeout] later scores targets whose reply has not come
+    sweep {!probe_timeout} later scores targets whose reply has not come
     back as a miss — so a probe routed over the fabric ({!Fabric.ping})
     genuinely misses under loss or a partition.  A target that misses
-    [misses_to_fail] consecutive probes is declared failed, which bounds
+    {!misses_to_fail} consecutive probes is declared failed, which bounds
     detection latency at [interval × misses_to_fail + probe_timeout].
 
-    §C.2's lesson is built in: when a collect sweep finds more than
-    [mass_failure_fraction] of all targets down simultaneously, the
+    §C.2's lesson is built in: when a collect sweep finds at least
+    {!mass_failure_fraction} of all targets down simultaneously, the
     module suspects a monitoring bug rather than a real mass outage and
     suspends automatic removal for that round (counted, so operators —
     and tests — can see it).
@@ -20,19 +20,26 @@
 
 open Nezha_engine
 
+(** {1 Probe cadence (§4.4)} *)
+
+val interval : float
+(** One probe round every 0.5 s. *)
+
+val probe_timeout : float
+(** A reply is due [interval /. 2] (0.25 s) after its probe. *)
+
+val misses_to_fail : int
+(** Consecutive missed probes before a target is declared failed: 3. *)
+
+val mass_failure_fraction : float
+(** Share of targets failing in one sweep that suspends removal: 80%. *)
+
+(** {1 Monitoring} *)
+
 type t
 
-val create :
-  sim:Sim.t ->
-  ?interval:float ->
-  ?probe_timeout:float ->
-  ?misses_to_fail:int ->
-  ?mass_failure_fraction:float ->
-  unit ->
-  t
-(** Defaults: probe every 0.5 s, reply deadline [interval /. 2], fail
-    after 3 misses, suspect mass failure above 80% of targets.
-    @raise Invalid_argument unless [0 < probe_timeout <= interval]. *)
+val create : sim:Sim.t -> t
+(** A monitor with no targets, not yet probing. *)
 
 val watch_probe :
   t -> key:int -> probe:(reply:(unit -> unit) -> unit) -> on_fail:(key:int -> unit) -> unit

@@ -30,12 +30,11 @@ type t = {
 let dummy_span =
   { trace = 0; name = ""; component = ""; kind = Mark; site = Local; t0 = 0.0; dur = 0.0; args = [] }
 
-let create ?(capacity = 65536) ?(sample_every = 1) ?(enabled = false) () =
+let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  if sample_every <= 0 then invalid_arg "Trace.create: sample_every must be positive";
   {
-    enabled;
-    sample_every;
+    enabled = false;
+    sample_every = 1;
     next = 0;
     ring = Array.make capacity dummy_span;
     head = 0;

@@ -47,9 +47,10 @@ type span = {
 
 type t
 
-val create : ?capacity:int -> ?sample_every:int -> ?enabled:bool -> unit -> t
-(** Defaults: capacity 65536 spans, sample every packet, disabled.
-    @raise Invalid_argument on non-positive capacity or sampling rate. *)
+val create : ?capacity:int -> unit -> t
+(** A disabled recorder that samples every packet once enabled; capacity
+    defaults to 65536 spans.
+    @raise Invalid_argument on a non-positive capacity. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit

@@ -1,72 +1,54 @@
 type t = {
   cpu_hz : float;
-  table_base_cycles : int;
-  acl_log_cycles : int;
-  lpm_depth_cycles : int;
-  byte_move_cycles : float;
-  fast_path_cycles : int;
-  split_fast_path_cycles : int;
-  encap_cycles : int;
-  session_setup_cycles : int;
-  flow_cache_cycles : int;
-  megaflow_hit_cycles : int;
-  state_init_cycles : int;
-  state_update_cycles : int;
   queue_capacity : int;
   mem_bytes : int;
-  session_entry_overhead : int;
   state_slot_bytes : int;
-  be_residual_bytes_per_vnic : int;
   flow_aging : float;
-  syn_aging : float;
-  offload_retx_timeout : float;
-  offload_retx_max : int;
-  offload_track_capacity : int;
-  offload_suspect_after : int;
 }
 
 (* Fit against Table A1 (see the interface): with 5 tables at 550 cycles
    base each (2750), LPM ~8 levels x 12, ~0.7 cycles/byte and the
    remainder in per-packet dispatch, a 64 B / 0-rule lookup costs ~2900
    cycles; at 20 Gcycles/s that is within 5% of the paper's 6.6 Mpps. *)
+let table_base_cycles = 550
+let acl_log_cycles = 66
+let lpm_depth_cycles = 12
+let byte_move_cycles = 0.7
+let fast_path_cycles = 600
+let split_fast_path_cycles = 320
+let encap_cycles = 150
+let session_setup_cycles = 48_000
+let flow_cache_cycles = 46_000
+let megaflow_hit_cycles = 120
+let state_init_cycles = 2_000
+let state_update_cycles = 400
+let session_entry_overhead = 100
+let be_residual_bytes_per_vnic = 2048
+let syn_aging = 2.0
+let offload_retx_timeout = 0.02
+let offload_retx_max = 3
+let offload_track_capacity = 4096
+let offload_suspect_after = 2
+
 let default =
   {
     cpu_hz = 20e9 (* 8 cores ≈ 2.5 GHz effective *);
-    table_base_cycles = 550;
-    acl_log_cycles = 66;
-    lpm_depth_cycles = 12;
-    byte_move_cycles = 0.7;
-    fast_path_cycles = 600;
-    split_fast_path_cycles = 320;
-    encap_cycles = 150;
-    session_setup_cycles = 48_000;
-    flow_cache_cycles = 46_000;
-    megaflow_hit_cycles = 120;
-    state_init_cycles = 2_000;
-    state_update_cycles = 400;
     queue_capacity = 4096;
     mem_bytes = 10 * 1024 * 1024 * 1024 (* 10 GB, §6.1 *);
-    session_entry_overhead = 100;
     state_slot_bytes = 64;
-    be_residual_bytes_per_vnic = 2048;
     flow_aging = 8.0;
-    syn_aging = 2.0;
-    offload_retx_timeout = 0.02;
-    offload_retx_max = 3;
-    offload_track_capacity = 4096;
-    offload_suspect_after = 2;
   }
 
 let with_cpu_scale s t = { t with cpu_hz = t.cpu_hz /. s }
 
-let with_mem_scale s t = { t with mem_bytes = int_of_float (float_of_int t.mem_bytes /. s) }
-
-let scaled = default |> with_cpu_scale 100.0 |> with_mem_scale 1000.0
+let scaled =
+  let t = with_cpu_scale 100.0 default in
+  { t with mem_bytes = int_of_float (float_of_int t.mem_bytes /. 1000.0) }
 
 let log2 x = log x /. log 2.0
 
-let rule_lookup_cycles t ~acl_rules_scanned ~lpm_depth ~tables =
-  let acl = float_of_int t.acl_log_cycles *. log2 (1.0 +. float_of_int acl_rules_scanned) in
-  (tables * t.table_base_cycles) + int_of_float acl + (lpm_depth * t.lpm_depth_cycles)
+let rule_lookup_cycles ~acl_rules_scanned ~lpm_depth ~tables =
+  let acl = float_of_int acl_log_cycles *. log2 (1.0 +. float_of_int acl_rules_scanned) in
+  (tables * table_base_cycles) + int_of_float acl + (lpm_depth * lpm_depth_cycles)
 
-let packet_cycles t ~wire_bytes = int_of_float (t.byte_move_cycles *. float_of_int wire_bytes)
+let packet_cycles ~wire_bytes = int_of_float (byte_move_cycles *. float_of_int wire_bytes)

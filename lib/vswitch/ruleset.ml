@@ -54,13 +54,13 @@ let mega_entry_bytes = 56 (* masked key + boxed pre-action pointer + bucket slot
 
 let exact_mask = { mask_src_len = 32; mask_ports = true; mask_proto = true }
 
-let create ~vni ?acl ?policy ?rate_limit_bps ?(stats_rules = [])
+let create ~vni ?acl ?rate_limit_bps ?(stats_rules = [])
     ?(stateful_decap = false) ?(mirror = false) ?(extra_tables = 0)
     ?(fixed_overhead_bytes = 2 * 1024 * 1024) ?(lookup_extra_cycles = 0) () =
   let classifier =
     match acl with
-    | Some acl -> Classifier.of_acl ?policy acl
-    | None -> Classifier.create ?policy ()
+    | Some acl -> Classifier.of_acl acl
+    | None -> Classifier.create ()
   in
   {
     vni;
@@ -167,13 +167,13 @@ let mega_key_of t ~vpc ~(flow_tx : Five_tuple.t) =
     mproto = (if m.mask_proto then Five_tuple.proto_code flow_tx.Five_tuple.proto else -1);
   }
 
-let lookup t ~params ~vpc ~flow_tx =
+let lookup t ~vpc ~flow_tx =
   refresh_megaflow t;
   let key = mega_key_of t ~vpc ~flow_tx in
   match Mega.find_opt t.mega key with
   | Some pre ->
     Stats.Counter.incr t.mega_hits;
-    Some { pre; cycles = params.Params.megaflow_hit_cycles }
+    Some { pre; cycles = Params.megaflow_hit_cycles }
   | None ->
     Stats.Counter.incr t.mega_misses;
     let peer_ip = flow_tx.Five_tuple.dst in
@@ -218,7 +218,7 @@ let lookup t ~params ~vpc ~flow_tx =
       in
       if cacheable && Mega.length t.mega < mega_capacity then Mega.replace t.mega key pre;
       let cycles =
-        Params.rule_lookup_cycles params ~acl_rules_scanned:scanned ~lpm_depth
+        Params.rule_lookup_cycles ~acl_rules_scanned:scanned ~lpm_depth
           ~tables:(table_count t)
         + t.lookup_extra_cycles
       in

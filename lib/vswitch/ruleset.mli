@@ -9,8 +9,8 @@
 
     Two accelerations sit in front of the pipeline walk:
 
-    - the ACL is served by a {!Classifier} whose backend is picked by a
-      selection policy ([Auto] by default: tuple-space search for small
+    - the ACL is served by a {!Classifier} whose backend is picked by
+      the [Auto] selection policy (tuple-space search for small
       or mask-diverse tables, the learned range index once the table is
       large and mostly indexable; the linear scan stays available as the
       reference backend);
@@ -26,7 +26,6 @@ type t
 val create :
   vni:int ->
   ?acl:Acl.t ->
-  ?policy:Classifier.policy ->
   ?rate_limit_bps:int ->
   ?stats_rules:(Ipv4.Prefix.t * Pre_action.stats_spec) list ->
   ?stateful_decap:bool ->
@@ -36,8 +35,8 @@ val create :
   ?lookup_extra_cycles:int ->
   unit ->
   t
-(** [policy] (default [Auto]) selects the classifier backend from the
-    ruleset's shape at every resync.  [extra_tables] models advanced
+(** The classifier selects its backend from the ruleset's shape at every
+    resync (the [Auto] policy).  [extra_tables] models advanced
     features (policy routing, mirroring,
     flow logging) that add lookup stages.  [fixed_overhead_bytes]
     (default 2 MB, the production minimum of §6.2.1) is the footprint of
@@ -84,7 +83,7 @@ type lookup_result = {
 }
 
 val lookup :
-  t -> params:Params.t -> vpc:Vpc.t -> flow_tx:Five_tuple.t -> lookup_result option
+  t -> vpc:Vpc.t -> flow_tx:Five_tuple.t -> lookup_result option
 (** Run the slow path for a session given its TX-orientation tuple (source
     is the vNIC's overlay address).  [None] when no VXLAN route covers the
     peer: the packet is unroutable and dropped.  Note an ACL [Deny] still
@@ -92,7 +91,7 @@ val lookup :
     overrule it (§3.1).
 
     A megaflow-cache hit short-circuits the walk and costs only
-    [params.megaflow_hit_cycles].  Sessions whose peer maps to several
+    {!Params.megaflow_hit_cycles}.  Sessions whose peer maps to several
     FEs are never cached: their FE choice hashes the full tuple. *)
 
 val note_megaflow_hit : t -> unit

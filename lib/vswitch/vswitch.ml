@@ -105,7 +105,7 @@ let key_bytes = 40
 
 let session_bytes params s =
   key_bytes
-  + (match s.pre with Some _ -> params.Params.session_entry_overhead - key_bytes | None -> 0)
+  + (match s.pre with Some _ -> Params.session_entry_overhead - key_bytes | None -> 0)
   + (match s.state with Some _ -> params.Params.state_slot_bytes | None -> 0)
 
 let create ~sim ~params ~name ~underlay_ip ~gateway () =
@@ -382,7 +382,7 @@ let drop_ruleset t vid =
     Smartnic.mem_release t.nic e.rule_bytes;
     e.rule_bytes <- 0;
     e.ruleset <- None;
-    let residual = t.params.Params.be_residual_bytes_per_vnic in
+    let residual = Params.be_residual_bytes_per_vnic in
     if e.residual_bytes = 0 && Smartnic.mem_reserve t.nic residual then
       e.residual_bytes <- residual;
     drop_cached_flows t e
@@ -429,9 +429,9 @@ let find_session t vid key =
 
 (* SYN-state sessions age fast (§7.3); the rest take the table's default,
    [flow_aging]. *)
-let aging_for t s =
+let aging_for s =
   match s.state with
-  | Some st when State.is_establishing st -> Some t.params.Params.syn_aging
+  | Some st when State.is_establishing st -> Some Params.syn_aging
   | Some _ | None -> None
 
 (* Store [s] in [e]'s table: over [h], the key's live entry, or as a new
@@ -443,7 +443,7 @@ let put_session t e h key s =
   if not reserved then Admission.table_full
   else begin
     if delta < 0 then Smartnic.mem_release t.nic (-delta);
-    let now = Sim.now t.sim and aging = aging_for t s in
+    let now = Sim.now t.sim and aging = aging_for s in
     let stored =
       match h with
       | Some h -> Flow_table.replace e.sessions ~now ?aging h s
@@ -460,14 +460,11 @@ let put_session t e h key s =
   end
 
 let refresh_session t e h =
-  Flow_table.refresh e.sessions ~now:(Sim.now t.sim) ?aging:(aging_for t (Flow_table.value h)) h
+  Flow_table.refresh e.sessions ~now:(Sim.now t.sim) ?aging:(aging_for (Flow_table.value h)) h
 
-(* The caller's handle while it lives, else the key's binding now. *)
-let current e handle key =
-  match handle with
-  | Some h when Flow_table.live h -> handle
-  | Some _ | None -> Flow_table.find_entry e.sessions key
-
+(* The caller's handle while it lives, else the key's binding now.  A
+   live handle needs no vNIC lookup: removing a vNIC clears its table,
+   which kills every handle into it. *)
 let session_entry t vid ?handle key =
   match handle with
   | Some h when Flow_table.live h -> handle
@@ -477,7 +474,7 @@ let session_entry t vid ?handle key =
 let store_session t vid ?handle key s =
   match entry t vid with
   | None -> Admission.table_full
-  | Some e -> put_session t e (current e handle key) key s
+  | Some e -> put_session t e (session_entry t vid ?handle key) key s
 
 let remove_session t vid key =
   match entry t vid with
@@ -493,7 +490,7 @@ let touch_session t vid ?handle key =
   match entry t vid with
   | None -> ()
   | Some e -> (
-    match current e handle key with Some h -> refresh_session t e h | None -> ())
+    match session_entry t vid ?handle key with Some h -> refresh_session t e h | None -> ())
 
 let iter_sessions t vid f =
   match entry t vid with None -> () | Some e -> Flow_table.iter e.sessions f
@@ -541,7 +538,7 @@ let charge_batch t ~cycles ~npkts k =
 
 let slow_path t rs ~vpc ~flow_tx =
   Stats.Counter.incr t.counters.slow_path_execs;
-  Ruleset.lookup rs ~params:t.params ~vpc ~flow_tx
+  Ruleset.lookup rs ~vpc ~flow_tx
 
 let deliver_local t vid pkt = emit t (To_vm (vid, pkt))
 
@@ -640,8 +637,8 @@ let walk t rs ~dir pkt =
   in
   slow_path t rs ~vpc:pkt.Packet.vpc ~flow_tx
 
-let failed_walk_cycles t rs =
-  Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
+let failed_walk_cycles rs =
+  Params.rule_lookup_cycles ~acl_rules_scanned:0 ~lpm_depth:32
     ~tables:(Ruleset.table_count rs)
 
 (* A group leader missing the session table: one slow-path walk.  [h] is
@@ -676,7 +673,7 @@ let follow t e rs ~dir pkt = function
     Stats.Counter.incr e.slow_execs;
     Stats.Counter.incr t.counters.slow_path_execs;
     Ruleset.note_megaflow_hit rs;
-    Walked (pre, s, t.params.Params.megaflow_hit_cycles, h)
+    Walked (pre, s, Params.megaflow_hit_cycles, h)
   | Unroutable ->
     (* Unroutable groups are not memoized: a batch of one burns a failed
        walk per packet, so replay it. *)
@@ -781,9 +778,8 @@ let local_batch t e ~dir batch =
     Stats.Counter.add (drop_counter t Nf.No_route) (Pbatch.length batch);
     Pbatch.recycle batch
   | Some rs ->
-    let p = t.params in
     let generation = Ruleset.generation rs in
-    let encap = match dir with Packet.Tx -> p.Params.encap_cycles | Packet.Rx -> 0 in
+    let encap = match dir with Packet.Tx -> Params.encap_cycles | Packet.Rx -> 0 in
     let slots = ref [] and total = ref 0 in
     for i = 0 to Pbatch.length batch - 1 do
       let pkt = Pbatch.get batch i in
@@ -802,12 +798,12 @@ let local_batch t e ~dir batch =
       slots := { pkt; key; res; decap_src } :: !slots;
       total :=
         !total
-        + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
+        + Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt)
         +
         match res with
-        | Cached _ -> p.Params.fast_path_cycles + encap
-        | Walked (_, _, lookup, _) -> lookup + p.Params.session_setup_cycles + encap
-        | Unroutable -> failed_walk_cycles t rs
+        | Cached _ -> Params.fast_path_cycles + encap
+        | Walked (_, _, lookup, _) -> lookup + Params.session_setup_cycles + encap
+        | Unroutable -> failed_walk_cycles rs
     done;
     let slots = !slots and t0 = Sim.now t.sim in
     let n = Pbatch.length batch in

@@ -160,7 +160,7 @@ val ruleset : t -> Vnic.id -> Ruleset.t option
 val drop_ruleset : t -> Vnic.id -> unit
 (** Release the vNIC's rule tables and cached flows (the final stage of
     offloading, §4.2.1).  States are kept; a residual
-    [be_residual_bytes_per_vnic] footprint remains reserved. *)
+    {!Params.be_residual_bytes_per_vnic} footprint remains reserved. *)
 
 val restore_ruleset : t -> Vnic.id -> Ruleset.t -> Admission.t
 (** Re-install rule tables locally (fallback, §4.2.2). *)

@@ -103,8 +103,14 @@ let poisson rng lambda =
   in
   draw 0 1.0
 
-let daily_overloads rng ~n_vswitches ~capacities ~cause ~days
-    ?(events_per_hotspot_per_day = 3.0) ?(ramp_median_s = 45.0) ?(activation_p50_ms = 1000.0) () =
+(* Fig. 13's event model: a hotspot overloads a few times a day, its
+   demand ramps over ~45 s (median), and offload activation takes ~1 s
+   (median, §6.3.3). *)
+let events_per_hotspot_per_day = 3.0
+let ramp_median_s = 45.0
+let activation_p50_ms = 1000.0
+
+let daily_overloads rng ~n_vswitches ~capacities ~cause ~days =
   let fleet = sample_fleet rng ~n:n_vswitches in
   let hotspot p =
     match cause with

@@ -72,15 +72,13 @@ val daily_overloads :
   capacities:capacities ->
   cause:cause ->
   days:int ->
-  ?events_per_hotspot_per_day:float ->
-  ?ramp_median_s:float ->
-  ?activation_p50_ms:float ->
-  unit ->
   day list
-(** Each hotspot produces Poisson-many overload events per day.  With
-    Nezha, an event still *occurs* only when the demand spike ramps
-    faster than offload activation completes (§6.3.3); #vNIC overloads
-    never occur because rule tables are created directly on FEs. *)
+(** Each hotspot produces Poisson-many overload events per day (mean 3).
+    With Nezha, an event still *occurs* only when the demand spike ramps
+    faster than offload activation completes (§6.3.3): ramps are
+    log-normal around 45 s, activations log-normal around 1 s.  #vNIC
+    overloads never occur because rule tables are created directly on
+    FEs. *)
 
 (** {1 State sizes (Fig. 15)} *)
 

@@ -301,7 +301,7 @@ let run cfg =
       | Error _ -> failwith "Region_sim: vNIC ruleset does not fit");
       ignore
         (Smartnic.mem_reserve (Vswitch.nic vs)
-           ((srv.vnics_modeled - 1) * params.Params.be_residual_bytes_per_vnic)
+           ((srv.vnics_modeled - 1) * Params.be_residual_bytes_per_vnic)
           : bool))
     srvs;
   let ctl =

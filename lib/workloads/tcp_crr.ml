@@ -5,6 +5,10 @@ open Nezha_fabric
 
 type endpoint = { vs : Vswitch.t; vnic : Vnic.id; vm : Vm.t; ip : Ipv4.t }
 
+(* Each connection sends one 64 B request and gets one 512 B response. *)
+let request_bytes = 64
+let response_bytes = 512
+
 type conn = { t0 : float; mutable synack_at : float option; mutable done_ : bool }
 
 type t = {
@@ -13,8 +17,6 @@ type t = {
   client : endpoint;
   server : endpoint;
   dport : int;
-  request_bytes : int;
-  response_bytes : int;
   duration : float;
   conns : (int, conn) Hashtbl.t; (* keyed by client source port *)
   mutable offered : int;
@@ -43,7 +45,7 @@ let server_app t _sim pkt =
   if f.Packet.syn && not f.Packet.ack then reply t.server pkt ~flags:Packet.syn_ack ~payload_len:0
   else if f.Packet.fin then reply t.server pkt ~flags:Packet.fin_ack ~payload_len:0
   else if pkt.Packet.payload_len > 0 then
-    reply t.server pkt ~flags:Packet.ack ~payload_len:t.response_bytes
+    reply t.server pkt ~flags:Packet.ack ~payload_len:response_bytes
 
 (* The client side: drive the handshake, request, and close. *)
 let client_app t sim pkt =
@@ -56,7 +58,7 @@ let client_app t sim pkt =
       conn.synack_at <- Some (Sim.now sim);
       t.established <- t.established + 1;
       Stats.Histogram.record t.first_packet (Sim.now sim -. conn.t0);
-      reply t.client pkt ~flags:Packet.ack ~payload_len:t.request_bytes
+      reply t.client pkt ~flags:Packet.ack ~payload_len:request_bytes
     end
     else if pkt.Packet.payload_len > 0 && not conn.done_ then begin
       conn.done_ <- true;
@@ -79,8 +81,8 @@ let open_connection t sport =
   in
   send t.client pkt
 
-let start ~sim ~rng ~vpc ~client ~server ~rate ~duration ?(dport = 80) ?(request_bytes = 64)
-    ?(response_bytes = 512) ?(sport_base = 1024) () =
+let start ~sim ~rng ~vpc ~client ~server ~rate ~duration ?(dport = 80)
+    ?(sport_base = 1024) () =
   if rate <= 0.0 || duration <= 0.0 then invalid_arg "Tcp_crr.start: rate and duration positive";
   let t =
     {
@@ -89,8 +91,6 @@ let start ~sim ~rng ~vpc ~client ~server ~rate ~duration ?(dport = 80) ?(request
       client;
       server;
       dport;
-      request_bytes;
-      response_bytes;
       duration;
       conns = Hashtbl.create 4096;
       offered = 0;
@@ -118,7 +118,7 @@ let start ~sim ~rng ~vpc ~client ~server ~rate ~duration ?(dport = 80) ?(request
   t
 
 let start_closed ~sim ~rng ~vpc ~client ~server ~concurrency ~duration ?(dport = 80)
-    ?(request_bytes = 64) ?(response_bytes = 512) ?(conn_timeout = 1.0) ?(retransmit = false) () =
+    ?(conn_timeout = 1.0) ?(retransmit = false) () =
   if concurrency <= 0 || duration <= 0.0 then
     invalid_arg "Tcp_crr.start_closed: concurrency and duration positive";
   let t =
@@ -128,8 +128,6 @@ let start_closed ~sim ~rng ~vpc ~client ~server ~concurrency ~duration ?(dport =
       client;
       server;
       dport;
-      request_bytes;
-      response_bytes;
       duration;
       conns = Hashtbl.create 4096;
       offered = 0;
@@ -158,7 +156,7 @@ let start_closed ~sim ~rng ~vpc ~client ~server ~concurrency ~duration ?(dport =
     | Some _ ->
       send t.client
         (Packet.create ~vpc:t.vpc ~flow ~direction:Packet.Tx ~flags:Packet.ack
-           ~payload_len:t.request_bytes ())
+           ~payload_len:request_bytes ())
   in
   let rec launch sim' =
     if Sim.now sim' < t_end then begin

@@ -1,8 +1,8 @@
 (** netperf TCP_CRR-style workload: a storm of short connections (§6.2.1).
 
     Each connection is the classic connect/request/response/close
-    exchange: SYN → SYN-ACK → ACK+request → response → FIN → FIN-ACK
-    (three packets in each direction).  Connections are offered open-loop
+    exchange: SYN → SYN-ACK → ACK+request (64 B) → response (512 B) →
+    FIN → FIN-ACK (three packets in each direction).  Connections are offered open-loop
     at a target rate with exponential inter-arrivals; the achieved CPS is
     the completion rate, and per-connection latency is the SYN-to-response
     time.  This is the traffic pattern of the paper's high-CPS tenants
@@ -31,8 +31,6 @@ val start :
   rate:float ->
   duration:float ->
   ?dport:int ->
-  ?request_bytes:int ->
-  ?response_bytes:int ->
   ?sport_base:int ->
   unit ->
   t
@@ -52,8 +50,6 @@ val start_closed :
   concurrency:int ->
   duration:float ->
   ?dport:int ->
-  ?request_bytes:int ->
-  ?response_bytes:int ->
   ?conn_timeout:float ->
   ?retransmit:bool ->
   unit ->

@@ -190,7 +190,7 @@ let test_update_rules_during_dual_running () =
           match Fe.ruleset_of fe addr with
           | Some replica ->
             check_bool "replica has the new route" true
-              (Ruleset.lookup replica ~params:Params.scaled ~vpc:t.Testbed.vpc ~flow_tx:probe
+              (Ruleset.lookup replica ~vpc:t.Testbed.vpc ~flow_tx:probe
               <> None)
           | None -> Alcotest.fail "replica missing")
         | None -> ())

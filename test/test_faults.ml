@@ -46,6 +46,15 @@ let test_perfect_plane_draws_nothing () =
   check_int "no injected drops" 0 (Faults.drops_injected f);
   check_int "100 consults" 100 (Faults.consults f)
 
+let test_impair_rejects_non_probabilities () =
+  Alcotest.check_raises "negative loss"
+    (Invalid_argument "Faults.impair: loss must be a probability in [0, 1]") (fun () ->
+      ignore (Faults.impair ~loss:(-0.1) () : Faults.impairment));
+  Alcotest.check_raises "dup above 1"
+    (Invalid_argument "Faults.impair: dup must be a probability in [0, 1]") (fun () ->
+      ignore (Faults.impair ~dup:1.5 () : Faults.impairment));
+  check_bool "loss 1 is a probability" true ((Faults.impair ~loss:1.0 ()).Faults.loss = 1.0)
+
 let test_partition_semantics () =
   let _, _, f = mk_faults () in
   let s i = Faults.Server i in
@@ -349,6 +358,8 @@ let () =
             test_consult_stream_deterministic;
           Alcotest.test_case "perfect plane draws nothing" `Quick
             test_perfect_plane_draws_nothing;
+          Alcotest.test_case "impair rejects non-probabilities" `Quick
+            test_impair_rejects_non_probabilities;
           Alcotest.test_case "partition semantics" `Quick test_partition_semantics;
         ] );
       ( "fabric",

@@ -20,7 +20,7 @@ let pfx s = Option.get (Ipv4.Prefix.of_string s)
 
 let test_monitor_detects_crash () =
   let sim = Sim.create () in
-  let m = Monitor.create ~sim ~interval:0.5 ~misses_to_fail:3 () in
+  let m = Monitor.create ~sim in
   let alive = ref true in
   let failed = ref [] in
   Monitor.watch m ~key:7 ~alive:(fun () -> !alive) ~on_fail:(fun ~key -> failed := key :: !failed);
@@ -37,7 +37,7 @@ let test_monitor_detects_crash () =
 
 let test_monitor_detection_latency_bounded () =
   let sim = Sim.create () in
-  let m = Monitor.create ~sim ~interval:0.5 ~misses_to_fail:3 () in
+  let m = Monitor.create ~sim in
   let alive = ref true in
   let failed_at = ref nan in
   Monitor.watch m ~key:1 ~alive:(fun () -> !alive)
@@ -51,19 +51,19 @@ let test_monitor_detection_latency_bounded () =
 
 let test_monitor_mass_failure_suspected () =
   let sim = Sim.create () in
-  let m = Monitor.create ~sim ~interval:0.5 ~misses_to_fail:2 ~mass_failure_fraction:0.8 () in
+  let m = Monitor.create ~sim in
   let failed = ref 0 in
   for k = 1 to 5 do
     Monitor.watch m ~key:k ~alive:(fun () -> false) ~on_fail:(fun ~key:_ -> incr failed)
   done;
   Monitor.start m;
-  Sim.run sim ~until:5.0;
+  Sim.run sim ~until:5.5;
   check_int "no automatic removal" 0 !failed;
   check_bool "suspicion recorded" true (Monitor.mass_failure_suspected m > 0)
 
 let test_monitor_recovery_resets_misses () =
   let sim = Sim.create () in
-  let m = Monitor.create ~sim ~interval:0.5 ~misses_to_fail:3 () in
+  let m = Monitor.create ~sim in
   let alive = ref true in
   let failed = ref 0 in
   Monitor.watch m ~key:1 ~alive:(fun () -> !alive) ~on_fail:(fun ~key:_ -> incr failed);
@@ -76,10 +76,10 @@ let test_monitor_recovery_resets_misses () =
 
 let test_monitor_rewatch_mid_round_resets_misses () =
   let sim = Sim.create () in
-  (* interval 0.5 -> probe_timeout defaults to 0.25: probes at 0, 0.5,
+  (* Probes every 0.5 s, each collected 0.25 s later: probes at 0, 0.5,
      1.0, ... collect at +0.25.  Two targets so the mass-failure check
      (one dead of two = 50% < 80%) cannot mask the behaviour. *)
-  let m = Monitor.create ~sim ~interval:0.5 ~misses_to_fail:3 () in
+  let m = Monitor.create ~sim in
   let failed_at = ref nan in
   let failed = ref 0 in
   let watch_dead () =

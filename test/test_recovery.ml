@@ -122,10 +122,7 @@ let test_split_brain_fencing () =
       ~config:(Controller.config primary)
       ~fabric:t.Testbed.fabric ~rng:(Rng.split t.Testbed.rng) ()
   in
-  let ha =
-    Ha.create ~lease_interval:0.5 ~lease_misses:3 ~fabric:t.Testbed.fabric ~primary
-      ~standby ()
-  in
+  let ha = Ha.create ~fabric:t.Testbed.fabric ~primary ~standby in
   Ha.start ha;
   let o = Testbed.offload t () in
   check_bool "registry collected the offload" true

@@ -1,8 +1,8 @@
 (* Tests for the span-based tracing subsystem: the conservation
    invariant (local-only, offloaded, and retransmitted-under-loss
    flows), Chrome trace-event export, recorder semantics (sampling,
-   ring capacity, disabled), fig12 attribution, and the shared
-   Rpc_policy record. *)
+   ring capacity, disabled), fig12 attribution, and the controller's
+   RPC retry policy. *)
 
 open Nezha_fabric
 open Nezha_core
@@ -136,7 +136,9 @@ let test_chrome_export_roundtrip () =
 (* Recorder semantics *)
 
 let test_sampling_and_ring () =
-  let tr = Trace.create ~capacity:8 ~sample_every:2 ~enabled:true () in
+  let tr = Trace.create ~capacity:8 () in
+  Trace.set_sample_every tr 2;
+  Trace.set_enabled tr true;
   let ids = List.init 6 (fun _ -> Trace.next_id tr) in
   check_int "1-in-2 head sampling" 3 (List.length (List.filter (fun i -> i <> 0) ids));
   let id = List.find (fun i -> i <> 0) ids in
@@ -165,7 +167,8 @@ let test_disabled_recorder () =
   check_bool "ids once enabled" true (Trace.next_id tr <> 0)
 
 let test_attribution_arithmetic () =
-  let tr = Trace.create ~enabled:true () in
+  let tr = Trace.create () in
+  Trace.set_enabled tr true;
   let id = Trace.next_id tr in
   Trace.begin_trace tr ~id ~now:1.0;
   Trace.add_span tr ~id ~name:"local" ~component:"c" ~t0:1.0 ~t1:1.6 ();
@@ -214,30 +217,21 @@ let test_fig12_attribute_split () =
     (r.Experiments.with_nezha.Experiments.p50_remote_us > 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* Rpc_policy *)
+(* Control-plane RPC policy *)
 
 let test_rpc_policy () =
-  let d = Rpc_policy.default in
-  check_bool "defaults" true
-    (d.Rpc_policy.latency = 0.18 && d.Rpc_policy.timeout = 0.5
-    && d.Rpc_policy.max_retries = 4 && d.Rpc_policy.backoff = 2.0);
-  let p = Rpc_policy.make ~timeout:0.1 ~backoff:3.0 () in
-  check_bool "other fields defaulted" true (p.Rpc_policy.max_retries = 4);
+  check_bool "constants" true
+    (Controller.rpc_latency = 0.18 && Controller.rpc_timeout = 0.5
+    && Controller.rpc_max_retries = 4 && Controller.rpc_backoff = 2.0);
   check_bool "attempt 0 waits one timeout" true
-    (Float.abs (Rpc_policy.retry_delay p ~attempt:0 -. 0.1) <= 1e-12);
+    (Float.abs (Controller.rpc_retry_delay ~attempt:0 -. 0.5) <= 1e-12);
   check_bool "exponential growth" true
-    (Float.abs (Rpc_policy.retry_delay p ~attempt:2 -. 0.9) <= 1e-12);
+    (Float.abs (Controller.rpc_retry_delay ~attempt:2 -. 2.0) <= 1e-12);
   check_bool "capped" true
-    (Rpc_policy.retry_delay p ~attempt:10 = Rpc_policy.backoff_cap);
-  Alcotest.check_raises "non-positive latency"
-    (Invalid_argument "Rpc_policy.make: latency must be positive") (fun () ->
-      ignore (Rpc_policy.make ~latency:0.0 () : Rpc_policy.t));
-  Alcotest.check_raises "backoff below 1"
-    (Invalid_argument "Rpc_policy.make: backoff must be >= 1") (fun () ->
-      ignore (Rpc_policy.make ~backoff:0.5 () : Rpc_policy.t));
+    (Controller.rpc_retry_delay ~attempt:10 = Controller.rpc_backoff_cap);
   Alcotest.check_raises "negative attempt"
-    (Invalid_argument "Rpc_policy.retry_delay: attempt must be >= 0") (fun () ->
-      ignore (Rpc_policy.retry_delay d ~attempt:(-1) : float))
+    (Invalid_argument "Controller.rpc_retry_delay: attempt must be >= 0") (fun () ->
+      ignore (Controller.rpc_retry_delay ~attempt:(-1) : float))
 
 (* ------------------------------------------------------------------ *)
 

@@ -271,7 +271,7 @@ let test_ruleset_lookup_and_cost () =
   Ruleset.add_mapping rs
     { Vnic.Addr.vpc = Vpc.make 1; ip = ip "10.1.0.2" }
     (ip "192.168.0.2");
-  (match Ruleset.lookup rs ~params:Params.default ~vpc:(Vpc.make 1)
+  (match Ruleset.lookup rs ~vpc:(Vpc.make 1)
            ~flow_tx:(tuple "10.1.0.1" "10.1.0.2")
    with
   | Some { Ruleset.pre; cycles } ->
@@ -282,10 +282,10 @@ let test_ruleset_lookup_and_cost () =
       | Some s -> Ipv4.equal s (ip "192.168.0.2")
       | None -> false);
     check_int "vni" 7 pre.Pre_action.vni;
-    check_bool "cycles charged" true (cycles > 5 * Params.default.Params.table_base_cycles)
+    check_bool "cycles charged" true (cycles > 5 * Params.table_base_cycles)
   | None -> Alcotest.fail "expected route");
   (* A destination under the denied prefix: deny is a pre-action. *)
-  match Ruleset.lookup rs ~params:Params.default ~vpc:(Vpc.make 1)
+  match Ruleset.lookup rs ~vpc:(Vpc.make 1)
           ~flow_tx:(tuple "10.1.0.1" "10.2.0.9")
   with
   | Some { Ruleset.pre; _ } -> check_bool "tx deny cached" true (pre.Pre_action.acl_tx = Acl.Deny)
@@ -295,14 +295,14 @@ let test_ruleset_unroutable () =
   let rs = Ruleset.create ~vni:7 () in
   Ruleset.add_route rs (pfx "10.0.0.0/8");
   check_bool "no route -> None" true
-    (Ruleset.lookup rs ~params:Params.default ~vpc:(Vpc.make 1)
+    (Ruleset.lookup rs ~vpc:(Vpc.make 1)
        ~flow_tx:(tuple "10.0.0.1" "172.16.0.1")
     = None)
 
 let test_ruleset_unknown_mapping_goes_gateway () =
   let rs = Ruleset.create ~vni:7 () in
   Ruleset.add_route rs (pfx "10.0.0.0/8");
-  match Ruleset.lookup rs ~params:Params.default ~vpc:(Vpc.make 1)
+  match Ruleset.lookup rs ~vpc:(Vpc.make 1)
           ~flow_tx:(tuple "10.0.0.1" "10.0.0.2")
   with
   | Some { Ruleset.pre; _ } ->
@@ -337,20 +337,20 @@ let test_ruleset_extra_tables_cost () =
   Ruleset.add_route rs5 (pfx "0.0.0.0/0");
   Ruleset.add_route rs12 (pfx "0.0.0.0/0");
   let c5 =
-    match Ruleset.lookup rs5 ~params:Params.default ~vpc:(Vpc.make 1)
+    match Ruleset.lookup rs5 ~vpc:(Vpc.make 1)
             ~flow_tx:(tuple "1.1.1.1" "2.2.2.2")
     with
     | Some r -> r.Ruleset.cycles
     | None -> Alcotest.fail "r5"
   in
   let c12 =
-    match Ruleset.lookup rs12 ~params:Params.default ~vpc:(Vpc.make 1)
+    match Ruleset.lookup rs12 ~vpc:(Vpc.make 1)
             ~flow_tx:(tuple "1.1.1.1" "2.2.2.2")
     with
     | Some r -> r.Ruleset.cycles
     | None -> Alcotest.fail "r12"
   in
-  check_int "7 extra tables cost" (7 * Params.default.Params.table_base_cycles) (c12 - c5)
+  check_int "7 extra tables cost" (7 * Params.table_base_cycles) (c12 - c5)
 
 let mega_rs () =
   let acl = Acl.create () in
@@ -363,7 +363,7 @@ let mega_rs () =
   rs
 
 let mega_lookup rs t5 =
-  match Ruleset.lookup rs ~params:Params.default ~vpc:(Vpc.make 1) ~flow_tx:t5 with
+  match Ruleset.lookup rs ~vpc:(Vpc.make 1) ~flow_tx:t5 with
   | Some r -> r
   | None -> Alcotest.fail "expected lookup result"
 
@@ -376,7 +376,7 @@ let test_ruleset_megaflow_hit () =
   check_int "entry installed" 1 (Ruleset.megaflow_entries rs);
   let second = mega_lookup rs t5 in
   check_int "second lookup hits" 1 (Ruleset.megaflow_hits rs);
-  check_int "hit costs one probe" Params.default.Params.megaflow_hit_cycles second.Ruleset.cycles;
+  check_int "hit costs one probe" Params.megaflow_hit_cycles second.Ruleset.cycles;
   check_bool "hit is cheaper than the pipeline walk" true
     (second.Ruleset.cycles < first.Ruleset.cycles);
   check_bool "same pre-action" true (second.Ruleset.pre = first.Ruleset.pre);

@@ -202,7 +202,7 @@ let test_region_daily_overloads () =
   let rng = Rng.create 3 in
   let run cause =
     Region.daily_overloads rng ~n_vswitches:20_000 ~capacities:Region.default_capacities ~cause
-      ~days:30 ()
+      ~days:30
   in
   let sum f days = List.fold_left (fun acc d -> acc + f d) 0 days in
   let cps_days = run Region.Cps in
