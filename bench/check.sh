@@ -232,7 +232,9 @@ dune exec --no-build bench/main.exe -- macro --json BENCH_macro.json
 echo "== macro gate (region scale + digests + RSS ceiling)"
 # The region-scale run's claims: the run is deterministic and
 # shard-count-invariant; Nezha resolves overloads in simulated time; and
-# the whole run fits in a bounded heap.
+# the whole run fits in a bounded heap.  The ceiling sits well under the
+# ~190 MB a session table per idle vNIC and a timer node per wheel
+# firing used to cost, so a change that brings either back fails here.
 if command -v python3 >/dev/null 2>&1; then
   python3 - BENCH_macro.json <<'PY'
 import json, sys
@@ -256,9 +258,9 @@ assert macro["shard_equivalent"] is True, \
     "digest depends on shard count: %s" \
     % {p["shards"]: p["digest"] for p in macro["sweep"]}
 rss = macro["peak_rss_bytes"]
-assert rss <= 1 << 30, "peak RSS %d bytes > 1 GiB ceiling" % rss
+assert rss <= 160 << 20, "peak heap %d bytes > 160 MB ceiling" % rss
 print("ok: %d vswitches, %d events; overloads %d -> %d (%.1f%% resolved); "
-      "peak rss %.0f MB (gate <= 1024 MB)"
+      "peak heap %.0f MB (gate <= 160 MB)"
       % (before["vswitches"], before["events"], before["overloads"],
          after["overloads"], region["resolved_pct"], rss / 1048576))
 PY

@@ -26,7 +26,7 @@ type t = {
   mutable handles : handle array;  (* by slot *)
   timer_tick : float;
   timer_slots : int;
-  mutable wheel : (t -> unit) Timer_wheel.t option; (* created lazily *)
+  mutable wheel : timer Timer_wheel.t option; (* created lazily *)
   mutable shard : shard option;
 }
 
@@ -41,7 +41,9 @@ and cluster = {
 
 and msg = { at_time : float; src : int; mseq : int; act : t -> unit }
 
-type timer = (t -> unit) Timer_wheel.timer
+(* A timer loop: the wheel node is the loop's for its whole life, and
+   each [Some delay] from [fire] re-links it in place. *)
+and timer = { fire : t -> float option; mutable node : timer Timer_wheel.timer }
 
 let dead_handle = { alive = false }
 let no_action : t -> unit = fun _ -> ()
@@ -197,14 +199,16 @@ let get_wheel t =
     t.wheel <- Some w;
     w
 
-let timeout t ~delay f =
+let timeout t ~delay fire =
   let delay = if delay < 0.0 then 0.0 else delay in
   let w = get_wheel t in
-  Timer_wheel.add w ~now:t.clk.now ~deadline:(t.clk.now +. delay) f
+  let l = { fire; node = Timer_wheel.none } in
+  l.node <- Timer_wheel.add w ~now:t.clk.now ~deadline:(t.clk.now +. delay) l;
+  l
 
-let cancel_timer timer = Timer_wheel.cancel timer
+let cancel_timer l = Timer_wheel.cancel l.node
 
-let timer_cancelled timer = Timer_wheel.cancelled timer
+let timer_cancelled l = Timer_wheel.cancelled l.node
 
 (* ---- the engine turn ------------------------------------------------ *)
 
@@ -239,9 +243,15 @@ let run_wheel_slot t =
     let now' = if boundary > t.clk.now then boundary else t.clk.now in
     t.clk.now <- now';
     ignore
-      (Timer_wheel.advance w ~now:now' (fun act ->
+      (Timer_wheel.advance w ~now:now' (fun l ->
            t.executed <- t.executed + 1;
-           act t)
+           match l.fire t with
+           | None -> ()
+           | Some delay ->
+             (* A cancel from inside [fire] left the node cancelled, and
+                [rearm] keeps it so. *)
+             let delay = if delay < 0.0 then 0.0 else delay in
+             l.node <- Timer_wheel.rearm l.node ~now:now' ~deadline:(now' +. delay))
         : int)
 
 (* One engine turn: either sweep the next due wheel slot or pop one heap

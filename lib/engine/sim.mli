@@ -11,7 +11,8 @@
     Sifting moves no pointer, so it runs no write barrier.  Slots are
     recycled, so a warm simulation allocates only each [schedule]'s
     handle: [every] reuses one closure and one handle across all
-    firings, and wheel timers bypass the heap entirely.
+    firings.  Wheel timers bypass the heap entirely, and a [timeout]
+    loop keeps one wheel node across all its firings.
 
     For region-scale runs, {!Sharded} partitions work across several
     simulations advanced in conservative-sync windows (see DESIGN.md
@@ -23,7 +24,7 @@ type handle
 (** A scheduled event, usable for cancellation. *)
 
 type timer
-(** A wheel-backed coarse timer (see {!timeout}). *)
+(** A wheel-backed coarse timer loop (see {!timeout}). *)
 
 val create :
   ?capacity:int -> ?timer_tick:float -> ?timer_slots:int -> unit -> t
@@ -49,15 +50,22 @@ val cancel : t -> handle -> unit
 
 val cancelled : handle -> bool
 
-val timeout : t -> delay:float -> (t -> unit) -> timer
+val timeout : t -> delay:float -> (t -> float option) -> timer
 (** [timeout t ~delay f] schedules [f] on the timer wheel: O(1) insert
     and no heap traffic, at the cost of coarse granularity — [f] fires
     at the first wheel-slot boundary at or after [now +. delay] (within
-    one [timer_tick] of the deadline).  Use for mass per-flow /
-    per-retransmit timers; use [schedule] when exact timing matters. *)
+    one [timer_tick] of the deadline).  When [f] returns [Some d] it
+    fires again [d] after the instant it ran (negative [d] counts as 0),
+    exactly as if it had called [timeout] with [~delay:d] as its last
+    act; [None] ends the loop.  The loop re-arms its one wheel node in
+    place, so a firing allocates no timer.  Use for mass per-flow /
+    per-retransmit timers and periodic coarse ticks; use [schedule]
+    when exact timing matters. *)
 
 val cancel_timer : timer -> unit
-(** O(1); fired or already-cancelled timers are no-ops. *)
+(** O(1); stops the loop.  A cancel from inside the loop's own [f] wins
+    over the delay [f] returns.  Cancelling a loop that has ended only
+    marks it cancelled. *)
 
 val timer_cancelled : timer -> bool
 

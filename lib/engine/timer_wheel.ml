@@ -1,15 +1,20 @@
 (* Each slot is an intrusive chain: a timer record is its own list node,
    so arming allocates one block and a sweep relinks survivors in place
-   instead of rebuilding the bucket. *)
+   instead of rebuilding the bucket.  A fired node can be linked again
+   ([rearm]), so a timer loop keeps one node for its whole life. *)
 type 'a node =
   | Nil
   | Timer of {
       mutable state : [ `Pending | `Cancelled | `Fired ];
-      deadline : float;
+      due : due;
       value : 'a;
       owner : 'a t;
       mutable next : 'a node;  (* the rest of the slot, newest first *)
     }
+
+(* The deadline sits in an all-float record (like [Sim]'s clock), so a
+   re-arm stores an unboxed double instead of allocating a boxed one. *)
+and due = { mutable deadline : float }
 
 and 'a t = {
   tick : float;
@@ -41,26 +46,53 @@ let slot_of t deadline = int_of_float (deadline /. t.tick)
 
 let beyond_sweep t deadline = slot_of t deadline > t.cursor_abs
 
-let add t ~now ~deadline value =
-  let deadline = if deadline < now then now else deadline in
-  (* Place by absolute slot index, clamped to the cursor so a deadline
-     whose natural slot has already been swept lands in the very next
-     sweep instead of waiting a full revolution. *)
+(* Link [timer] at the head of the slot for [deadline] (already clamped
+   to [now]).  Place by absolute slot index, clamped to the cursor so a
+   deadline whose natural slot has already been swept lands in the very
+   next sweep instead of waiting a full revolution. *)
+let link t ~deadline timer =
   let k = slot_of t deadline in
   let k = if k < t.cursor_abs then t.cursor_abs else k in
   let s = k mod t.slots in
-  let timer = Timer { state = `Pending; deadline; value; owner = t; next = t.wheel.(s) } in
+  (match timer with Timer r -> r.next <- t.wheel.(s) | Nil -> ());
   t.wheel.(s) <- timer;
-  t.live <- t.live + 1;
+  t.live <- t.live + 1
+
+let add t ~now ~deadline value =
+  let deadline = if deadline < now then now else deadline in
+  let timer = Timer { state = `Pending; due = { deadline }; value; owner = t; next = Nil } in
+  link t ~deadline timer;
   timer
 
 (* Cancellation is O(1): the timer stays in its slot and the sweep
-   unlinks it lazily, but the live count drops immediately. *)
+   unlinks it lazily, but the live count drops immediately.  A fired
+   timer is in no slot; marking it cancelled only stops a later
+   [rearm]. *)
 let cancel = function
-  | Timer r when r.state = `Pending ->
-    r.state <- `Cancelled;
-    r.owner.live <- r.owner.live - 1
-  | Timer _ | Nil -> ()
+  | Timer r -> (
+    match r.state with
+    | `Pending ->
+      r.state <- `Cancelled;
+      r.owner.live <- r.owner.live - 1
+    | `Fired -> r.state <- `Cancelled
+    | `Cancelled -> ())
+  | Nil -> ()
+
+let rearm timer ~now ~deadline =
+  match timer with
+  | Nil -> invalid_arg "Timer_wheel.rearm"
+  | Timer r -> (
+    let deadline = if deadline < now then now else deadline in
+    match r.state with
+    | `Fired ->
+      r.state <- `Pending;
+      r.due.deadline <- deadline;
+      link r.owner ~deadline timer;
+      timer
+    | `Pending ->
+      cancel timer;
+      add r.owner ~now ~deadline r.value
+    | `Cancelled -> timer)
 
 let cancelled = function Timer r -> r.state = `Cancelled | Nil -> false
 
@@ -68,7 +100,8 @@ let payload = function Timer r -> r.value | Nil -> invalid_arg "Timer_wheel.payl
 
 (* Fire the due timers of a chain front to back, unlink them and the
    dead ones, and return the chain of survivors.  An unlinked node drops
-   its [next], so a handle kept by a caller pins no other timer. *)
+   its [next] before its callback runs, so a handle kept by a caller
+   pins no other timer and the callback may [rearm] it. *)
 let rec sweep_chain t now f fired node =
   match node with
   | Nil -> Nil
@@ -78,7 +111,7 @@ let rec sweep_chain t now f fired node =
     | `Cancelled | `Fired ->
       r.next <- Nil;
       sweep_chain t now f fired rest
-    | `Pending when r.deadline <= now ->
+    | `Pending when r.due.deadline <= now ->
       r.state <- `Fired;
       r.next <- Nil;
       t.live <- t.live - 1;

@@ -25,7 +25,17 @@ val none : 'a timer
 (** A placeholder that was never armed: cancelling it is a no-op. *)
 
 val cancel : 'a timer -> unit
-(** O(1); expired or already-cancelled timers are no-ops. *)
+(** O(1).  Cancelling a fired timer marks it cancelled, so a later
+    {!rearm} leaves it alone; cancelling a cancelled one is a no-op. *)
+
+val rearm : 'a timer -> now:float -> deadline:float -> 'a timer
+(** Arm [timer] again in its own wheel, for [deadline] as in {!add}, and
+    return the armed timer.  A fired timer — say, inside its own
+    [advance] callback — is re-linked in place: the same node, no
+    allocation.  A pending one is cancelled and replaced by a fresh
+    node with the same payload.  A cancelled one stays cancelled and is
+    returned as is: a cancel wins over a re-arm.
+    @raise Invalid_argument on {!none}. *)
 
 val cancelled : 'a timer -> bool
 
@@ -48,7 +58,10 @@ val beyond_sweep : 'a t -> float -> bool
 val advance : 'a t -> now:float -> ('a -> unit) -> int
 (** [advance t ~now f] fires [f] on every timer whose deadline is
     [<= now], in deadline-slot order; returns the count fired.  Must be
-    called with monotonically non-decreasing [now]. *)
+    called with monotonically non-decreasing [now].  A timer is marked
+    fired before [f] runs on its payload.  A timer that [f] adds or
+    re-arms into the slot being swept is not fired by that sweep: it
+    waits in the slot for the cursor's next visit. *)
 
 val pending : 'a t -> int
 (** Live (non-cancelled, non-fired) timers. *)

@@ -12,7 +12,8 @@
     one wheel timer, whose payload is the entry itself.  Refreshing an
     entry to a later deadline only stores that deadline — it allocates
     nothing and leaves the wheel alone; when the timer fires at the old
-    deadline it re-arms at the stored one.  A deadline moved earlier
+    deadline it re-arms in place at the stored one, allocating nothing
+    either.  A deadline moved earlier
     (say, SYN aging after flow aging) re-arms at once.  An entry leaves
     the table at the first {!expire} whose [now] reaches the end of its
     deadline's wheel slot, exactly as if every refresh had re-armed its
@@ -23,7 +24,17 @@
     {!live}, {!refresh} and {!replace} act on it with no further hash
     lookup, so a packet's session path hashes its key once.  {!remove},
     {!expire} and {!clear} kill the entry; a caller holding a dead
-    handle goes back to the key ({!find_entry} again, or {!insert}). *)
+    handle goes back to the key ({!find_entry} again, or {!insert}).
+
+    {b Sized at the first insert.}  A table allocates its 1,024-bucket
+    index and 256-slot aging wheel at its first successful insert, so
+    one that never holds a session — an idle vNIC — costs a few dozen
+    words.  The geometry is the same as if they had been allocated at
+    creation, and the new wheel starts at the insert's [now], where
+    {!expire} calls up to then would have left an empty one: iteration
+    and expiry order do not depend on when the table was sized.  Before
+    that, every read sees an empty table; {!clear} leaves a sized table
+    sized. *)
 
 type 'v t
 
@@ -38,7 +49,8 @@ val create :
   unit ->
   'v t
 (** [capacity_bytes] omitted means unbounded.  [default_aging] is the idle
-    time after which an untouched entry expires.
+    time after which an untouched entry expires.  Allocates neither the
+    index nor the wheel (see above).
     @raise Invalid_argument if [default_aging <= 0]. *)
 
 val insert : 'v t -> now:float -> ?aging:float -> Flow_key.t -> 'v -> Admission.t

@@ -324,7 +324,7 @@ let run cfg =
   let pps_per_unit = 1e6 in
   Array.iter
     (fun (srv : srv) ->
-      let rec tick sim =
+      let tick sim =
         let now = Sim.now sim in
         srv.ticks <- srv.ticks + 1;
         if srv.down then begin
@@ -347,8 +347,7 @@ let run cfg =
           end
           else srv.over <- false
         end;
-        if now +. cfg.tick <= cfg.duration then
-          ignore (Sim.timeout sim ~delay:cfg.tick tick : Sim.timer)
+        if now +. cfg.tick <= cfg.duration then Some cfg.tick else None
       in
       (* Stagger first ticks so 2,000 servers don't land on one instant. *)
       let offset = cfg.tick *. float_of_int (srv.sid mod 64) /. 64.0 in
@@ -357,11 +356,10 @@ let run cfg =
          with an exponential draw from the server's private stream. *)
       for _ = 1 to cfg.flow_timers do
         let delay0 = Rng.exponential srv.rng ~mean:flow_mean in
-        let rec act sim =
+        let act sim =
           srv.flow_expiries <- srv.flow_expiries + 1;
           let d = Rng.exponential srv.rng ~mean:flow_mean in
-          if Sim.now sim +. d <= cfg.duration then
-            ignore (Sim.timeout sim ~delay:d act : Sim.timer)
+          if Sim.now sim +. d <= cfg.duration then Some d else None
         in
         ignore (Sim.timeout srv.sim ~delay:delay0 act : Sim.timer)
       done;

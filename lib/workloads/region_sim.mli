@@ -14,8 +14,8 @@
     {!Region.daily_overloads} race model with a measured one.
 
     Each server's demand tick and each of its flow-churn timers is one
-    closure that re-arms itself through {!Nezha_engine.Sim.timeout}
-    (the timer wheel).  The host cost of a run is measured by the
+    {!Nezha_engine.Sim.timeout} loop on the timer wheel: the closure
+    returns its next delay, and one wheel node serves every firing.  The host cost of a run is measured by the
     [region_day] workload of [perfbench/], not here.
 
     Determinism: for a fixed seed the result {!result.digest} is

@@ -358,6 +358,34 @@ let test_wheel_rearm_swept_slot () =
   Alcotest.(check (list int)) "every re-arm fired" [ 0; 1; 2; 3 ] (List.rev !fired);
   check_int "nothing pending" 0 (Timer_wheel.pending w)
 
+let test_wheel_rearm_in_place () =
+  (* The same loop as above, but each firing re-arms its own node: the
+     node must survive the sweep of its slot and fire at the same
+     instants, and a re-arm must hand back that node. *)
+  let w = Timer_wheel.create ~tick:1.0 ~slots:4 in
+  let now = ref 0.0 and fired = ref [] and count = ref 0 in
+  let node = Timer_wheel.add w ~now:0.0 ~deadline:0.5 () in
+  for i = 1 to 20 do
+    now := float_of_int i;
+    ignore
+      (Timer_wheel.advance w ~now:!now (fun () ->
+           fired := (!count, !now) :: !fired;
+           incr count;
+           if !count <= 3 then
+             check_bool "re-armed in place" true
+               (Timer_wheel.rearm node ~now:!now ~deadline:(!now +. 3.5) == node))
+        : int)
+  done;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "fired at the add-based instants"
+    [ (0, 1.0); (1, 5.0); (2, 9.0); (3, 13.0) ]
+    (List.rev !fired);
+  check_int "nothing pending" 0 (Timer_wheel.pending w);
+  check_bool "a pending timer is replaced, not moved" true
+    (let n = Timer_wheel.add w ~now:20.0 ~deadline:30.0 () in
+     let n' = Timer_wheel.rearm n ~now:20.0 ~deadline:25.0 in
+     n' != n && Timer_wheel.cancelled n && Timer_wheel.pending w = 1)
+
 let prop_wheel_fires_everything =
   QCheck.Test.make ~name:"timer wheel fires every non-cancelled timer" ~count:100
     QCheck.(make Gen.(list_size (int_range 1 200) (float_range 0.01 50.0)))
@@ -399,7 +427,7 @@ let test_sim_every_pool () =
 let test_sim_timeout_fires_coarse () =
   let sim = Sim.create ~timer_tick:0.1 () in
   let fired_at = ref nan in
-  ignore (Sim.timeout sim ~delay:0.42 (fun s -> fired_at := Sim.now s) : Sim.timer);
+  ignore (Sim.timeout sim ~delay:0.42 (fun s -> fired_at := Sim.now s; None) : Sim.timer);
   Sim.run sim;
   check_bool "at or after the deadline" true (!fired_at >= 0.42);
   check_bool "within one tick of it" true (!fired_at <= 0.42 +. 0.1)
@@ -411,6 +439,11 @@ let test_sim_timeout_cancel () =
   check_bool "cancelled" true (Sim.timer_cancelled t);
   Sim.run sim;
   check_int "nothing pending" 0 (Sim.pending sim)
+
+(* The heap oracle: a wheel firing lands within one tick at or after the
+   exact time the heap would use. *)
+let within_one_tick ~tick ~exact t =
+  (not (Float.is_nan t)) && (not (Float.is_nan exact)) && t >= exact && t <= exact +. tick
 
 let prop_timeout_matches_schedule =
   (* Wheel-vs-heap equivalence: the same set of delays scheduled through
@@ -429,21 +462,143 @@ let prop_timeout_matches_schedule =
       let wheel_t = Array.make n nan and heap_t = Array.make n nan in
       List.iteri
         (fun i d ->
-          ignore (Sim.timeout wheel_sim ~delay:d (fun s -> wheel_t.(i) <- Sim.now s) : Sim.timer);
+          ignore (Sim.timeout wheel_sim ~delay:d (fun s -> wheel_t.(i) <- Sim.now s; None) : Sim.timer);
           ignore (Sim.schedule heap_sim ~delay:d (fun s -> heap_t.(i) <- Sim.now s) : Sim.handle))
         delays;
       Sim.run wheel_sim;
       Sim.run heap_sim;
       let ok = ref true in
       for i = 0 to n - 1 do
-        ok :=
-          !ok
-          && (not (Float.is_nan wheel_t.(i)))
-          && (not (Float.is_nan heap_t.(i)))
-          && wheel_t.(i) >= heap_t.(i)
-          && wheel_t.(i) <= heap_t.(i) +. tick
+        ok := !ok && within_one_tick ~tick ~exact:heap_t.(i) wheel_t.(i)
       done;
       !ok && Sim.pending wheel_sim = 0)
+
+(* Run timer loops, each a list of delays (the first arms it, each later
+   one is the next re-arm), either as [timeout] loops or as one-shot
+   timers that add their successor from their callback.  Returns the
+   [(loop, time)] firing log, oldest first, and what is left pending. *)
+let run_timer_loops ~tick ~looping loops =
+  let sim = Sim.create ~timer_tick:tick () in
+  let log = ref [] in
+  List.iteri
+    (fun i delays ->
+      let rest = ref (List.tl delays) in
+      let next () =
+        match !rest with
+        | [] -> None
+        | d :: tl ->
+          rest := tl;
+          Some d
+      in
+      let fire s = log := (i, Sim.now s) :: !log in
+      if looping then
+        ignore
+          (Sim.timeout sim ~delay:(List.hd delays) (fun s ->
+               fire s;
+               next ())
+            : Sim.timer)
+      else
+        let rec arm delay =
+          ignore
+            (Sim.timeout sim ~delay (fun s ->
+                 fire s;
+                 Option.iter arm (next ());
+                 None)
+              : Sim.timer)
+        in
+        arm (List.hd delays))
+    loops;
+  Sim.run sim;
+  (List.rev !log, Sim.pending sim)
+
+let prop_timeout_loop_matches_readd =
+  QCheck.Test.make ~name:"a timeout loop fires like one-shot timers re-added from the callback"
+    ~count:100
+    QCheck.(
+      make
+        ~print:Print.(list (list float))
+        Gen.(
+          list_size (int_range 1 20) (list_size (int_range 1 8) (float_range 0.01 5.0))))
+    (fun loops ->
+      let tick = 0.05 in
+      let log, pending = run_timer_loops ~tick ~looping:true loops in
+      let log', pending' = run_timer_loops ~tick ~looping:false loops in
+      (* Each firing also obeys the heap oracle, measured from the one
+         before it. *)
+      let follows_delays i delays =
+        let times = List.filter_map (fun (j, t) -> if j = i then Some t else None) log in
+        List.length times = List.length delays
+        && fst
+             (List.fold_left2
+                (fun (ok, prev) d t -> (ok && within_one_tick ~tick ~exact:(prev +. d) t, t))
+                (true, 0.0) delays times)
+      in
+      log = log' && pending = 0 && pending' = 0
+      && List.for_all Fun.id (List.mapi follows_delays loops))
+
+let test_sim_timeout_loop_none_ends () =
+  let sim = Sim.create ~timer_tick:0.1 () in
+  let times = ref [] in
+  ignore
+    (Sim.timeout sim ~delay:1.0 (fun s ->
+         times := Sim.now s :: !times;
+         if List.length !times < 5 then Some 1.0 else None)
+      : Sim.timer);
+  Sim.run sim;
+  check_int "fired five times, then stopped" 5 (List.length !times);
+  check_bool "a second apart" true
+    (List.for_all2
+       (fun a b -> Float.abs (a -. b -. 1.0) < 0.1 +. 1e-9)
+       (List.filteri (fun i _ -> i < 4) !times)
+       (List.tl !times));
+  check_int "nothing pending" 0 (Sim.pending sim)
+
+let test_sim_timeout_cancel_inside () =
+  (* While its callback runs, the loop's node has fired: the cancel must
+     still win over the delay the callback returns. *)
+  let sim = Sim.create () in
+  let fired = ref 0 and self = ref None in
+  let timer =
+    Sim.timeout sim ~delay:1.0 (fun _ ->
+        incr fired;
+        Option.iter Sim.cancel_timer !self;
+        Some 1.0)
+  in
+  self := Some timer;
+  Sim.run sim ~until:10.0;
+  check_int "fired once" 1 !fired;
+  check_bool "cancelled" true (Sim.timer_cancelled timer);
+  check_int "nothing pending" 0 (Sim.pending sim)
+
+let test_sim_timeout_loop_promotes_little () =
+  (* A loop re-arms its one node: with a minor collection every 2 ms of
+     simulated time, whatever a firing allocates and keeps gets
+     promoted, and a fresh node per firing would be ~8 words. *)
+  let sim = Sim.create () in
+  let firings = ref 0 in
+  for i = 0 to 999 do
+    ignore
+      (Sim.timeout sim ~delay:(0.001 *. float_of_int (i mod 10)) (fun _ ->
+           incr firings;
+           Some 0.01)
+        : Sim.timer)
+  done;
+  Sim.every sim ~period:0.002 (fun _ ->
+      Gc.minor ();
+      true);
+  (* Warm up: every node is promoted by now. *)
+  Sim.run sim ~until:0.1;
+  let f0 = !firings and p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  Sim.run sim ~until:1.1;
+  let per_firing =
+    ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int (!firings - f0)
+  in
+  (* Each loop fires every 10 ms, or 11 when float rounding puts its
+     deadline just past a slot boundary. *)
+  check_bool "ran every loop" true (!firings - f0 >= 90_000);
+  check_bool
+    (Printf.sprintf "%.2f promoted words per firing <= 2" per_firing)
+    true (per_firing <= 2.0)
 
 (* ------------------------------------------------------------------ *)
 (* Sim against a reference model
@@ -809,8 +964,14 @@ let () =
           Alcotest.test_case "every reuses one record" `Quick test_sim_every_pool;
           Alcotest.test_case "timeout fires coarsely" `Quick test_sim_timeout_fires_coarse;
           Alcotest.test_case "timeout cancel" `Quick test_sim_timeout_cancel;
+          Alcotest.test_case "timeout loop ends on None" `Quick test_sim_timeout_loop_none_ends;
+          Alcotest.test_case "timeout cancel inside its loop" `Quick test_sim_timeout_cancel_inside;
+          Alcotest.test_case "timeout loop promotes little" `Quick
+            test_sim_timeout_loop_promotes_little;
         ]
-        @ qsuite [ prop_timeout_matches_schedule; prop_sim_matches_model ] );
+        @ qsuite
+            [ prop_timeout_matches_schedule; prop_timeout_loop_matches_readd; prop_sim_matches_model ]
+      );
       ( "sharded",
         [
           Alcotest.test_case "send + determinism" `Quick test_sharded_send_and_determinism;
@@ -829,6 +990,7 @@ let () =
           Alcotest.test_case "multi revolution" `Quick test_wheel_multi_revolution;
           Alcotest.test_case "past deadline clamped" `Quick test_wheel_min_one_tick;
           Alcotest.test_case "re-arm into the swept slot" `Quick test_wheel_rearm_swept_slot;
+          Alcotest.test_case "re-arm in place" `Quick test_wheel_rearm_in_place;
         ]
         @ qsuite [ prop_wheel_fires_everything ] );
     ]

@@ -337,6 +337,30 @@ let test_ft_touch_no_churn () =
   check_int "one timer" 1 (Flow_table.pending_timers t);
   check_bool (Printf.sprintf "%.1f minor words per touch < 7" per_touch) true (per_touch < 7.0)
 
+(* A table sizes its index and wheel at the first insert: one that never
+   holds a session costs a few dozen words, and behaves as empty. *)
+let test_ft_unsized () =
+  let t = mk_table () in
+  let words () = Obj.reachable_words (Obj.repr t) in
+  check_bool (Printf.sprintf "%d words before the first insert <= 64" (words ())) true
+    (words () <= 64);
+  let k = key "1.1.1.1" "2.2.2.2" in
+  Flow_table.iter t (fun _ _ -> Alcotest.fail "iter on an unsized table");
+  check_int "memory" 0 (Flow_table.memory_bytes t);
+  check_int "length" 0 (Flow_table.length t);
+  check_int "no timers" 0 (Flow_table.pending_timers t);
+  check_bool "find" true (Flow_table.find t k = None);
+  check_bool "touch" false (Flow_table.touch t ~now:1.0 k);
+  check_bool "remove" false (Flow_table.remove t k);
+  check_int "expire" 0 (Flow_table.expire t ~now:100.0 ~on_expire:(fun _ _ -> ()));
+  Flow_table.clear t;
+  check_bool "still unsized after clear" true (words () <= 64);
+  check_bool "first insert" true (Flow_table.insert t ~now:100.0 k "v" = Ok ());
+  check_bool "sized by it" true (words () > 1024);
+  check_int "memory counts it" 101 (Flow_table.memory_bytes t);
+  check_int "expires one aging period later" 1
+    (Flow_table.expire t ~now:110.0 ~on_expire:(fun _ _ -> ()))
+
 (* Differential test of deadline aging against an eager model: an entry
    expires at the first [expire] whose [now] reaches the end of its
    deadline's wheel slot (the wheel ticks at aging/8).  Times are
@@ -480,6 +504,92 @@ let prop_ft_deadline_aging =
           && Flow_table.pending_timers t = Hashtbl.length model)
         ops)
 
+
+(* A table first inserted into after several [expire] calls and one
+   sized at creation (an insert and remove at t=0) run the same script:
+   they must expire the same entries at the same [expire] call, in the
+   same order, and iterate in the same order.  The [expire] calls often
+   span more than a wheel revolution, and the first insert is a burst
+   into one slot, so a new wheel whose cursor started behind [now]
+   would sweep the burst's slot a revolution early and reverse its
+   order.  The burst comes at most 6 s after the last [expire], as a
+   vSwitch's aging pump guarantees: a table sized at creation whose
+   wheel lags that far behind has the same reordering. *)
+let prop_ft_sized_at_first_insert =
+  let open QCheck in
+  let small_dt = Gen.map (fun i -> float_of_int i *. 0.25) (Gen.int_bound 24) in
+  let gen =
+    Gen.(
+      triple
+        (list_size (int_range 1 4) (frequency [ (1, return 300.0); (2, small_dt) ]))
+        (pair small_dt (list_size (int_range 1 4) (pair (int_bound 5) (int_bound 4))))
+        (list_size (int_range 1 80) (pair ft_dt_gen ft_op_gen)))
+  in
+  Test.make ~name:"a table sized at its first insert ages like one sized at creation" ~count:300
+    (make
+       ~print:(fun (pre, (_, burst), ops) ->
+         Printf.sprintf "expires at +%s; burst of %d; %s"
+           (String.concat ",+" (List.map string_of_float pre))
+           (List.length burst)
+           (String.concat "; " (List.map ft_show ops)))
+       gen)
+    (fun (pre, (dt0, burst), ops) ->
+      let mk () =
+        Flow_table.create ~capacity_bytes:ft_capacity ~entry_overhead:100
+          ~value_bytes:String.length ~default_aging:ft_aging ()
+      in
+      let lazy_t = mk () and eager_t = mk () in
+      ignore (Flow_table.insert eager_t ~now:0.0 ft_keys.(0) "" : Admission.t);
+      ignore (Flow_table.remove eager_t ft_keys.(0) : bool);
+      (* Apply one step to a table; [Some expired] for an [expire], in
+         [on_expire] order. *)
+      let step t now = function
+        | Ins (k, l, aging) ->
+          ignore (Flow_table.insert t ~now ?aging ft_keys.(k) (String.make l 'x') : Admission.t);
+          None
+        | Touch (k, aging) ->
+          ignore (Flow_table.touch t ~now ?aging ft_keys.(k) : bool);
+          None
+        | Upd (k, l) ->
+          ignore (Flow_table.update t ~now ft_keys.(k) (fun _ -> String.make l 'y') : bool);
+          None
+        | Refresh (k, aging) ->
+          Option.iter (Flow_table.refresh t ~now ?aging) (Flow_table.find_entry t ft_keys.(k));
+          None
+        | Replace (k, l, aging) ->
+          Option.iter
+            (fun h -> ignore (Flow_table.replace t ~now ?aging h (String.make l 'z') : Admission.t))
+            (Flow_table.find_entry t ft_keys.(k));
+          None
+        | Rem k ->
+          ignore (Flow_table.remove t ft_keys.(k) : bool);
+          None
+        | Clear ->
+          Flow_table.clear t;
+          None
+        | Expire ->
+          let got = ref [] in
+          ignore (Flow_table.expire t ~now ~on_expire:(fun k v -> got := (k, v) :: !got) : int);
+          Some (List.rev !got)
+      in
+      let script =
+        List.map (fun dt -> (dt, Expire)) pre
+        @ List.mapi (fun i (k, l) -> ((if i = 0 then dt0 else 0.0), Ins (k, l, None))) burst
+        @ ops
+      in
+      let now = ref 0.0 in
+      let same_step (dt, op) =
+        now := !now +. dt;
+        step lazy_t !now op = step eager_t !now op
+      in
+      let contents t =
+        let acc = ref [] in
+        Flow_table.iter t (fun k v -> acc := (k, v) :: !acc);
+        !acc
+      in
+      List.for_all same_step script
+      && contents lazy_t = contents eager_t
+      && Flow_table.memory_bytes lazy_t = Flow_table.memory_bytes eager_t)
 
 (* ------------------------------------------------------------------ *)
 (* Tss: tuple-space search classifier *)
@@ -975,6 +1085,8 @@ let () =
           Alcotest.test_case "update in place" `Quick test_ft_update;
           Alcotest.test_case "handles" `Quick test_ft_handles;
           Alcotest.test_case "touch re-arms nothing" `Quick test_ft_touch_no_churn;
+          Alcotest.test_case "sized at the first insert" `Quick test_ft_unsized;
         ]
-        @ qsuite [ prop_ft_memory_consistent; prop_ft_deadline_aging ] );
+        @ qsuite [ prop_ft_memory_consistent; prop_ft_deadline_aging; prop_ft_sized_at_first_insert ]
+      );
     ]
