@@ -100,7 +100,28 @@ if [ "${1:-}" = "--smoke" ]; then
 fi
 
 # Decided before any step below rewrites the tracked BENCH_*.json files.
-if git diff --quiet HEAD --; then base=HEAD~1; else base=HEAD; fi
+rev=$(git rev-parse --short HEAD)
+if git diff --quiet HEAD --; then base=HEAD~1; else base=HEAD; rev="$rev-dirty"; fi
+
+# Stamps a BENCH file with the meta block bench/ab.py prints: the
+# revision measured, the OCaml version and the CPUs the run could use.
+# The block goes in as text after the schema line, so the bench's own
+# number formatting stays as written.
+stamp_meta() {
+  python3 - "$1" "$rev" "$(ocaml -version)" <<'PY'
+import json, os, sys
+path, rev, ocaml = sys.argv[1:4]
+meta = {"rev": rev, "ocaml": ocaml, "nproc": len(os.sched_getaffinity(0))}
+text = open(path).read()
+head = '{\n  "schema": "nezha-bench/1",\n'
+assert text.startswith(head), "%s does not start with the bench schema line" % path
+block = json.dumps(meta, indent=2).replace("\n", "\n  ")
+with open(path, "w") as f:
+    f.write(head + '  "meta": ' + block + ",\n" + text[len(head):])
+print("stamped %s: %s" % (path, json.dumps(meta)))
+PY
+}
+
 out="${1:-/tmp/nezha_bench_check.json}"
 
 echo "== dune build"
@@ -137,6 +158,7 @@ fi
 
 echo "== bench micro --json (BENCH_micro.json)"
 dune exec --no-build bench/main.exe -- micro --json BENCH_micro.json
+stamp_meta BENCH_micro.json
 
 echo "== validating BENCH_micro.json"
 if command -v python3 >/dev/null 2>&1; then
@@ -228,6 +250,7 @@ python3 bench/ab.py --base "$base" --workloads micro
 
 echo "== bench macro --json (BENCH_macro.json)"
 dune exec --no-build bench/main.exe -- macro --json BENCH_macro.json
+stamp_meta BENCH_macro.json
 
 echo "== macro gate (region scale + digests + RSS ceiling)"
 # The region-scale run's claims: the run is deterministic and

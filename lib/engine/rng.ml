@@ -1,49 +1,58 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in an 8-byte buffer, not a boxed [int64]
+   field: a step reads and writes it unboxed, so stepping allocates
+   nothing and a long-lived stream never points at a young box. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] step t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let bits64 t = step t
+
+let split t = of_state (mix64 (step t))
+
+let copy t = Bytes.copy t
 
 (* Positive 62-bit int from the top bits, avoiding sign issues. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (step t) 2)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection to avoid modulo bias. *)
   let mask_range = max_int / n * n in
-  let rec draw () =
-    let v = bits t in
-    if v < mask_range then v mod n else draw ()
-  in
-  draw ()
+  let v = ref (bits t) in
+  while !v >= mask_range do
+    v := bits t
+  done;
+  !v mod n
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let unit_float t =
+let[@inline] unit_float t =
   (* 53 random bits into [0,1). *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_int (Int64.shift_right_logical (step t) 11) in
   float_of_int v *. 0x1p-53
 
 let float t x = unit_float t *. x
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L
 
 let chance t p =
   if p >= 1.0 then true
@@ -60,7 +69,7 @@ let pareto t ~shape ~scale =
   let u = 1.0 -. unit_float t in
   scale /. (u ** (1.0 /. shape))
 
-let gaussian t ~mean ~stddev =
+let[@inline] gaussian t ~mean ~stddev =
   let u1 = 1.0 -. unit_float t and u2 = unit_float t in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
   mean +. (stddev *. z)

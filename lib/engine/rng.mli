@@ -9,7 +9,10 @@
     that do not perturb each other when one of them draws more numbers. *)
 
 type t
-(** A mutable generator. *)
+(** A mutable generator.  Its 64-bit SplitMix64 state is stored unboxed,
+    in an 8-byte buffer read and written in place, so stepping it never
+    allocates: {!int}, {!int_in}, {!bool} and {!chance} allocate nothing
+    at all, and a float draw allocates only its boxed result. *)
 
 val create : int -> t
 (** [create seed] makes a generator from an integer seed.  Equal seeds give

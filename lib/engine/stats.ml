@@ -56,6 +56,10 @@ let stddev samples =
   end
 
 module Histogram = struct
+  (* The running sums sit in an all-float record, so recording a value
+     stores unboxed doubles: no allocation and no write barrier. *)
+  type sums = { mutable total : float; mutable min_v : float; mutable max_v : float }
+
   (* Values are mapped to buckets on a log scale: bucket index =
      floor (log_base value) shifted so that sub-1.0 values share bucket 0
      region.  With [significant_digits] = d, the base is chosen so relative
@@ -65,9 +69,7 @@ module Histogram = struct
     tiny : float; (* values below this collapse into bucket 0 *)
     mutable counts : int array;
     mutable count : int;
-    mutable total : float;
-    mutable min_v : float;
-    mutable max_v : float;
+    sums : sums;
   }
 
   let create ?(significant_digits = 2) () =
@@ -78,9 +80,7 @@ module Histogram = struct
       tiny = 1e-12;
       counts = Array.make 256 0;
       count = 0;
-      total = 0.0;
-      min_v = infinity;
-      max_v = neg_infinity;
+      sums = { total = 0.0; min_v = infinity; max_v = neg_infinity };
     }
 
   let bucket_of t v =
@@ -106,17 +106,18 @@ module Histogram = struct
     ensure t i;
     t.counts.(i) <- t.counts.(i) + n;
     t.count <- t.count + n;
-    t.total <- t.total +. (v *. float_of_int n);
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v
+    let s = t.sums in
+    s.total <- s.total +. (v *. float_of_int n);
+    if v < s.min_v then s.min_v <- v;
+    if v > s.max_v then s.max_v <- v
 
   let record t v = record_n t v 1
 
   let count t = t.count
-  let total t = t.total
-  let mean t = if t.count = 0 then 0.0 else t.total /. float_of_int t.count
-  let min_value t = if t.count = 0 then 0.0 else t.min_v
-  let max_value t = if t.count = 0 then 0.0 else t.max_v
+  let total t = t.sums.total
+  let mean t = if t.count = 0 then 0.0 else t.sums.total /. float_of_int t.count
+  let min_value t = if t.count = 0 then 0.0 else t.sums.min_v
+  let max_value t = if t.count = 0 then 0.0 else t.sums.max_v
 
   let percentile t p =
     check_p p;
@@ -125,13 +126,13 @@ module Histogram = struct
       (* The bucket holding the nearest-rank sample (1-based). *)
       let target = nearest_rank t.count p + 1 in
       let rec scan i acc =
-        if i >= Array.length t.counts then t.max_v
+        if i >= Array.length t.counts then t.sums.max_v
         else begin
           let acc = acc + t.counts.(i) in
           if acc >= target then begin
             let v = value_of t i in
             (* Clamp the bucket midpoint estimate into the observed range. *)
-            Float.min t.max_v (Float.max t.min_v v)
+            Float.min t.sums.max_v (Float.max t.sums.min_v v)
           end
           else scan (i + 1) acc
         end
@@ -147,18 +148,20 @@ module Histogram = struct
        end)
       src.counts;
     dst.count <- dst.count + src.count;
-    dst.total <- dst.total +. src.total;
+    let d = dst.sums and s = src.sums in
+    d.total <- d.total +. s.total;
     if src.count > 0 then begin
-      if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-      if src.max_v > dst.max_v then dst.max_v <- src.max_v
+      if s.min_v < d.min_v then d.min_v <- s.min_v;
+      if s.max_v > d.max_v then d.max_v <- s.max_v
     end
 
   let reset t =
     Array.fill t.counts 0 (Array.length t.counts) 0;
     t.count <- 0;
-    t.total <- 0.0;
-    t.min_v <- infinity;
-    t.max_v <- neg_infinity
+    let s = t.sums in
+    s.total <- 0.0;
+    s.min_v <- infinity;
+    s.max_v <- neg_infinity
 
   let pp_summary ppf t =
     if t.count = 0 then Format.fprintf ppf "(empty)"

@@ -1,3 +1,6 @@
+(* Every field is a float, so the record is stored flat: a [take]
+   writes [tokens] and [last] as unboxed doubles and allocates nothing.
+   A non-float field here would box both on every packet. *)
 type t = {
   rate : float;
   burst : float;

@@ -41,7 +41,9 @@ let server_of_ip t addr =
     else None
   end
 
-let gateway_ip _t = Ipv4.of_octets 192 168 0 1
+(* Built once: the fabric compares every delivered packet against it. *)
+let gateway = Ipv4.of_octets 192 168 0 1
+let gateway_ip _t = gateway
 
 let same_server_latency = 2e-6
 let same_rack_latency = 10e-6

@@ -19,17 +19,24 @@ let default_kernel =
     backlog = 4096;
   }
 
+(* The busy-time books sit in an all-float record, as in [Smartnic]: a
+   delivery stores unboxed doubles, so a long-lived VM never points at a
+   young box. *)
+type load = {
+  mutable busy_until : float;
+  mutable busy_acc : float;
+  mutable last_sample_time : float;
+  mutable last_sample_busy : float;
+}
+
 type t = {
   sim : Sim.t;
   name : string;
   vcpus : int;
   kernel : kernel;
   effective_hz : float;
-  mutable busy_until : float;
+  load : load;
   mutable queued : int;
-  mutable busy_acc : float;
-  mutable last_sample_time : float;
-  mutable last_sample_busy : float;
   mutable app : Sim.t -> Packet.t -> unit;
   mutable delivered : int;
   mutable dropped : int;
@@ -51,11 +58,8 @@ let create ~sim ~name ~vcpus ?(kernel = default_kernel) () =
     vcpus;
     kernel;
     effective_hz;
-    busy_until = 0.0;
+    load = { busy_until = 0.0; busy_acc = 0.0; last_sample_time = 0.0; last_sample_busy = 0.0 };
     queued = 0;
-    busy_acc = 0.0;
-    last_sample_time = 0.0;
-    last_sample_busy = 0.0;
     app = (fun _ _ -> ());
     delivered = 0;
     dropped = 0;
@@ -87,21 +91,21 @@ let deliver t pkt =
     let cycles =
       t.kernel.packet_cycles + if is_new_conn then t.kernel.connection_cycles else 0
     in
-    let now = Sim.now t.sim in
-    let start = if t.busy_until > now then t.busy_until else now in
+    let now = Sim.now t.sim and l = t.load in
+    let start = if l.busy_until > now then l.busy_until else now in
     let dur = float_of_int cycles /. t.effective_hz in
-    t.busy_until <- start +. dur;
-    t.busy_acc <- t.busy_acc +. dur;
+    l.busy_until <- start +. dur;
+    l.busy_acc <- l.busy_acc +. dur;
     t.queued <- t.queued + 1;
     (* The kernel stage covers queue wait + processing: arrival to app
        invocation — where the trace ends (the packet reached its VM). *)
     (match t.tracer with
     | Some tr when pkt.Packet.trace_id <> 0 ->
       Trace.add_span tr ~id:pkt.Packet.trace_id ~name:"vm_kernel"
-        ~component:("vm/" ^ t.name) ~t0:now ~t1:t.busy_until ()
+        ~component:("vm/" ^ t.name) ~t0:now ~t1:l.busy_until ()
     | Some _ | None -> ());
     ignore
-      (Sim.at t.sim ~time:t.busy_until (fun sim ->
+      (Sim.at t.sim ~time:l.busy_until (fun sim ->
            t.queued <- t.queued - 1;
            t.delivered <- t.delivered + 1;
            if is_new_conn then t.accepted <- t.accepted + 1;
@@ -118,11 +122,11 @@ let packets_dropped t = t.dropped
 let connections_accepted t = t.accepted
 
 let utilization_since_last_sample t =
-  let now = Sim.now t.sim in
-  let future = if t.busy_until > now then t.busy_until -. now else 0.0 in
-  let busy = t.busy_acc -. future in
-  let dt = now -. t.last_sample_time in
-  let u = if dt <= 0.0 then 0.0 else (busy -. t.last_sample_busy) /. dt in
-  t.last_sample_time <- now;
-  t.last_sample_busy <- busy;
+  let now = Sim.now t.sim and l = t.load in
+  let future = if l.busy_until > now then l.busy_until -. now else 0.0 in
+  let busy = l.busy_acc -. future in
+  let dt = now -. l.last_sample_time in
+  let u = if dt <= 0.0 then 0.0 else (busy -. l.last_sample_busy) /. dt in
+  l.last_sample_time <- now;
+  l.last_sample_busy <- busy;
   Float.max 0.0 (Float.min 1.0 u)

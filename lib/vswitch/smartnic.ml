@@ -1,14 +1,22 @@
 open Nezha_engine
 
+(* The busy-time books sit in an all-float record (like [Sim]'s clock),
+   so charging a job stores unboxed doubles: a long-lived card never
+   points at a young box, and a minor collection has nothing of it to
+   promote. *)
+type load = {
+  mutable busy_until : float;
+  mutable busy_acc : float; (* total seconds of service completed or committed *)
+  mutable last_sample_time : float;
+  mutable last_sample_busy : float;
+}
+
 type t = {
   sim : Sim.t;
   params : Params.t;
   name : string;
-  mutable busy_until : float;
+  load : load;
   mutable queued : int;
-  mutable busy_acc : float; (* total seconds of service completed or committed *)
-  mutable last_sample_time : float;
-  mutable last_sample_busy : float;
   (* Trailing-window bookkeeping for [peek_utilization]: ring of recent
      (time, busy_acc) snapshots taken on submissions. *)
   mutable snap_times : float array;
@@ -28,11 +36,8 @@ let create ~sim ~params ~name =
     sim;
     params;
     name;
-    busy_until = 0.0;
+    load = { busy_until = 0.0; busy_acc = 0.0; last_sample_time = 0.0; last_sample_busy = 0.0 };
     queued = 0;
-    busy_acc = 0.0;
-    last_sample_time = 0.0;
-    last_sample_busy = 0.0;
     snap_times = Array.make snap_capacity 0.0;
     snap_busy = Array.make snap_capacity 0.0;
     snap_head = 0;
@@ -51,7 +56,7 @@ let cpu_time t ~cycles = float_of_int cycles /. t.params.Params.cpu_hz
 let record_snapshot t now =
   let i = (t.snap_head + t.snap_len) mod snap_capacity in
   t.snap_times.(i) <- now;
-  t.snap_busy.(i) <- t.busy_acc;
+  t.snap_busy.(i) <- t.load.busy_acc;
   if t.snap_len < snap_capacity then t.snap_len <- t.snap_len + 1
   else t.snap_head <- (t.snap_head + 1) mod snap_capacity
 
@@ -65,15 +70,15 @@ let submit t ~cycles k =
     false
   end
   else begin
-    let now = Sim.now t.sim in
-    let start = if t.busy_until > now then t.busy_until else now in
+    let now = Sim.now t.sim and l = t.load in
+    let start = if l.busy_until > now then l.busy_until else now in
     let dur = cpu_time t ~cycles in
-    t.busy_until <- start +. dur;
-    t.busy_acc <- t.busy_acc +. dur;
+    l.busy_until <- start +. dur;
+    l.busy_acc <- l.busy_acc +. dur;
     t.queued <- t.queued + 1;
     record_snapshot t now;
     ignore
-      (Sim.at t.sim ~time:t.busy_until (fun sim ->
+      (Sim.at t.sim ~time:l.busy_until (fun sim ->
            t.queued <- t.queued - 1;
            t.completed <- t.completed + 1;
            if not t.crashed then k sim)
@@ -86,16 +91,17 @@ let queue_depth t = t.queued
 (* Busy seconds actually elapsed by [now]: committed service time minus
    the part of the backlog that lies in the future. *)
 let busy_elapsed t now =
-  let future = if t.busy_until > now then t.busy_until -. now else 0.0 in
-  t.busy_acc -. future
+  let l = t.load in
+  let future = if l.busy_until > now then l.busy_until -. now else 0.0 in
+  l.busy_acc -. future
 
 let utilization_since_last_sample t =
-  let now = Sim.now t.sim in
+  let now = Sim.now t.sim and l = t.load in
   let busy = busy_elapsed t now in
-  let dt = now -. t.last_sample_time in
-  let util = if dt <= 0.0 then 0.0 else (busy -. t.last_sample_busy) /. dt in
-  t.last_sample_time <- now;
-  t.last_sample_busy <- busy;
+  let dt = now -. l.last_sample_time in
+  let util = if dt <= 0.0 then 0.0 else (busy -. l.last_sample_busy) /. dt in
+  l.last_sample_time <- now;
+  l.last_sample_busy <- busy;
   Float.max 0.0 (Float.min 1.0 util)
 
 let peek_utilization t ~window =
@@ -112,12 +118,12 @@ let peek_utilization t ~window =
   match probe 0 None with
   | None ->
     (* No recent activity recorded: busy only if backlogged. *)
-    if t.busy_until > now then 1.0 else 0.0
+    if t.load.busy_until > now then 1.0 else 0.0
   | Some idx ->
     let t0 = Float.max cutoff t.snap_times.(idx) in
     let b0 = t.snap_busy.(idx) in
     let dt = now -. t0 in
-    if dt <= 1e-12 then if t.busy_until > now then 1.0 else 0.0
+    if dt <= 1e-12 then if t.load.busy_until > now then 1.0 else 0.0
     else Float.max 0.0 (Float.min 1.0 ((busy_elapsed t now -. b0) /. dt))
 
 let total_busy_seconds t = busy_elapsed t (Sim.now t.sim)

@@ -106,6 +106,11 @@ type result = {
 
 type spike = { t0 : float; ramp : float; peak_add : float; hold_s : float }
 
+(* Written on every demand tick, so it sits in an all-float record: the
+   tick stores an unboxed double instead of pointing a long-lived server
+   at a young box that every minor collection would promote. *)
+type tally = { mutable packets : float }
+
 type srv = {
   sid : int;
   shard : int;
@@ -121,7 +126,7 @@ type srv = {
   mutable over_ticks : int;
   mutable ticks : int;
   mutable flow_expiries : int;
-  mutable packets : float;
+  tally : tally;  (** modeled packets served *)
   vnics_modeled : int;
   flows_modeled : int;
   (* crash-storm state (shard-local; crash schedule frozen at setup) *)
@@ -256,7 +261,7 @@ let run cfg =
           over_ticks = 0;
           ticks = 0;
           flow_expiries = 0;
-          packets = 0.0;
+          tally = { packets = 0.0 };
           vnics_modeled = 1 + int_of_float (p.Region.vnics *. 511.0);
           flows_modeled = int_of_float (p.Region.flows *. 1e6);
           crash_times;
@@ -337,7 +342,7 @@ let run cfg =
         end
         else begin
           let eff = effective srvs srv now in
-          srv.packets <- srv.packets +. (eff *. pps_per_unit *. cfg.tick);
+          srv.tally.packets <- srv.tally.packets +. (eff *. pps_per_unit *. cfg.tick);
           if eff > Controller.overload_level then begin
             srv.over_ticks <- srv.over_ticks + 1;
             if not srv.over then begin
@@ -521,7 +526,7 @@ let run cfg =
       over_ticks := !over_ticks + srv.over_ticks;
       vnics := !vnics + srv.vnics_modeled;
       flows := !flows + srv.flows_modeled;
-      packets := !packets +. srv.packets;
+      packets := !packets +. srv.tally.packets;
       crashes := !crashes + srv.crashes;
       restarts := !restarts + srv.restarts;
       blackholed := !blackholed + srv.blackholed;
@@ -543,7 +548,7 @@ let run cfg =
         srv.mttr;
       digest :=
         mix !digest
-          (Int64.to_int (Int64.logand (Int64.bits_of_float srv.packets) 0xffffffffL)))
+          (Int64.to_int (Int64.logand (Int64.bits_of_float srv.tally.packets) 0xffffffffL)))
     srvs;
   digest := mix !digest ctl.detections;
   digest := mix !digest ctl.activations;

@@ -101,6 +101,94 @@ let prop_chance_extremes =
       let r = Rng.create seed in
       Rng.chance r 1.0 && not (Rng.chance r 0.0))
 
+(* Known answers: the streams every seeded experiment, digest and golden
+   trajectory derive from.  Any change to how the state is stored or
+   stepped must reproduce them exactly. *)
+let check_i64s name expected r =
+  List.iteri
+    (fun i e -> Alcotest.(check int64) (Printf.sprintf "%s #%d" name i) e (Rng.bits64 r))
+    expected
+
+let check_float_bits name expected draw =
+  List.iteri
+    (fun i e ->
+      Alcotest.(check int64) (Printf.sprintf "%s #%d" name i) e (Int64.bits_of_float (draw ())))
+    expected
+
+let test_rng_known_bits64 () =
+  check_i64s "seed 0" [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ]
+    (Rng.create 0);
+  check_i64s "seed 1" [ -4616330145664149646L; 6869446166584666695L; 8084911050856847527L ]
+    (Rng.create 1);
+  check_i64s "seed 42" [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ]
+    (Rng.create 42);
+  let parent = Rng.create 7 in
+  let child = Rng.split parent in
+  check_i64s "split child"
+    [ -8329645779151318480L; 6560957319516933143L; 3429778984135255602L ] child;
+  check_i64s "split parent" [ 5573481420429128725L ] parent
+
+let test_rng_known_draws () =
+  let r = Rng.create 5 in
+  Alcotest.(check (list int)) "int 1000" [ 107; 395; 474; 946 ]
+    (List.init 4 (fun _ -> Rng.int r 1000));
+  (* A bound just over max_int / 2 rejects about half the raw draws. *)
+  let big = (max_int / 2) + 2 in
+  Alcotest.(check (list int)) "int with rejections"
+    [ 1239123011929875728; 1146306079314062286; 1291451808056466756; 2067879216494169930 ]
+    (List.init 4 (fun _ -> Rng.int r big));
+  let r = Rng.create 9 in
+  check_float_bits "float"
+    [ 0x400079ac611a8cbcL; 0x4013bab7af91d9d2L; 0x4022f853b4f6ade9L ]
+    (fun () -> Rng.float r 10.0);
+  check_float_bits "exponential"
+    [ 0x3ffb16b0a1f9b4e2L; 0x40006aeff89094b1L; 0x40010d2feff2bcb1L ]
+    (fun () -> Rng.exponential r ~mean:2.0);
+  check_float_bits "gaussian"
+    [ 0x4021f3686190d420L; 0x40218e2152e4b8edL; 0x401d4c263392f0d3L ]
+    (fun () -> Rng.gaussian r ~mean:10.0 ~stddev:3.0);
+  check_i64s "stream after the draws" [ 5606126380262314600L ] r
+
+(* Minor words allocated by [n] calls of [f]; [f] itself must not
+   allocate beyond the code under test. *)
+let minor_words_over n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+let check_words_at_most name budget words =
+  check_bool (Printf.sprintf "%s: %.0f minor words <= %.0f" name words budget) true
+    (words <= budget)
+
+let test_rng_int_draws_allocate_nothing () =
+  let r = Rng.create 3 and n = 100_000 in
+  let big = (max_int / 2) + 2 in
+  check_words_at_most "int" 0.0 (minor_words_over n (fun () -> ignore (Rng.int r 1000 : int)));
+  check_words_at_most "int with rejections" 0.0
+    (minor_words_over n (fun () -> ignore (Rng.int r big : int)));
+  check_words_at_most "int_in" 0.0
+    (minor_words_over n (fun () -> ignore (Rng.int_in r 5 9 : int)));
+  check_words_at_most "bool" 0.0 (minor_words_over n (fun () -> ignore (Rng.bool r : bool)));
+  check_words_at_most "chance" 0.0
+    (minor_words_over n (fun () -> ignore (Rng.chance r 0.3 : bool)))
+
+let test_rng_float_draws_allocate_only_the_result () =
+  (* A boxed float result is 2 words; nothing else may allocate. *)
+  let r = Rng.create 3 and n = 100_000 in
+  let budget = 2.0 *. float_of_int n in
+  check_words_at_most "float" budget
+    (minor_words_over n (fun () -> ignore (Rng.float r 10.0 : float)));
+  check_words_at_most "exponential" budget
+    (minor_words_over n (fun () -> ignore (Rng.exponential r ~mean:2.0 : float)));
+  check_words_at_most "pareto" budget
+    (minor_words_over n (fun () -> ignore (Rng.pareto r ~shape:1.5 ~scale:1.0 : float)));
+  check_words_at_most "gaussian" budget
+    (minor_words_over n (fun () -> ignore (Rng.gaussian r ~mean:10.0 ~stddev:3.0 : float)));
+  check_words_at_most "lognormal" budget
+    (minor_words_over n (fun () -> ignore (Rng.lognormal r ~mu:0.0 ~sigma:0.5 : float)))
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -908,6 +996,22 @@ let test_series_pp_table () =
   let lines = String.split_on_char '\n' rendered in
   check_bool "downsampled" true (List.length lines <= 15)
 
+(* The values are boxed once, up front, so each call below receives an
+   existing box and any allocation is the callee's own. *)
+let boxed_floats = List.init 1000 (fun i -> 1e-3 *. float_of_int (i * i))
+
+let test_histogram_record_allocates_nothing () =
+  let h = Stats.Histogram.create () in
+  let record = Stats.Histogram.record h in
+  (* Warm up: grow the bucket array to its final size. *)
+  List.iter record boxed_floats;
+  check_words_at_most "record" 0.0 (minor_words_over 100 (fun () -> List.iter record boxed_floats))
+
+let test_token_bucket_take_allocates_nothing () =
+  let b = Token_bucket.create ~rate_bytes_per_s:1e6 ~burst_bytes:1500.0 in
+  let take now = ignore (Token_bucket.take b ~now ~bytes:100 : bool) in
+  check_words_at_most "take" 0.0 (minor_words_over 1 (fun () -> List.iter take boxed_floats))
+
 let test_token_bucket_in_engine () =
   (* Smoke: the engine-level bucket integrates with simulated time. *)
   let b = Token_bucket.create ~rate_bytes_per_s:100.0 ~burst_bytes:100.0 in
@@ -934,7 +1038,15 @@ let () =
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "pick and shuffle" `Quick test_rng_pick_shuffle;
         ]
-        @ qsuite [ prop_chance_extremes ] );
+        @ qsuite [ prop_chance_extremes ]
+        @ [
+          Alcotest.test_case "known bits64 streams" `Quick test_rng_known_bits64;
+          Alcotest.test_case "known draws" `Quick test_rng_known_draws;
+          Alcotest.test_case "int draws allocate nothing" `Quick
+            test_rng_int_draws_allocate_nothing;
+          Alcotest.test_case "float draws allocate only the result" `Quick
+            test_rng_float_draws_allocate_only_the_result;
+          ] );
       ( "stats",
         [
           Alcotest.test_case "percentile simple" `Quick test_percentile_simple;
@@ -946,6 +1058,8 @@ let () =
           Alcotest.test_case "histogram accuracy" `Quick test_histogram_accuracy;
           Alcotest.test_case "histogram merge" `Quick test_histogram_empty_and_merge;
           Alcotest.test_case "histogram clamps negatives" `Quick test_histogram_negative_clamped;
+          Alcotest.test_case "histogram record allocates nothing" `Quick
+            test_histogram_record_allocates_nothing;
           Alcotest.test_case "series" `Quick test_series;
         ]
         @ qsuite [ prop_histogram_percentile_close ] );
@@ -982,6 +1096,8 @@ let () =
         [
           Alcotest.test_case "series table rendering" `Quick test_series_pp_table;
           Alcotest.test_case "token bucket accessors" `Quick test_token_bucket_in_engine;
+          Alcotest.test_case "token bucket take allocates nothing" `Quick
+            test_token_bucket_take_allocates_nothing;
         ] );
       ( "timer_wheel",
         [

@@ -66,6 +66,27 @@ let syn_packet i =
          ~dst_port:80 ~proto:Five_tuple.Tcp)
     ~direction:Packet.Rx ~flags:Packet.syn ()
 
+let test_vm_deliveries_promote_little () =
+  (* As for the SmartNIC: a long-lived VM taking one packet per
+     millisecond, with a minor collection between deliveries.  Boxed
+     busy-time floats would be 4 words per delivery. *)
+  let sim = Sim.create () in
+  let vm = Vm.create ~sim ~name:"vm" ~vcpus:8 () in
+  let pkt = syn_packet 0 in
+  Sim.every sim ~period:0.001 (fun _ ->
+      Gc.minor ();
+      Vm.deliver vm pkt;
+      true);
+  Sim.run sim ~until:0.1;
+  let d0 = Vm.packets_delivered vm and p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  Sim.run sim ~until:2.1;
+  let n = Vm.packets_delivered vm - d0 in
+  let per_delivery = ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int n in
+  check_bool "delivered every packet" true (n >= 1990);
+  check_bool
+    (Printf.sprintf "%.2f promoted words per delivery <= 1" per_delivery)
+    true (per_delivery <= 1.0)
+
 let test_vm_processes_and_counts () =
   let sim = Sim.create () in
   let vm = Vm.create ~sim ~name:"vm" ~vcpus:8 () in
@@ -337,6 +358,7 @@ let () =
         [
           Alcotest.test_case "saturating capacity" `Quick test_vm_saturating_capacity;
           Alcotest.test_case "processes and counts" `Quick test_vm_processes_and_counts;
+          Alcotest.test_case "deliveries promote little" `Quick test_vm_deliveries_promote_little;
           Alcotest.test_case "backlog overflow" `Quick test_vm_backlog_overflow;
           Alcotest.test_case "utilization" `Quick test_vm_utilization;
         ] );

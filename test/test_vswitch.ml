@@ -240,6 +240,28 @@ let test_nic_utilization_sample () =
   let u2 = Smartnic.utilization_since_last_sample nic in
   check_bool "idle after" true (u2 < 0.01)
 
+let test_nic_jobs_promote_little () =
+  (* A long-lived card serving one short job per millisecond, with a
+     minor collection between jobs: whatever a job leaves referenced
+     from the card gets promoted.  Boxed busy-time floats would be 4
+     words per job. *)
+  let sim = Sim.create () in
+  let nic = Smartnic.create ~sim ~params:Params.default ~name:"n" in
+  let completed = ref 0 in
+  let on_done _ = incr completed in
+  Sim.every sim ~period:0.001 (fun _ ->
+      Gc.minor ();
+      ignore (Smartnic.submit nic ~cycles:1000 on_done : bool);
+      true);
+  (* Warm up: the card, the sim and the periodic event are old by now. *)
+  Sim.run sim ~until:0.1;
+  let j0 = !completed and p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  Sim.run sim ~until:2.1;
+  let jobs = !completed - j0 in
+  let per_job = ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int jobs in
+  check_bool "served every job" true (jobs >= 1990);
+  check_bool (Printf.sprintf "%.2f promoted words per job <= 1" per_job) true (per_job <= 1.0)
+
 let test_nic_memory () =
   let sim = Sim.create () in
   let nic = Smartnic.create ~sim ~params:mini_params ~name:"n" in
@@ -927,6 +949,7 @@ let () =
           Alcotest.test_case "utilization sampling" `Quick test_nic_utilization_sample;
           Alcotest.test_case "memory budget" `Quick test_nic_memory;
           Alcotest.test_case "crash semantics" `Quick test_nic_crash_drops;
+          Alcotest.test_case "jobs promote little" `Quick test_nic_jobs_promote_little;
         ] );
       ( "ruleset",
         [
