@@ -1,9 +1,10 @@
 #!/bin/sh
-# CI-style gate: build, run the test suite, then exercise the bench's
-# machine-readable mode and make sure its output is real JSON with the
+# CI-style gate: build, run the test suite, then regenerate the tracked
+# BENCH_paper.json, BENCH_micro.json and BENCH_macro.json through the
+# bench's machine-readable mode and make sure each is real JSON with the
 # sections the schema promises.
 #
-#   bench/check.sh [OUT.json]      (default /tmp/nezha_bench_check.json)
+#   bench/check.sh
 #   bench/check.sh --smoke         quick mode: build + the A/B verdict
 #                                  selftest + chaos input validation
 #                                  + the SLO elastic
@@ -122,26 +123,28 @@ print("stamped %s: %s" % (path, json.dumps(meta)))
 PY
 }
 
-out="${1:-/tmp/nezha_bench_check.json}"
-
 echo "== dune build"
 dune build
 
 echo "== dune runtest"
 dune runtest
 
-echo "== bench --json ($out)"
-dune exec --no-build bench/main.exe -- fig9 --json "$out"
+echo "== bench paper --json (BENCH_paper.json)"
+dune exec --no-build bench/main.exe -- paper --json BENCH_paper.json
+stamp_meta BENCH_paper.json
 
-echo "== validating $out"
+echo "== validating BENCH_paper.json"
 # The bench already re-parses its own output with the in-tree JSON
 # parser before it exits (and fails loudly if that round-trip breaks);
 # cross-check with an independent parser when one is around.
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out" <<'PY'
+  python3 - BENCH_paper.json "$(dune exec --no-build bench/main.exe -- --list paper)" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "nezha-bench/1", doc.get("schema")
+paper = sys.argv[2].split()
+missing = [name for name in paper if name not in doc["experiments"]]
+assert paper and not missing, "paper entries without a section: %s" % missing
 fig9 = doc["experiments"]["fig9"]
 assert len(fig9["gains"]) >= 1, \
     "expected >= 1 gain row, got %d" % len(fig9["gains"])
@@ -150,7 +153,8 @@ for side in ("without", "with"):
     for k in ("count", "p50", "p99", "p9999"):
         assert k in s, \
             "latency_us[%s] missing %r (has %s)" % (side, k, sorted(s))
-print("ok:", len(fig9["gains"]), "gain rows; latency summaries present")
+print("ok: %d paper sections;" % len(paper), len(fig9["gains"]),
+      "fig9 gain rows; latency summaries present")
 PY
 else
   echo "python3 not found; relying on the bench's built-in round-trip check"

@@ -1,21 +1,26 @@
-(* The reproduction harness: one section per table and figure of the
-   paper's evaluation, each printing the paper's reported values next to
-   what this implementation measures.
+(* The reproduction harness: one registry entry per table and figure of
+   the paper's evaluation, plus the region-scale macro run, the
+   microbenchmarks and the reduced-scale SLO smoke.  Each entry is a
+   name, the paper's claim and a run that returns the section as JSON;
+   the text report, [--list] and [--json] all read that one list.
 
    Usage:
-     bench/main.exe                 run everything
-     bench/main.exe fig9 table3     run selected experiments
-     bench/main.exe micro           Bechamel microbenchmarks of the core
-                                    data structures
-     bench/main.exe macro           region-scale run: the Fig. 13
-                                    before/after overloads plus a
-                                    shard-count digest sweep
-     bench/main.exe --list          list experiment names
-     bench/main.exe --json FILE     machine-readable mode: write the
-                                    JSON-capable experiments (fig9 gains
-                                    plus latency summaries, table4, and
-                                    the micro ns/op numbers) to FILE
-                                    instead of printing tables *)
+     bench/main.exe                 run every entry, as text
+     bench/main.exe fig9 table3     run selected entries
+     bench/main.exe paper           every paper experiment (all entries
+                                    but micro, macro and slo_smoke,
+                                    which have their own BENCH files
+                                    and gates)
+     bench/main.exe --list [NAMES]  list entry names (NAMES may be a
+                                    group, e.g. [--list paper])
+     bench/main.exe [NAMES] --json FILE
+                                    write the selected sections to FILE
+                                    as one JSON document instead of
+                                    printing them
+
+   Text mode prints each entry's claim as a banner, then renders its
+   JSON section: a list of flat records as an aligned table, anything
+   else as [key: value] lines, floats at 4 significant digits. *)
 
 open Nezha_engine
 open Nezha_workloads
@@ -23,281 +28,272 @@ open Nezha_harness
 open Nezha_core
 open Nezha_telemetry
 
-let banner title = Printf.printf "\n==== %s ====\n%!" title
-
 let note fmt = Printf.printf (fmt ^^ "\n%!")
 
 (* ------------------------------------------------------------------ *)
-(* Testbed experiments (§6.2) *)
+(* The one text renderer *)
 
-let fig9 () =
-  banner
-    "Fig. 9 — performance gain vs #FEs (paper: CPS ~3.3x and #flows ~3.8x plateau beyond 4 FEs; #vNICs proportional to #FEs)";
-  note "%4s  %10s  %12s  %12s" "#FEs" "CPS gain" "#flows gain" "#vNICs gain";
-  List.iter
-    (fun r ->
-      note "%4d  %9.2fx  %11.2fx  %11.2fx" r.Experiments.fes r.Experiments.cps_gain
-        r.Experiments.flows_gain r.Experiments.vnics_gain)
-    (Experiments.fig9 ~fes_list:[ 1; 2; 3; 4; 6; 8 ] ());
-  note "#vNICs on the paper's wider axis (every vNIC's tables replicate on min(4, #FEs) FEs):";
-  note "  %s"
-    (String.concat "  "
-       (List.map
-          (fun (fes, g) -> Printf.sprintf "%d FEs: %.0fx" fes g)
-          (Experiments.fig9_vnics ())))
+let cell = function
+  | Json.Null -> Some "null"
+  | Json.Bool b -> Some (string_of_bool b)
+  | Json.Int i -> Some (string_of_int i)
+  | Json.Float f when Float.abs f >= 1e4 -> Some (Printf.sprintf "%.0f" f)
+  | Json.Float f -> Some (Printf.sprintf "%.4g" f)
+  | Json.String s -> Some s
+  | Json.List _ | Json.Obj _ -> None
 
-let fig10 () =
-  banner
-    "Fig. 10 — CPS vs #vCPUs in the VM (paper: without Nezha flat at the vSwitch cap; with Nezha grows sublinearly, ~3.25x from 8 to 64 cores)";
-  note "%6s  %14s  %14s" "vCPUs" "CPS w/o Nezha" "CPS w/ Nezha";
-  List.iter
-    (fun r ->
-      note "%6d  %14.0f  %14.0f" r.Experiments.vcpus r.Experiments.cps_without
-        r.Experiments.cps_with)
-    (Experiments.fig10 ())
+let is_cell v = cell v <> None
+let cell_text v = Option.value (cell v) ~default:""
 
-let fig11 () =
-  banner
-    "Fig. 11 — CPU utilization during offloading/scaling (paper: BE climbs to 70% -> offload to 4 FEs -> BE ~10%; FE >40% -> scale-out to 8)";
-  note "%6s  %8s  %7s  %7s  %5s" "t(s)" "CPS" "BE cpu" "FE cpu" "#FEs";
-  List.iter
-    (fun p ->
-      if int_of_float (p.Experiments.t *. 2.0) mod 4 = 0 then
-        note "%6.1f  %8.0f  %7.2f  %7.2f  %5d" p.Experiments.t p.Experiments.cps
-          p.Experiments.be_cpu p.Experiments.fe_cpu p.Experiments.n_fes)
-    (Experiments.fig11 ())
+let flat_record = function
+  | Json.Obj fields -> List.for_all (fun (_, v) -> is_cell v) fields
+  | _ -> false
 
-let fig12 () =
-  banner
-    "Fig. 12 — end-to-end latency vs load (paper: identical <70%; small extra-hop cost after offload; without Nezha explodes past capacity)";
-  note "%6s  %14s  %14s  %10s  %10s" "load" "w/o Nezha (us)" "w/ Nezha (us)" "loss w/o" "loss w/";
-  List.iter
-    (fun r ->
-      note "%6.2f  %14.1f  %14.1f  %10.3f  %10.3f" r.Experiments.load
-        r.Experiments.lat_without_us r.Experiments.lat_with_us r.Experiments.lost_without
-        r.Experiments.lost_with)
-    (Experiments.fig12 ())
-
-(* fig12 --attribute: the same probe, with the flight recorder on and the
-   percentiles split into local vs remote-hop components (rank-based, so
-   local + remote = e2e by the conservation invariant). *)
-let fig12_attr () =
-  banner
-    "Fig. 12 --attribute — P50/P99 latency split into local vs remote-hop components (local + remote = e2e)";
-  note "%6s  %-8s  %7s  %28s  %28s" "load" "variant" "traces"
-    "P50 e2e = local + remote (us)" "P99 e2e = local + remote (us)";
-  let line load variant (s : Experiments.latency_split) =
-    note "%6.2f  %-8s  %7d  %9.1f = %7.1f + %6.1f  %9.1f = %7.1f + %6.1f" load variant
-      s.Experiments.traces s.Experiments.p50_us s.Experiments.p50_local_us
-      s.Experiments.p50_remote_us s.Experiments.p99_us s.Experiments.p99_local_us
-      s.Experiments.p99_remote_us
+(* One aligned row per record under a header of the first record's keys;
+   text columns align left, numbers right. *)
+let print_table pad rows =
+  let first = match rows with Json.Obj fields :: _ -> fields | _ -> [] in
+  let text row k = Option.fold ~none:"" ~some:cell_text (Json.member k row) in
+  let columns =
+    List.map
+      (fun (k, v) ->
+        let width =
+          List.fold_left (fun w r -> max w (String.length (text r k))) (String.length k) rows
+        in
+        match v with
+        | Json.String _ -> Printf.sprintf "%-*s" width
+        | _ -> Printf.sprintf "%*s" width)
+      first
   in
-  List.iter
-    (fun r ->
-      line r.Experiments.attr_load "w/o" r.Experiments.without_nezha;
-      line r.Experiments.attr_load "w/" r.Experiments.with_nezha)
-    (Experiments.fig12_attribute ())
+  let line cells = print_endline (pad ^ String.concat "  " (List.map2 ( @@ ) columns cells)) in
+  line (List.map fst first);
+  List.iter (fun r -> line (List.map (fun (k, _) -> text r k) first)) rows
 
-let table3 () =
-  banner
-    "Table 3 — middlebox gains (paper: CPS 4x/4.4x/3x; #vNICs >40x; #flows 5.04x/50.4x/15.3x)";
-  note "%-16s  %9s  %12s  %12s" "middlebox" "CPS gain" "#vNICs gain" "#flows gain";
-  List.iter
-    (fun r ->
-      note "%-16s  %8.2fx  %11.1fx  %11.2fx"
-        (Middlebox.to_string r.Experiments.kind)
-        r.Experiments.cps_gain r.Experiments.vnics_gain r.Experiments.flows_gain)
-    (Experiments.table3 ())
-
-let table4 () =
-  banner
-    "Table 4 — completion time for activating offloading (paper: avg 1077 / P90 1503 / P99 2087 / P999 2858 ms)";
-  let h = Experiments.table4 ~events:250 () in
-  note "measured (ms): avg %.0f / P90 %.0f / P99 %.0f / P999 %.0f over %d activations"
-    (Stats.Histogram.mean h)
-    (Stats.Histogram.percentile h 90.0)
-    (Stats.Histogram.percentile h 99.0)
-    (Stats.Histogram.percentile h 99.9)
-    (Stats.Histogram.count h)
-
-let fig14 () =
-  banner
-    "Fig. 14 — packet loss during FE crash (paper: a surge lasting ~2 s, bounded by the dead FE's 1/M traffic share)";
-  note "%6s  %9s" "t(s)" "loss rate";
-  List.iter
-    (fun (t, loss) -> if t >= 3.0 && t <= 9.0 then note "%6.2f  %9.3f" t loss)
-    (Experiments.fig14 ())
-
-let tableA1 () =
-  banner
-    "Table A1 — rule-lookup throughput in Mpps (paper: 6.61 at 64B/0 rules, declining to 4.76 at 512B/1000 rules)";
-  let rows = Experiments.tableA1 () in
-  (match rows with
-  | (_, cols) :: _ ->
-    note "%9s %s" "pkt\\rules"
-      (String.concat "" (List.map (fun (n, _) -> Printf.sprintf "%9d" n) cols))
-  | [] -> ());
-  List.iter
-    (fun (size, cols) ->
-      note "%8dB %s" size
-        (String.concat "" (List.map (fun (_, mpps) -> Printf.sprintf "%8.3fM" mpps) cols)))
-    rows
-
-let appB2 () =
-  banner
-    "App. B.2 — 30-day scale-out accounting (paper: 2499 offloads, 10062 FEs, <=66 scale-outs = 2.6%)";
-  let r = Experiments.appB2 () in
-  note "measured: %d offloads, %d FEs provisioned, %d scale-outs (%.1f%%)"
-    r.Experiments.offload_events r.Experiments.fes_provisioned r.Experiments.scale_out_events
-    (100.0 *. r.Experiments.scale_out_ratio)
+let rec render pad = function
+  | Json.List (_ :: _ as rows) when List.for_all flat_record rows -> print_table pad rows
+  | Json.List items when List.for_all is_cell items ->
+    print_endline (pad ^ "[" ^ String.concat ", " (List.map cell_text items) ^ "]")
+  | Json.List items ->
+    List.iter
+      (fun v ->
+        print_endline (pad ^ "-");
+        render (pad ^ "  ") v)
+      items
+  | Json.Obj fields ->
+    List.iter
+      (fun (k, v) ->
+        match cell v with
+        | Some s -> print_endline (pad ^ k ^ ": " ^ s)
+        | None ->
+          print_endline (pad ^ k ^ ":");
+          render (pad ^ "  ") v)
+      fields
+  | v -> print_endline (pad ^ cell_text v)
 
 (* ------------------------------------------------------------------ *)
-(* Fleet experiments (§2.2, §6.3) *)
+(* Sections computed in the bench itself: the fleet model (§2.2, §6.3)
+   and the cost models (Table 5, Fig. A1) *)
+
+let pct x = Json.Float (100.0 *. x)
+let cause_name cause = Json.String (Format.asprintf "%a" Region.pp_cause cause)
 
 let fig2 () =
-  banner
-    "Fig. 2 — CPU of high-CPS VMs vs their vSwitches (paper: vSwitch >95% everywhere; 90% of VMs <60%)";
   let rng = Rng.create 42 in
   let pts = Region.high_cps_vm_sample rng ~n:10_000 in
   let vm_cpu = Array.map fst pts and sw_cpu = Array.map snd pts in
-  note "vSwitch CPU: min %.1f%%  (all >= 95%%)" (100.0 *. Array.fold_left Float.min 1.0 sw_cpu);
   let below60 = Array.fold_left (fun a v -> if v < 0.6 then a + 1 else a) 0 vm_cpu in
-  note "VM CPU: P50 %.0f%%, share below 60%% = %.0f%%"
-    (100.0 *. Stats.percentile vm_cpu 50.0)
-    (100.0 *. float_of_int below60 /. 10_000.0)
+  Json.Obj
+    [
+      ("vswitch_cpu_min_pct", pct (Array.fold_left Float.min 1.0 sw_cpu));
+      ("vm_cpu_p50_pct", pct (Stats.percentile vm_cpu 50.0));
+      ("vm_share_below_60_pct", pct (float_of_int below60 /. 10_000.0));
+    ]
 
 let fig3 () =
-  banner "Fig. 3 — hotspot distribution (paper: CPS ~61%, #flows ~30%, #vNICs ~9%)";
   let rng = Rng.create 42 in
   let fleet = Region.sample_fleet rng ~n:100_000 in
   let counts = Region.classify Region.default_capacities fleet in
   let total = List.fold_left (fun a (_, n) -> a + n) 0 counts in
-  List.iter
-    (fun (cause, n) ->
-      note "%-18s %5.1f%%  (%d vSwitches)"
-        (Format.asprintf "%a" Region.pp_cause cause)
-        (100.0 *. float_of_int n /. float_of_int (max 1 total))
-        n)
-    counts
+  Json.List
+    (List.map
+       (fun (cause, n) ->
+         Json.Obj
+           [
+             ("cause", cause_name cause);
+             ("share_pct", pct (float_of_int n /. float_of_int (max 1 total)));
+             ("vswitches", Json.Int n);
+           ])
+       counts)
+
+(* One row of percentiles, in percent, per resource or demand. *)
+let pct_row label name stats =
+  Json.Obj ((label, Json.String name) :: List.map (fun (k, v) -> (k, pct v)) stats)
 
 let fig4 () =
-  banner
-    "Fig. 4 — utilization CDF over O(10K) vSwitches (paper CPU: avg 5 / P90 15 / P99 41 / P999 68 / P9999 90%; mem: 1.5 / 15 / 34 / 93 / 96%)";
   let rng = Rng.create 42 in
   let fleet = Region.sample_fleet rng ~n:50_000 in
-  let report name arr =
-    note "%-6s avg %4.1f%%  P90 %4.1f%%  P99 %4.1f%%  P999 %4.1f%%  P9999 %4.1f%%" name
-      (100.0 *. Stats.mean arr)
-      (100.0 *. Stats.percentile arr 90.0)
-      (100.0 *. Stats.percentile arr 99.0)
-      (100.0 *. Stats.percentile arr 99.9)
-      (100.0 *. Stats.percentile arr 99.99)
+  let row name arr =
+    pct_row "resource" name
+      [
+        ("avg_pct", Stats.mean arr);
+        ("p90_pct", Stats.percentile arr 90.0);
+        ("p99_pct", Stats.percentile arr 99.0);
+        ("p999_pct", Stats.percentile arr 99.9);
+        ("p9999_pct", Stats.percentile arr 99.99);
+      ]
   in
-  report "CPU" (Array.map (fun p -> p.Region.cpu) fleet);
-  report "memory" (Array.map (fun p -> p.Region.mem) fleet)
+  Json.List
+    [
+      row "cpu" (Array.map (fun p -> p.Region.cpu) fleet);
+      row "memory" (Array.map (fun p -> p.Region.mem) fleet);
+    ]
 
 let table1 () =
-  banner "Table 1 — service usage share of the P9999 user (paper: CPS 0.53/1.41/6.41/18.38/100%)";
-  note "%-8s %8s %8s %8s %8s %8s" "" "P50" "P90" "P99" "P999" "P9999";
   let row name q =
-    note "%-8s %7.2f%% %7.2f%% %7.2f%% %7.2f%% %7.2f%%" name (100.0 *. q 0.5) (100.0 *. q 0.9)
-      (100.0 *. q 0.99) (100.0 *. q 0.999) (100.0 *. q 0.9999)
+    pct_row "demand" name
+      [
+        ("p50_pct", q 0.5);
+        ("p90_pct", q 0.9);
+        ("p99_pct", q 0.99);
+        ("p999_pct", q 0.999);
+        ("p9999_pct", q 0.9999);
+      ]
   in
-  row "CPS" Region.cps_demand_quantile;
-  row "#flows" Region.flows_demand_quantile;
-  row "#vNICs" Region.vnics_demand_quantile
+  Json.List
+    [
+      row "cps" Region.cps_demand_quantile;
+      row "flows" Region.flows_demand_quantile;
+      row "vnics" Region.vnics_demand_quantile;
+    ]
 
 let fig13 () =
-  banner
-    "Fig. 13 — daily overloads before/after Nezha (paper: >99.9% resolved for CPS and #flows; 100% for #vNICs)";
   let rng = Rng.create 42 in
-  List.iter
-    (fun cause ->
-      let days =
-        Region.daily_overloads rng ~n_vswitches:20_000 ~capacities:Region.default_capacities
-          ~cause ~days:30
-      in
-      let before = List.fold_left (fun a d -> a + d.Region.before) 0 days in
-      let after = List.fold_left (fun a d -> a + d.Region.after) 0 days in
-      note "%-18s before: %5d/month   after: %3d/month   resolved: %.2f%%"
-        (Format.asprintf "%a" Region.pp_cause cause)
-        before after
-        (100.0 *. (1.0 -. (float_of_int after /. float_of_int (max 1 before)))))
-    [ Region.Cps; Region.Flows; Region.Vnics ]
+  Json.List
+    (List.map
+       (fun cause ->
+         let days =
+           Region.daily_overloads rng ~n_vswitches:20_000 ~capacities:Region.default_capacities
+             ~cause ~days:30
+         in
+         let before = List.fold_left (fun a d -> a + d.Region.before) 0 days in
+         let after = List.fold_left (fun a d -> a + d.Region.after) 0 days in
+         Json.Obj
+           [
+             ("cause", cause_name cause);
+             ("before_per_month", Json.Int before);
+             ("after_per_month", Json.Int after);
+             ("resolved_pct", pct (1.0 -. (float_of_int after /. float_of_int (max 1 before))));
+           ])
+       [ Region.Cps; Region.Flows; Region.Vnics ])
 
 let fig15 () =
-  banner "Fig. 15 — average state size (paper: 5-8 B vs the fixed 64 B slot)";
   let rng = Rng.create 42 in
-  for region = 1 to 5 do
-    let sizes = Region.state_size_samples (Rng.split rng) ~n:20_000 in
-    note "region %d: avg %.1f B (max %.0f B, slot 64 B)" region (Stats.mean sizes)
-      (Array.fold_left Float.max 0.0 sizes)
-  done
+  Json.List
+    (List.init 5 (fun i ->
+         let sizes = Region.state_size_samples (Rng.split rng) ~n:20_000 in
+         Json.Obj
+           [
+             ("region", Json.Int (i + 1));
+             ("avg_bytes", Json.Float (Stats.mean sizes));
+             ("max_bytes", Json.Float (Array.fold_left Float.max 0.0 sizes));
+           ]))
 
 let table5 () =
-  banner
-    "Table 5 — deployment costs (paper: Sailfish 100+48+20 P-M, 1-3 months to scale out; Nezha 15 P-M, 1-7 days)";
-  List.iter
-    (fun sol ->
-      let c = Costs.cost_of sol in
-      note "%-9s hw %3.0f P-M  sw %3.0f P-M  iteration %3.0f P-M  scale-out %g-%g days"
-        (Format.asprintf "%a" Costs.pp_solution sol)
-        c.Costs.hardware_dev_pm c.Costs.software_dev_pm c.Costs.iteration_pm
-        c.Costs.scale_out_days_min c.Costs.scale_out_days_max)
-    [ Costs.Sailfish; Costs.Nezha ];
-  note "Nezha / Sailfish development effort: %.0f%%" (100.0 *. Costs.development_ratio ())
+  let solution sol =
+    let c = Costs.cost_of sol in
+    Json.Obj
+      [
+        ("solution", Json.String (Format.asprintf "%a" Costs.pp_solution sol));
+        ("hardware_pm", Json.Float c.Costs.hardware_dev_pm);
+        ("software_pm", Json.Float c.Costs.software_dev_pm);
+        ("iteration_pm", Json.Float c.Costs.iteration_pm);
+        ("scale_out_days_min", Json.Float c.Costs.scale_out_days_min);
+        ("scale_out_days_max", Json.Float c.Costs.scale_out_days_max);
+      ]
+  in
+  Json.Obj
+    [
+      ("solutions", Json.List [ solution Costs.Sailfish; solution Costs.Nezha ]);
+      ("nezha_vs_sailfish_effort_pct", pct (Costs.development_ratio ()));
+    ]
 
 let figA1 () =
-  banner
-    "Fig. A1 — VM migration downtime vs resources (paper: grows with vCPUs and memory; vs Nezha's ~2 s offload)";
   let rng = Rng.create 42 in
-  note "%6s %8s %14s %16s" "vCPUs" "mem(GB)" "downtime(s)" "completion(s)";
-  List.iter
-    (fun (v, m) ->
-      let avg f =
-        List.init 40 (fun _ -> f ()) |> List.fold_left ( +. ) 0.0 |> fun s -> s /. 40.0
-      in
-      note "%6d %8d %14.2f %16.1f" v m
-        (avg (fun () -> Region.migration_downtime_s rng ~vcpus:v ~mem_gb:m))
-        (avg (fun () -> Region.migration_completion_s rng ~vcpus:v ~mem_gb:m)))
-    [ (8, 32); (16, 64); (32, 128); (64, 256); (128, 1024) ];
-  note "versus remote offloading at P99 ~2 s, independent of VM size (§7.2)"
+  let avg draw = Json.Float (List.fold_left ( +. ) 0.0 (List.init 40 (fun _ -> draw ())) /. 40.0) in
+  Json.List
+    (List.map
+       (fun (v, m) ->
+         Json.Obj
+           [
+             ("vcpus", Json.Int v);
+             ("mem_gb", Json.Int m);
+             ("downtime_s", avg (fun () -> Region.migration_downtime_s rng ~vcpus:v ~mem_gb:m));
+             ("completion_s", avg (fun () -> Region.migration_completion_s rng ~vcpus:v ~mem_gb:m));
+           ])
+       [ (8, 32); (16, 64); (32, 128); (64, 256); (128, 1024) ])
 
 (* ------------------------------------------------------------------ *)
-(* Ablations *)
+(* Sections over the typed [Experiments] results (§6.2 testbed, the
+   ablations, App. B) *)
+
+let json_rows encode rows = Json.List (List.map encode rows)
+
+let json_summary h = Telemetry.json_of_summary (Telemetry.summarize_histogram h)
+
+(* Tcp_crr records latencies in seconds; export microseconds. *)
+let json_summary_us h =
+  let s = Telemetry.summarize_histogram h in
+  let us v = v *. 1e6 in
+  Telemetry.json_of_summary
+    {
+      s with
+      Telemetry.mean = us s.Telemetry.mean;
+      min = us s.Telemetry.min;
+      max = us s.Telemetry.max;
+      p50 = us s.Telemetry.p50;
+      p90 = us s.Telemetry.p90;
+      p99 = us s.Telemetry.p99;
+      p999 = us s.Telemetry.p999;
+      p9999 = us s.Telemetry.p9999;
+    }
+
+let fig9 () =
+  let without, with_ = Experiments.fig9_latency () in
+  Json.Obj
+    [
+      ("gains", json_rows Experiments.json_of_fig9_row (Experiments.fig9 ()));
+      ( "vnics_wide",
+        json_rows
+          (fun (fes, g) -> Json.Obj [ ("fes", Json.Int fes); ("vnics_gain", Json.Float g) ])
+          (Experiments.fig9_vnics ()) );
+      ( "latency_us",
+        Json.Obj [ ("without", json_summary_us without); ("with", json_summary_us with_) ] );
+    ]
+
+let tableA1 () =
+  json_rows
+    (fun (size, cols) ->
+      Json.Obj
+        (("pkt_bytes", Json.Int size)
+        :: List.map
+             (fun (rules, mpps) -> (Printf.sprintf "mpps_%d_rules" rules, Json.Float mpps))
+             cols))
+    (Experiments.tableA1 ())
 
 let ablations () =
-  banner "Ablation — Nezha vs Sirius-style replication on identical hardware (4 idle SmartNICs)";
-  let s = Experiments.ablation_sirius () in
-  note
-    "Nezha CPS %.0f vs Sirius CPS %.0f (%.2fx): in-line replication consumed the backup cards (%d ping-pongs)"
-    s.Experiments.nezha_cps s.Experiments.sirius_cps
-    (s.Experiments.nezha_cps /. s.Experiments.sirius_cps)
-    s.Experiments.sirius_pingpongs;
-  banner "Ablation — flow-level vs packet-level load balancing (§3.2.3)";
-  List.iter
-    (fun r ->
-      note "%-13s FE rule lookups %6d  cached flows %6d  CPS %7.0f" r.Experiments.mode
-        r.Experiments.fe_rule_lookups r.Experiments.fe_cached_flows r.Experiments.cps)
-    (Experiments.ablation_flow_vs_packet_lb ());
-  banner "Ablation — fixed 64 B vs variable 8 B state slots (§7.1)";
-  List.iter
-    (fun r ->
-      note "slot %2d B: %d concurrent flows" r.Experiments.slot_bytes r.Experiments.flows_supported)
-    (Experiments.ablation_state_size ());
-  banner "Ablation — failover with TCP retransmission (§6.3.4)";
-  let f = Experiments.ablation_failover_retransmit () in
-  note
-    "FE crash during closed-loop CRR: %d connections failed without retransmission, %d with it (%d retransmissions, %d completed) — retries outlive the ~2 s failover"
-    f.Experiments.failed_without_retx f.Experiments.failed_with_retx
-    f.Experiments.retransmissions f.Experiments.completed_with_retx;
-  banner "Ablation — FE placement locality (App. B.1)";
-  List.iter
-    (fun r -> note "%-28s P50 connection latency %8.1f us" r.Experiments.placement r.Experiments.p50_latency_us)
-    (Experiments.ablation_fe_locality ());
-  banner "Ablation — notify packet rate (§3.2.2)";
-  note "notify packets per data packet: %.4f (TX-first sessions with a statistics policy)"
-    (Experiments.ablation_notify_rate ())
+  Json.Obj
+    [
+      ("sirius", Experiments.json_of_sirius_vs_nezha (Experiments.ablation_sirius ()));
+      ( "load_balancing",
+        json_rows Experiments.json_of_lb_ablation (Experiments.ablation_flow_vs_packet_lb ()) );
+      ( "state_slots",
+        json_rows Experiments.json_of_state_size_ablation (Experiments.ablation_state_size ()) );
+      ( "failover_retransmit",
+        Experiments.json_of_failover_retx (Experiments.ablation_failover_retransmit ()) );
+      ( "fe_locality",
+        json_rows Experiments.json_of_locality_row (Experiments.ablation_fe_locality ()) );
+      ("notify_per_data_packet", Json.Float (Experiments.ablation_notify_rate ()));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Region-scale macrobenchmark: the Fig. 13 region run and its
@@ -309,76 +305,43 @@ let ablations () =
    (same-seed determinism).  Host time is not sampled here: perfbench's
    region_day workload measures it, and bench/ab.py gates it. *)
 
-let word_bytes = Sys.word_size / 8
-let peak_rss_bytes () = (Gc.stat ()).Gc.top_heap_words * word_bytes
-
-let macro_sweep () =
-  List.map
-    (fun shards -> (shards, Region_sim.run { Region_sim.default_config with Region_sim.shards }))
-    [ 1; 2; 4; 8 ]
-
-let macro_checks region sweep =
-  let digests = List.map (fun (_, r) -> r.Region_sim.digest) sweep in
+let macro () =
+  let region = Experiments.region_overloads () in
+  let sweep =
+    List.map
+      (fun shards -> (shards, Region_sim.run { Region_sim.default_config with Region_sim.shards }))
+      [ 1; 2; 4; 8 ]
+  in
   let shard_equivalent =
-    match digests with [] -> false | d :: rest -> List.for_all (( = ) d) rest
+    match sweep with
+    | [] -> false
+    | (_, r) :: rest -> List.for_all (fun (_, r') -> r'.Region_sim.digest = r.Region_sim.digest) rest
   in
   let deterministic =
     match List.assoc_opt Region_sim.default_config.Region_sim.shards sweep with
     | Some r -> r.Region_sim.digest = region.Experiments.region_after.Region_sim.digest
     | None -> false
   in
-  (deterministic, shard_equivalent)
-
-let macro () =
-  banner
-    "Macro — region-scale engine (2,000 vSwitches; paper Fig. 13: >99.9% of overloads resolved)";
-  let region = Experiments.region_overloads () in
-  let b = region.Experiments.region_before and a = region.Experiments.region_after in
-  note "region: %d servers, %d modeled vNICs, %d modeled flows, %d hotspots"
-    b.Region_sim.servers b.Region_sim.vnics_modeled b.Region_sim.flows_modeled
-    b.Region_sim.hotspots;
-  note "overloads before: %d   after: %d   resolved: %.1f%%   (detections %d, activations %d)"
-    b.Region_sim.overloads a.Region_sim.overloads region.Experiments.resolved_pct
-    a.Region_sim.detections a.Region_sim.activations;
-  let sweep = macro_sweep () in
-  note "%7s %12s %22s" "shards" "events" "digest";
-  List.iter
-    (fun (shards, r) -> note "%7d %12d %22d" shards r.Region_sim.events r.Region_sim.digest)
-    sweep;
-  let deterministic, shard_equivalent = macro_checks region sweep in
-  note "deterministic: %b   shard-equivalent: %b" deterministic shard_equivalent;
-  banner "Macro — crash-storm MTTR chaos (DESIGN.md §13)";
-  let mttr = Experiments.region_mttr () in
-  let s = mttr.Experiments.storm in
-  note
-    "storm: %d crashes, %d restarts, %d ctl takeover(s); MTTR P50 %.3f s P99 %.3f s; \
-     blackholed ticks %d (post-convergence %d); deterministic: %b"
-    s.Region_sim.crashes s.Region_sim.restarts s.Region_sim.ctl_takeovers
-    s.Region_sim.mttr_p50 s.Region_sim.mttr_p99 s.Region_sim.blackholed_ticks
-    s.Region_sim.late_blackholed mttr.Experiments.storm_deterministic;
-  let cc = Experiments.crash_cycles () in
-  note
-    "endurance: %d crash/restart cycles (%d reconciles, %d repairs); conservation %b, \
-     BE conservation %b, batches leaked %d, final CPS %.0f"
-    cc.Experiments.cycles cc.Experiments.cyc_reconciles cc.Experiments.cyc_repairs
-    cc.Experiments.conservation_ok cc.Experiments.be_conservation_ok
-    cc.Experiments.batches_leaked cc.Experiments.final_cps;
-  banner "Macro — SLO elastic control plane (ROADMAP item 4)";
-  let sr = Experiments.slo_ramp () in
-  let c = sr.Experiments.slo_clean and x = sr.Experiments.slo_chaos in
-  note
-    "ramp ×%.1f: pool %d..%d (peak %d, end %d); P99 within budget %.1f%% of ticks; \
-     %d out / %d in, %d oscillation(s); deterministic: %b"
-    c.Region_sim.offered_ratio c.Region_sim.pool_min c.Region_sim.pool_max
-    c.Region_sim.pool_at_peak c.Region_sim.pool_at_end
-    (100.0 *. c.Region_sim.within_budget_fraction)
-    c.Region_sim.slo_scale_outs c.Region_sim.slo_scale_ins
-    c.Region_sim.oscillations sr.Experiments.slo_deterministic;
-  note
-    "chaos (rack partition): %d suspect(s) at peak, %d suppressed tick(s), \
-     pool moves in partition %d, %d oscillation(s)"
-    x.Region_sim.partition_suspects_max x.Region_sim.slo_suppressed_ticks
-    x.Region_sim.pool_moves_in_partition x.Region_sim.oscillations
+  Json.Obj
+    [
+      ("region", Experiments.json_of_region_overloads region);
+      ( "sweep",
+        json_rows
+          (fun (shards, r) ->
+            Json.Obj
+              [
+                ("shards", Json.Int shards);
+                ("events", Json.Int r.Region_sim.events);
+                ("digest", Json.Int r.Region_sim.digest);
+              ])
+          sweep );
+      ("deterministic", Json.Bool deterministic);
+      ("shard_equivalent", Json.Bool shard_equivalent);
+      ("storm", Experiments.json_of_region_mttr (Experiments.region_mttr ()));
+      ("crash_cycles", Experiments.json_of_crash_cycles (Experiments.crash_cycles ()));
+      ("slo", Experiments.json_of_slo_ramp (Experiments.slo_ramp ()));
+      ("peak_rss_bytes", Json.Int ((Gc.stat ()).Gc.top_heap_words * (Sys.word_size / 8)));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the core data structures.
@@ -819,148 +782,129 @@ let micro_batch_results () =
 
 let micro () =
   let results, memory = micro_results () in
-  banner "Microbenchmarks (ns per call)";
-  List.iter (fun (name, ns) -> note "%-34s %10.1f ns" name ns) results;
-  note "";
-  note "ACL classification, 1k-100k rules (paper §2.3: classification bounds the CPS ceiling):";
-  List.iter
-    (fun (name, s) -> note "  %-24s %6.1fx" name s)
-    (micro_speedups results);
-  note "";
-  note "Classifier index memory:";
-  List.iter (fun (name, b) -> note "  %-24s %10d B" name b) memory;
-  note "";
-  note "Batch-size sweep (ns per packet, %d flows per burst):" micro_batch_flows;
-  note "  %-12s %s" "path"
-    (String.concat ""
-       (List.map (fun n -> Printf.sprintf "%10s" (Printf.sprintf "n=%d" n)) micro_batch_sizes));
-  List.iter
-    (fun (path, pts) ->
-      note "  %-12s %s" path
-        (String.concat "" (List.map (fun (_, ns) -> Printf.sprintf "%8.1f  " ns) pts)))
-    (micro_batch_results ())
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable output: each JSON-capable experiment contributes a
-   section to the --json document.  The latency summaries come from the
-   telemetry histogram summarizer, so the bench and the simulator's
-   --metrics dumps share one schema for percentile material. *)
-
-let json_summary h = Telemetry.json_of_summary (Telemetry.summarize_histogram h)
-
-(* Tcp_crr records latencies in seconds; export microseconds. *)
-let json_summary_us h =
-  let s = Telemetry.summarize_histogram h in
-  let us v = v *. 1e6 in
-  Telemetry.json_of_summary
-    {
-      s with
-      Telemetry.mean = us s.Telemetry.mean;
-      min = us s.Telemetry.min;
-      max = us s.Telemetry.max;
-      p50 = us s.Telemetry.p50;
-      p90 = us s.Telemetry.p90;
-      p99 = us s.Telemetry.p99;
-      p999 = us s.Telemetry.p999;
-      p9999 = us s.Telemetry.p9999;
-    }
-
-let json_fig9 () =
-  let rows =
-    List.map Experiments.json_of_fig9_row (Experiments.fig9 ~fes_list:[ 1; 2; 3; 4; 6; 8 ] ())
-  in
-  let without, with_ = Experiments.fig9_latency () in
-  Json.Obj
-    [
-      ("gains", Json.List rows);
-      ( "latency_us",
-        Json.Obj [ ("without", json_summary_us without); ("with", json_summary_us with_) ] );
-    ]
-
-let json_table4 () =
-  Json.Obj [ ("completion_ms", json_summary (Experiments.table4 ~events:100 ())) ]
-
-let json_micro () =
-  let results, memory = micro_results () in
   let sweep = micro_batch_results () in
+  let floats kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) kvs) in
   Json.Obj
     [
       ("acl_rules", Json.Int micro_acl_rules);
       ("acl_rule_scales", Json.List (List.map (fun n -> Json.Int n) micro_rule_scales));
-      ("ns_per_op", Json.Obj (List.map (fun (name, ns) -> (name, Json.Float ns)) results));
-      ( "memory_bytes",
-        Json.Obj (List.map (fun (name, b) -> (name, Json.Int b)) memory) );
-      ( "speedup",
-        Json.Obj (List.map (fun (name, s) -> (name, Json.Float s)) (micro_speedups results)) );
+      ("ns_per_op", floats results);
+      ("memory_bytes", Json.Obj (List.map (fun (name, b) -> (name, Json.Int b)) memory));
+      ("speedup", floats (micro_speedups results));
       ( "batch_sweep",
         Json.Obj
           (List.map
              (fun (path, pts) ->
-               ( path,
-                 Json.Obj
-                   (List.map (fun (n, ns) -> (string_of_int n, Json.Float ns)) pts) ))
+               (path, floats (List.map (fun (n, ns) -> (string_of_int n, ns)) pts)))
              sweep) );
     ]
 
-let json_macro () =
-  let region = Experiments.region_overloads () in
-  let sweep = macro_sweep () in
-  let deterministic, shard_equivalent = macro_checks region sweep in
-  Json.Obj
-    [
-      ("region", Experiments.json_of_region_overloads region);
-      ( "sweep",
-        Json.List
-          (List.map
-             (fun (shards, r) ->
-               Json.Obj
-                 [
-                   ("shards", Json.Int shards);
-                   ("events", Json.Int r.Region_sim.events);
-                   ("digest", Json.Int r.Region_sim.digest);
-                 ])
-             sweep) );
-      ("deterministic", Json.Bool deterministic);
-      ("shard_equivalent", Json.Bool shard_equivalent);
-      ("storm", Experiments.json_of_region_mttr (Experiments.region_mttr ()));
-      ("crash_cycles", Experiments.json_of_crash_cycles (Experiments.crash_cycles ()));
-      ("slo", Experiments.json_of_slo_ramp (Experiments.slo_ramp ()));
-      ("peak_rss_bytes", Json.Int (peak_rss_bytes ()));
-    ]
+(* ------------------------------------------------------------------ *)
+(* The registry *)
 
-(* The SLO ramp at reduced scale — same gates, tier-1 time budget
-   (bench/check.sh --smoke). *)
-let json_slo_smoke () =
-  Json.Obj
-    [
-      ( "slo",
-        Experiments.json_of_slo_ramp
-          (Experiments.slo_ramp ~cfg:Experiments.slo_smoke_config ()) );
-    ]
+type entry = { name : string; claim : string; run : unit -> Json.t }
 
-let json_experiments =
+let entry name claim run = { name; claim; run }
+
+let registry =
   [
-    ("fig9", json_fig9);
-    ("table4", json_table4);
-    ("micro", json_micro);
-    ("macro", json_macro);
-    ("slo_smoke", json_slo_smoke);
+    entry "fig2"
+      "Fig. 2 — CPU of high-CPS VMs vs their vSwitches (paper: vSwitch >95% everywhere; 90% of VMs <60%)"
+      fig2;
+    entry "fig3" "Fig. 3 — hotspot distribution (paper: CPS ~61%, #flows ~30%, #vNICs ~9%)" fig3;
+    entry "fig4"
+      "Fig. 4 — utilization CDF over O(10K) vSwitches (paper CPU: avg 5 / P90 15 / P99 41 / P999 68 / P9999 90%; mem: 1.5 / 15 / 34 / 93 / 96%)"
+      fig4;
+    entry "table1"
+      "Table 1 — service usage share of the P9999 user (paper: CPS 0.53/1.41/6.41/18.38/100%)" table1;
+    entry "fig9"
+      "Fig. 9 — performance gain vs #FEs (paper: CPS ~3.3x and #flows ~3.8x plateau beyond 4 FEs; #vNICs proportional to #FEs; vnics_wide: every vNIC's tables replicate on min(4, #FEs) FEs)"
+      fig9;
+    entry "fig10"
+      "Fig. 10 — CPS vs #vCPUs in the VM (paper: without Nezha flat at the vSwitch cap; with Nezha grows sublinearly, ~3.25x from 8 to 64 cores)"
+      (fun () -> json_rows Experiments.json_of_fig10_row (Experiments.fig10 ()));
+    entry "fig11"
+      "Fig. 11 — CPU utilization during offloading/scaling (paper: BE climbs to 70% -> offload to 4 FEs -> BE ~10%; FE >40% -> scale-out to 8)"
+      (fun () -> json_rows Experiments.json_of_fig11_point (Experiments.fig11 ()));
+    entry "fig12"
+      "Fig. 12 — end-to-end latency (us) vs load (paper: identical <70%; small extra-hop cost after offload; without Nezha explodes past capacity)"
+      (fun () -> json_rows Experiments.json_of_fig12_row (Experiments.fig12 ()));
+    entry "fig12_attribute"
+      "Fig. 12, attributed — P50/P99 latency (us) split into local vs remote-hop components (local + remote = e2e)"
+      (fun () -> json_rows Experiments.json_of_fig12_attr_row (Experiments.fig12_attribute ()));
+    entry "table3"
+      "Table 3 — middlebox gains (paper: CPS 4x/4.4x/3x; #vNICs >40x; #flows 5.04x/50.4x/15.3x)"
+      (fun () -> json_rows Experiments.json_of_table3_row (Experiments.table3 ()));
+    entry "table4"
+      "Table 4 — completion time (ms) for activating offloading (paper: avg 1077 / P90 1503 / P99 2087 / P999 2858 ms)"
+      (fun () -> Json.Obj [ ("completion_ms", json_summary (Experiments.table4 ~events:250 ())) ]);
+    entry "fig13"
+      "Fig. 13 — daily overloads before/after Nezha (paper: >99.9% resolved for CPS and #flows; 100% for #vNICs)"
+      fig13;
+    entry "fig14"
+      "Fig. 14 — packet loss during FE crash at t = 4 s (paper: a surge lasting ~2 s, bounded by the dead FE's 1/M traffic share)"
+      (fun () ->
+        json_rows
+          (fun (t, loss) -> Json.Obj [ ("t", Json.Float t); ("loss", Json.Float loss) ])
+          (Experiments.fig14 ()));
+    entry "fig15" "Fig. 15 — average state size (paper: 5-8 B vs the fixed 64 B slot)" fig15;
+    entry "table5"
+      "Table 5 — deployment costs in person-months (paper: Sailfish 100+48+20 P-M, 1-3 months to scale out; Nezha 15 P-M, 1-7 days)"
+      table5;
+    entry "tableA1"
+      "Table A1 — rule-lookup throughput in Mpps (paper: 6.61 at 64B/0 rules, declining to 4.76 at 512B/1000 rules)"
+      tableA1;
+    entry "figA1"
+      "Fig. A1 — VM migration downtime vs resources (paper: grows with vCPUs and memory; vs Nezha's ~2 s offload, independent of VM size, §7.2)"
+      figA1;
+    entry "appB2"
+      "App. B.2 — 30-day scale-out accounting (paper: 2499 offloads, 10062 FEs, <=66 scale-outs = 2.6%)"
+      (fun () -> Experiments.json_of_appB2_result (Experiments.appB2 ()));
+    entry "ablations"
+      "Ablations — Nezha vs Sirius replication on 4 idle SmartNICs; flow- vs packet-level LB (§3.2.3); 64 B vs 8 B state slots (§7.1); failover with TCP retransmission (§6.3.4); FE placement locality (App. B.1); notify rate (§3.2.2)"
+      ablations;
+    entry "micro"
+      "Microbenchmarks — ns per call (paper §2.3: classification bounds the CPS ceiling), classifier index memory, batch-size sweep in ns per packet"
+      micro;
+    entry "macro"
+      "Macro — region-scale engine (2,000 vSwitches; paper Fig. 13: >99.9% of overloads resolved), crash-storm MTTR chaos (DESIGN.md §13), SLO elastic control plane"
+      macro;
+    entry "slo_smoke" "SLO elastic control plane at reduced scale (bench/check.sh --smoke)"
+      (fun () ->
+        let ramp = Experiments.slo_ramp ~cfg:Experiments.slo_smoke_config () in
+        Json.Obj [ ("slo", Experiments.json_of_slo_ramp ramp) ]);
   ]
 
-let run_json ~path names =
-  let names = if names = [] then List.map fst json_experiments else names in
+(* [paper] is every entry but these three, which have their own BENCH
+   files and gates. *)
+let own_gates = [ "micro"; "macro"; "slo_smoke" ]
+
+let select names =
+  let lookup = function
+    | "paper" -> List.filter (fun e -> not (List.mem e.name own_gates)) registry
+    | name -> (
+      match List.find_opt (fun e -> e.name = name) registry with
+      | Some e -> [ e ]
+      | None ->
+        Printf.eprintf "unknown experiment %S (try --list)\n" name;
+        exit 1)
+  in
+  if names = [] then registry else List.concat_map lookup names
+
+let run_text entries =
+  List.iter
+    (fun e ->
+      note "\n==== %s: %s ====" e.name e.claim;
+      render "" (e.run ()))
+    entries
+
+let run_json ~path entries =
   let sections =
     List.map
-      (fun name ->
-        match List.assoc_opt name json_experiments with
-        | Some f ->
-          note "computing %s ..." name;
-          (name, f ())
-        | None ->
-          Printf.eprintf "no JSON output for %S (available: %s)\n" name
-            (String.concat ", " (List.map fst json_experiments));
-          exit 1)
-      names
+      (fun e ->
+        note "computing %s ..." e.name;
+        (e.name, e.run ()))
+      entries
   in
   let doc = Json.Obj [ ("schema", Json.String "nezha-bench/1"); ("experiments", Json.Obj sections) ] in
   let text = Json.to_string_pretty doc in
@@ -979,71 +923,17 @@ let run_json ~path names =
   | Error e -> failwith ("--json self-check: written JSON does not parse: " ^ e));
   note "wrote %s (%d experiment sections)" path (List.length sections)
 
-(* ------------------------------------------------------------------ *)
-
-let experiments =
-  [
-    ("fig2", fig2);
-    ("fig3", fig3);
-    ("fig4", fig4);
-    ("table1", table1);
-    ("fig9", fig9);
-    ("fig10", fig10);
-    ("fig11", fig11);
-    ("fig12", fig12);
-    ("table3", table3);
-    ("table4", table4);
-    ("fig13", fig13);
-    ("fig14", fig14);
-    ("fig15", fig15);
-    ("table5", table5);
-    ("tableA1", tableA1);
-    ("figA1", figA1);
-    ("appB2", appB2);
-    ("ablations", ablations);
-    ("micro", micro);
-    ("macro", macro);
-  ]
-
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec extract_json acc = function
-    | "--json" :: path :: rest -> (Some path, List.rev_append acc rest)
+  let rec parse json list names = function
+    | "--json" :: path :: rest -> parse (Some path) list names rest
     | [ "--json" ] ->
       Printf.eprintf "--json needs a file argument\n";
       exit 1
-    | a :: rest -> extract_json (a :: acc) rest
-    | [] -> (None, List.rev acc)
+    | "--list" :: rest -> parse json true names rest
+    | name :: rest -> parse json list (name :: names) rest
+    | [] -> (json, list, List.rev names)
   in
-  let rec extract_attribute acc = function
-    | "--attribute" :: rest -> (true, List.rev_append acc rest)
-    | a :: rest -> extract_attribute (a :: acc) rest
-    | [] -> (false, List.rev acc)
-  in
-  let json_path, args = extract_json [] args in
-  let attribute, args = extract_attribute [] args in
-  (* --attribute swaps fig12 for its critical-path-split variant. *)
-  let experiments =
-    if attribute then
-      List.map (fun (n, f) -> if n = "fig12" then (n, fig12_attr) else (n, f)) experiments
-    else experiments
-  in
-  if attribute && not (List.mem "fig12" args) then begin
-    Printf.eprintf "--attribute only applies to fig12 (run: main.exe fig12 --attribute)\n";
-    exit 1
-  end;
-  match (json_path, args) with
-  | Some path, names -> run_json ~path names
-  | None, [ "--list" ] -> List.iter (fun (name, _) -> print_endline name) experiments
-  | None, [] ->
-    Printf.printf "Nezha reproduction bench — regenerating every table and figure\n";
-    List.iter (fun (_, f) -> f ()) experiments
-  | None, names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown experiment %S (try --list)\n" name;
-          exit 1)
-      names
+  let json, list, names = parse None false [] (List.tl (Array.to_list Sys.argv)) in
+  let entries = select names in
+  if list then List.iter (fun e -> print_endline e.name) entries
+  else match json with Some path -> run_json ~path entries | None -> run_text entries

@@ -317,12 +317,13 @@ let fig12 ?(seed = 1) ?(loads = [ 0.1; 0.3; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0; 1.1 ])
       })
     loads
 
-(* Fig. 12, --attribute mode: the same probe with the flight recorder on,
-   splitting the P50/P99 latency into local work and remote-hop (FE
-   processing + NSH-leg wire) components.  The split is rank-based: we
-   report the local/remote breakdown of *the* trace sitting at the P50
-   (P99) rank of the end-to-end distribution, so the two components sum
-   to the reported percentile exactly (conservation invariant). *)
+(* Fig. 12, attributed (bench entry fig12_attribute): the same probe
+   with the flight recorder on, splitting the P50/P99 latency into local
+   work and remote-hop (FE processing + NSH-leg wire) components.  The
+   split is rank-based: we report the local/remote breakdown of *the*
+   trace sitting at the P50 (P99) rank of the end-to-end distribution,
+   so the two components sum to the reported percentile exactly
+   (conservation invariant). *)
 
 type latency_split = {
   traces : int;
@@ -1087,8 +1088,8 @@ let crash_cycles ?(cycles = 100) ?(seed = 11) () =
 
 (* ------------------------------------------------------------------ *)
 (* JSON encoders: one [json_of_*] per result record, so every consumer
-   (bench --json, the nezha_sim subcommands) shares a single schema
-   instead of hand-rolling objects that can drift apart. *)
+   (the bench registry, the nezha_sim subcommands) shares a single
+   schema instead of hand-rolling objects that can drift apart. *)
 
 let json_of_fig9_row (r : fig9_row) =
   Json.Obj
@@ -1206,6 +1207,7 @@ let json_of_sirius_vs_nezha (r : sirius_vs_nezha) =
       ("sirius_cps", Json.Float r.sirius_cps);
       ("sirius_pingpongs", Json.Int r.sirius_pingpongs);
       ("nezha_notify", Json.Int r.nezha_notify);
+      ("nezha_over_sirius", Json.Float (r.nezha_cps /. r.sirius_cps));
     ]
 
 let json_of_lb_ablation (r : lb_ablation) =

@@ -58,7 +58,7 @@ type fig12_row = {
 
 val fig12 : ?seed:int -> ?loads:float list -> unit -> fig12_row list
 
-(** {1 Fig. 12, [--attribute] mode — latency split by critical path} *)
+(** {1 Fig. 12, attributed — latency split by critical path} *)
 
 type latency_split = {
   traces : int;  (** completed, conserved traces behind the split *)
@@ -328,18 +328,18 @@ val crash_cycles : ?cycles:int -> ?seed:int -> unit -> crash_cycles
 
 (** {1 JSON encoders}
 
-    One [json_of_*] per result record (via {!Nezha_telemetry.Json}), so
-    the bench's [--json] document and the [nezha_sim] subcommands share
-    a single schema instead of hand-rolling objects. *)
+    One [json_of_*] per result record that the bench registry or a
+    [nezha_sim] subcommand emits (via {!Nezha_telemetry.Json}), so both
+    share a single schema instead of hand-rolling objects.  Nested
+    records (latency splits, chaos samples, region and SLO runs) are
+    encoded inside their parents. *)
 
 val json_of_fig9_row : fig9_row -> Nezha_telemetry.Json.t
 val json_of_fig10_row : fig10_row -> Nezha_telemetry.Json.t
 val json_of_fig11_point : fig11_point -> Nezha_telemetry.Json.t
 val json_of_fig12_row : fig12_row -> Nezha_telemetry.Json.t
-val json_of_latency_split : latency_split -> Nezha_telemetry.Json.t
 val json_of_fig12_attr_row : fig12_attr_row -> Nezha_telemetry.Json.t
 val json_of_table3_row : table3_row -> Nezha_telemetry.Json.t
-val json_of_chaos_sample : chaos_sample -> Nezha_telemetry.Json.t
 
 val json_of_chaos_result : chaos_result -> Nezha_telemetry.Json.t
 (** The result fields of the [nezha-chaos/1] schema ([samples] included);
@@ -347,19 +347,15 @@ val json_of_chaos_result : chaos_result -> Nezha_telemetry.Json.t
 
 val json_of_appB2_result : appB2_result -> Nezha_telemetry.Json.t
 val json_of_sirius_vs_nezha : sirius_vs_nezha -> Nezha_telemetry.Json.t
+(** Adds [nezha_over_sirius], the CPS ratio. *)
+
 val json_of_lb_ablation : lb_ablation -> Nezha_telemetry.Json.t
 val json_of_state_size_ablation : state_size_ablation -> Nezha_telemetry.Json.t
 val json_of_failover_retx : failover_retx -> Nezha_telemetry.Json.t
 val json_of_locality_row : locality_row -> Nezha_telemetry.Json.t
 
-val json_of_region_result :
-  Nezha_workloads.Region_sim.result -> Nezha_telemetry.Json.t
-
 val json_of_region_overloads : region_overloads -> Nezha_telemetry.Json.t
 val json_of_region_mttr : region_mttr -> Nezha_telemetry.Json.t
 val json_of_crash_cycles : crash_cycles -> Nezha_telemetry.Json.t
-
-val json_of_slo_result :
-  Nezha_workloads.Region_sim.slo_result -> Nezha_telemetry.Json.t
 
 val json_of_slo_ramp : slo_ramp -> Nezha_telemetry.Json.t
