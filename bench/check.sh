@@ -6,7 +6,8 @@
 #
 #   bench/check.sh
 #   bench/check.sh --smoke         quick mode: build + the A/B verdict
-#                                  selftest + chaos input validation
+#                                  selftest + the perfbench selftest
+#                                  + chaos input validation
 #                                  + the SLO elastic
 #                                  control-plane gate at reduced scale
 #                                  (tier-1 time budget; same assertions
@@ -82,6 +83,8 @@ if [ "${1:-}" = "--smoke" ]; then
   dune build
   echo "== A/B verdict selftest"
   python3 bench/ab.py --selftest
+  echo "== perfbench selftest (traced = untraced, conservation, generator cross-check)"
+  python3 perfbench/run.py --selftest
   echo "== chaos rejects an out-of-range --loss before simulating"
   if dune exec --no-build bin/nezha_sim.exe -- chaos --loss 1.5 >/dev/null 2>&1; then
     echo "nezha_sim chaos accepted --loss 1.5"
@@ -174,7 +177,7 @@ micro = doc["experiments"]["micro"]
 ns = micro["ns_per_op"]
 for k in ("acl_linear_1k", "acl_tss_1k", "acl_cached_1k", "five_tuple_hash",
           "lpm_lookup_1k", "flow_table_insert", "flow_table_find",
-          "sim_event_64", "sim_event_4096"):
+          "flow_table_find_20k", "sim_event_64", "sim_event_4096"):
     assert k in ns and ns[k] == ns[k] and ns[k] > 0.0, \
         "%s not a positive ns/op: %r" % (k, ns.get(k))  # present, not NaN
 # The whole point of the classifier backends: TSS and the megaflow

@@ -459,6 +459,35 @@ let run_micro_tests tests =
          in
          [ (name, v) ])
 
+(* 20,000 CRR-like sessions (one client address, consecutive source
+   ports), probed as hits in a seeded shuffled order.  The probe keys
+   are built afresh, as a packet's lookup builds them, so a hit compares
+   fields rather than pointers. *)
+let micro_flow_table_find_20k () =
+  let n = 20_000 in
+  let crr_key i =
+    Nezha_tables.Flow_key.of_packet_fields ~vpc:(Nezha_net.Vpc.make 7)
+      ~flow:
+        (Nezha_net.Five_tuple.make ~src:(Nezha_net.Ipv4.of_octets 10 0 0 1)
+           ~dst:(Nezha_net.Ipv4.of_octets 10 1 77 5) ~src_port:(10_000 + i) ~dst_port:80
+           ~proto:Nezha_net.Five_tuple.Tcp)
+  in
+  let table =
+    Nezha_tables.Flow_table.create ~entry_overhead:40 ~value_bytes:(fun _ -> 64)
+      ~default_aging:8.0 ()
+  in
+  for i = 0 to n - 1 do
+    ignore (Nezha_tables.Flow_table.insert table ~now:0.0 (crr_key i) i : Nezha_tables.Admission.t)
+  done;
+  let probes = Array.init n crr_key in
+  Rng.shuffle (Rng.create 11) probes;
+  let idx = ref 0 in
+  Bechamel.Test.make ~name:"flow_table_find_20k"
+    (Bechamel.Staged.stage (fun () ->
+         let i = !idx in
+         idx := if i + 1 = n then 0 else i + 1;
+         Nezha_tables.Flow_table.find table (Array.unsafe_get probes i)))
+
 let micro_results () =
   let open Bechamel in
   let ip = Nezha_net.Ipv4.of_octets in
@@ -617,6 +646,11 @@ let micro_results () =
       ]
   in
   let core = run_micro_tests tests in
+  (* A session table at CRR scale gets a Bechamel run of its own, like
+     the rule-scale sweep below, so its live heap does not tax the
+     kernels above. *)
+  Gc.compact ();
+  let sessions_20k = run_micro_tests [ micro_flow_table_find_20k () ] in
   (* Rule-scale sweep: one Bechamel run per scale, with only that
      scale's matrix live.  Multi-MB live indexes tax every allocating
      op's incremental-GC slices (measured: ~40x inflation on the
@@ -634,7 +668,7 @@ let micro_results () =
       ([], [])
       (List.filter (fun n -> n <> micro_acl_rules) micro_rule_scales)
   in
-  (core @ scale, acl_memory_of acl_matrix @ scale_memory)
+  (core @ sessions_20k @ scale, acl_memory_of acl_matrix @ scale_memory)
 
 let micro_speedups results =
   let ns name = try List.assoc name results with Not_found -> Float.nan in

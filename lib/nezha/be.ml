@@ -68,8 +68,12 @@ let hop_window_cap = 8192
 let pin_key t flow =
   Flow_key.of_packet_fields ~vpc:t.vnic.Vnic.vpc ~flow
 
+(* With no pins, skip building and hashing a pin key. *)
 let fe_for t flow =
-  match Flow_key.Table.find_opt t.pins (pin_key t flow) with
+  match
+    if Flow_key.Table.length t.pins = 0 then None
+    else Flow_key.Table.find_opt t.pins (pin_key t flow)
+  with
   | Some fe -> fe
   | None -> (
     match t.lb_mode with
@@ -96,7 +100,10 @@ let is_suspect t fe =
   | Some n -> !n >= Params.offload_suspect_after
   | None -> false
 
-let all_suspect t = Array.for_all (fun fe -> is_suspect t fe) t.fes
+(* The FE set is never empty, so with no suspects (the clean path) the
+   answer is [false] without a lookup. *)
+let all_suspect t =
+  Hashtbl.length t.suspects > 0 && Array.for_all (fun fe -> is_suspect t fe) t.fes
 
 let bump_suspect t fe =
   match Hashtbl.find_opt t.suspects fe with
@@ -312,7 +319,7 @@ let handle_ack t nsh =
     | Some pd ->
       Hashtbl.remove t.outstanding seq;
       (match pd.timer with Some tm -> Timer_wheel.cancel tm | None -> ());
-      Hashtbl.remove t.suspects pd.last_fe;
+      if Hashtbl.length t.suspects > 0 then Hashtbl.remove t.suspects pd.last_fe;
       let lat = Sim.now (Vswitch.sim t.vs) -. pd.sent_at in
       Stats.Histogram.record t.hop_hist lat;
       if t.hop_window_n < hop_window_cap then begin

@@ -20,13 +20,22 @@
     timer; only the order of [on_expire] calls within one sweep can
     differ.
 
+    {b Index.}  Entries are found through one flat open-addressed index:
+    linear probing over a power-of-two array of full key hashes and a
+    parallel array of entries, grown (doubled) at 3/4 load.  The hash
+    packs the key's fields into exact integer words and allocates
+    nothing; a key is compared only where its full hash matches.  A
+    removal shifts the rest of its probe run back, so no tombstones
+    accumulate and a vacated slot holds nothing.  {!iter} visits
+    bindings in slot order.
+
     {b Handles.}  {!find_entry} returns the entry itself.  While it is
     {!live}, {!refresh} and {!replace} act on it with no further hash
     lookup, so a packet's session path hashes its key once.  {!remove},
     {!expire} and {!clear} kill the entry; a caller holding a dead
     handle goes back to the key ({!find_entry} again, or {!insert}).
 
-    {b Sized at the first insert.}  A table allocates its 1,024-bucket
+    {b Sized at the first insert.}  A table allocates its 512-slot
     index and 256-slot aging wheel at its first successful insert, so
     one that never holds a session — an idle vNIC — costs a few dozen
     words.  The geometry is the same as if they had been allocated at
@@ -34,7 +43,7 @@
     {!expire} calls up to then would have left an empty one: iteration
     and expiry order do not depend on when the table was sized.  Before
     that, every read sees an empty table; {!clear} leaves a sized table
-    sized. *)
+    sized, its index shrunk back to 512 slots. *)
 
 type 'v t
 
@@ -99,6 +108,7 @@ val pending_timers : 'v t -> int
     refreshed. *)
 
 val iter : 'v t -> (Flow_key.t -> 'v -> unit) -> unit
+(** [f] must not insert into or remove from [t]. *)
 
 val clear : 'v t -> unit
 (** Drop every binding; all handles die. *)

@@ -591,6 +591,175 @@ let prop_ft_sized_at_first_insert =
       && contents lazy_t = contents eager_t
       && Flow_table.memory_bytes lazy_t = Flow_table.memory_bytes eager_t)
 
+(* Differential test of the index against a [Hashtbl] model.  The keys
+   are clustered the way a CRR client's are (one address pair,
+   consecutive source ports), every script opens with a burst that
+   grows the index through three sizes (512, 1,024 and 2,048 slots),
+   and removals come singly, in runs, by expiry and by [clear].  At
+   these loads, probe runs wrap past the array's end (counted over one
+   run of this property: dozens of wrapped placements and hundreds of
+   wrapped probes).  After every step, [find] agrees with the
+   model on every key, and [length] and the bindings [iter] visits
+   match it. *)
+type ix_op =
+  | Ix_ins of int * float option (* key, aging *)
+  | Ix_fill of int * int (* first key, count *)
+  | Ix_rem of int
+  | Ix_rem_run of int * int
+  | Ix_expire of float (* time step *)
+  | Ix_clear
+
+let ix_keys = 1500
+let ix_key = Array.init ix_keys (fun i -> key "10.0.0.1" "10.0.0.2" ~sport:(40000 + i))
+
+(* Key [i] from the server's side: a fresh block, as a packet's lookup
+   builds it. *)
+let reply_key i =
+  Flow_key.of_packet_fields ~vpc:(Vpc.make 1)
+    ~flow:(tuple "10.0.0.2" "10.0.0.1" ~sport:80 ~dport:(40000 + i))
+
+let ix_probe = Array.init ix_keys reply_key
+
+let ix_op_gen =
+  let open QCheck.Gen in
+  let k = int_bound (ix_keys - 1) in
+  frequency
+    [
+      (6, map2 (fun k a -> Ix_ins (k, a)) k (oneofl [ None; Some 2.0 ]));
+      (1, map2 (fun k n -> Ix_fill (k, n)) k (int_range 50 400));
+      (5, map (fun k -> Ix_rem k) k);
+      (1, map2 (fun k n -> Ix_rem_run (k, n)) k (int_range 10 300));
+      (2, map (fun i -> Ix_expire (float_of_int i *. 0.5)) (int_bound 12));
+      (1, oneofl [ Ix_clear; Ix_expire 0.0 ]);
+    ]
+
+let ix_show = function
+  | Ix_ins (k, _) -> Printf.sprintf "ins %d" k
+  | Ix_fill (k, n) -> Printf.sprintf "fill %d+%d" k n
+  | Ix_rem k -> Printf.sprintf "rem %d" k
+  | Ix_rem_run (k, n) -> Printf.sprintf "rem %d+%d" k n
+  | Ix_expire dt -> Printf.sprintf "expire +%g" dt
+  | Ix_clear -> "clear"
+
+let prop_ft_index_matches_hashtbl =
+  QCheck.Test.make ~name:"index matches a Hashtbl model under clustered keys" ~count:40
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map ix_show ops))
+       QCheck.Gen.(
+         map (fun ops -> Ix_fill (0, 1200) :: ops) (list_size (int_range 1 60) ix_op_gen)))
+    (fun ops ->
+      let t =
+        Flow_table.create ~entry_overhead:10 ~value_bytes:(fun _ -> 1) ~default_aging:ft_aging ()
+      in
+      (* key -> (value, deadline) *)
+      let model = Hashtbl.create 64 in
+      let now = ref 0.0 and next = ref 0 in
+      let ins k aging =
+        incr next;
+        ignore (Flow_table.insert t ~now:!now ?aging ix_key.(k) !next : Admission.t);
+        Hashtbl.replace model k (!next, !now +. Option.value ~default:ft_aging aging)
+      in
+      let rem k =
+        ignore (Flow_table.remove t ix_probe.(k) : bool);
+        Hashtbl.remove model k
+      in
+      let slot_end d = float_of_int (int_of_float (d /. ft_tick) + 1) *. ft_tick in
+      let agrees () =
+        let visited = ref [] in
+        Flow_table.iter t (fun k v -> visited := (k.Flow_key.flow.src_port - 40000, v) :: !visited);
+        let want = Hashtbl.fold (fun k (v, _) acc -> (k, v) :: acc) model [] in
+        List.sort compare !visited = List.sort compare want
+        && Flow_table.length t = Hashtbl.length model
+        && Array.for_all Fun.id
+             (Array.init ix_keys (fun k ->
+                  Flow_table.find t ix_probe.(k) = Option.map fst (Hashtbl.find_opt model k)))
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Ix_ins (k, aging) -> ins k aging
+          | Ix_fill (k, n) -> for i = k to min (ix_keys - 1) (k + n - 1) do ins i None done
+          | Ix_rem k -> rem k
+          | Ix_rem_run (k, n) -> for i = k to min (ix_keys - 1) (k + n - 1) do rem i done
+          | Ix_expire dt ->
+            now := !now +. dt;
+            ignore (Flow_table.expire t ~now:!now ~on_expire:(fun _ _ -> ()) : int);
+            Hashtbl.filter_map_inplace
+              (fun _ ((_, d) as b) -> if slot_end d <= !now then None else Some b)
+              model
+          | Ix_clear ->
+            Flow_table.clear t;
+            Hashtbl.reset model);
+          agrees ())
+        ops)
+
+(* A binding that left the table — removed, expired or cleared — holds
+   nothing alive: no index slot keeps its dead entry.  Every third
+   binding leaves, so some sit at the end of a probe run and some in
+   its middle.  Cancelled wheel timers keep their entry until the sweep
+   passes their slot, so the check comes after a sweep that keeps the
+   other bindings alive. *)
+let test_ft_dead_unreachable () =
+  let n = 300 in
+  let keys = Array.init n (fun i -> key "10.0.0.1" "10.0.0.2" ~sport:(40000 + i)) in
+  let victim i = i mod 3 = 0 in
+  let run how =
+    let t =
+      Flow_table.create ~entry_overhead:10 ~value_bytes:(fun _ -> 1) ~default_aging:8.0 ()
+    in
+    let weak = Weak.create n in
+    for i = 0 to n - 1 do
+      let aging = if victim i && how = `Expire then Some 2.0 else None in
+      ignore (Flow_table.insert t ~now:0.0 ?aging keys.(i) (Bytes.make 16 'v') : Admission.t);
+      if victim i || how = `Clear then Weak.set weak i (Flow_table.find t keys.(i))
+    done;
+    (match how with
+    | `Remove ->
+      Array.iteri (fun i k -> if victim i then ignore (Flow_table.remove t k : bool)) keys
+    | `Expire -> ignore (Flow_table.expire t ~now:3.0 ~on_expire:(fun _ _ -> ()) : int)
+    | `Clear -> Flow_table.clear t);
+    (* Keep the rest alive past a sweep of every slot up to 8 s. *)
+    Array.iter (fun k -> ignore (Flow_table.touch t ~now:7.0 k : bool)) keys;
+    let other = key "10.0.0.9" "10.0.0.2" in
+    ignore (Flow_table.insert t ~now:7.0 other (Bytes.make 16 'w') : Admission.t);
+    ignore (Flow_table.expire t ~now:9.5 ~on_expire:(fun _ _ -> ()) : int);
+    Gc.full_major ();
+    let alive = ref 0 in
+    for i = 0 to n - 1 do
+      if Weak.check weak i then incr alive
+    done;
+    let name = match how with `Remove -> "removed" | `Expire -> "expired" | `Clear -> "cleared" in
+    check_int (name ^ " values still reachable") 0 !alive;
+    check_int (name ^ ": the rest stays") (if how = `Clear then 1 else 1 + n - (n / 3))
+      (Flow_table.length t)
+  in
+  List.iter run [ `Remove; `Expire; `Clear ]
+
+(* A lookup allocates at most the [Some] it returns on a hit and
+   nothing on a miss, however long the probe run. *)
+let test_ft_find_alloc () =
+  let t = mk_table () in
+  let n = 1000 in
+  for i = 0 to n - 1 do
+    ignore (Flow_table.insert t ~now:0.0 (key "10.0.0.1" "10.0.0.2" ~sport:(40000 + i)) "v"
+      : Admission.t)
+  done;
+  let hits = Array.init n reply_key in
+  let misses = Array.init n (fun i -> key "10.0.0.3" "10.0.0.1" ~sport:(40000 + i)) in
+  let words_per_find keys =
+    let rounds = 20 in
+    let before = Gc.minor_words () in
+    for _ = 1 to rounds do
+      for i = 0 to n - 1 do
+        ignore (Sys.opaque_identity (Flow_table.find_entry t (Array.unsafe_get keys i)))
+      done
+    done;
+    (Gc.minor_words () -. before) /. float_of_int (rounds * n)
+  in
+  let hit = words_per_find hits and miss = words_per_find misses in
+  check_bool (Printf.sprintf "%.3f words per hit <= 2 (the Some)" hit) true (hit <= 2.01);
+  check_bool (Printf.sprintf "%.3f words per miss = 0" miss) true (miss <= 0.01)
+
 (* ------------------------------------------------------------------ *)
 (* Tss: tuple-space search classifier *)
 
@@ -1086,7 +1255,16 @@ let () =
           Alcotest.test_case "handles" `Quick test_ft_handles;
           Alcotest.test_case "touch re-arms nothing" `Quick test_ft_touch_no_churn;
           Alcotest.test_case "sized at the first insert" `Quick test_ft_unsized;
+          Alcotest.test_case "a removed, expired or cleared entry is unreachable" `Quick
+            test_ft_dead_unreachable;
+          Alcotest.test_case "find_entry allocates at most its Some" `Quick test_ft_find_alloc;
         ]
-        @ qsuite [ prop_ft_memory_consistent; prop_ft_deadline_aging; prop_ft_sized_at_first_insert ]
+        @ qsuite
+            [
+              prop_ft_memory_consistent;
+              prop_ft_deadline_aging;
+              prop_ft_sized_at_first_insert;
+              prop_ft_index_matches_hashtbl;
+            ]
       );
     ]
