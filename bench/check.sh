@@ -6,7 +6,8 @@
 #
 #   bench/check.sh
 #   bench/check.sh --smoke         quick mode: build + the A/B verdict
-#                                  selftest + the perfbench selftest
+#                                  and bit-identity comparator
+#                                  selftests + the perfbench selftest
 #                                  + chaos input validation
 #                                  + the SLO elastic
 #                                  control-plane gate at reduced scale
@@ -83,6 +84,8 @@ if [ "${1:-}" = "--smoke" ]; then
   dune build
   echo "== A/B verdict selftest"
   python3 bench/ab.py --selftest
+  echo "== bit-identity comparator selftest"
+  python3 bench/identity.py --selftest
   echo "== perfbench selftest (traced = untraced, conservation, generator cross-check)"
   python3 perfbench/run.py --selftest
   echo "== chaos rejects an out-of-range --loss before simulating"

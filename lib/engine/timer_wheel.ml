@@ -29,6 +29,7 @@ and 'a t = {
      determinism. *)
   mutable cursor_abs : int;
   mutable live : int;
+  mutable stale : bool; (* a cancelled node may still be linked *)
 }
 
 type 'a timer = 'a node
@@ -38,7 +39,7 @@ let none = Nil
 let create ~tick ~slots =
   if tick <= 0.0 then invalid_arg "Timer_wheel.create: tick must be positive";
   if slots <= 0 then invalid_arg "Timer_wheel.create: slots must be positive";
-  { tick; slots; wheel = Array.make slots Nil; cursor_abs = 0; live = 0 }
+  { tick; slots; wheel = Array.make slots Nil; cursor_abs = 0; live = 0; stale = false }
 
 let next_sweep_at t = float_of_int (t.cursor_abs + 1) *. t.tick
 
@@ -73,7 +74,8 @@ let cancel = function
     match r.state with
     | `Pending ->
       r.state <- `Cancelled;
-      r.owner.live <- r.owner.live - 1
+      r.owner.live <- r.owner.live - 1;
+      r.owner.stale <- true
     | `Fired -> r.state <- `Cancelled
     | `Cancelled -> ())
   | Nil -> ()
@@ -133,9 +135,14 @@ let advance t ~now f =
   while float_of_int (t.cursor_abs + 1) *. t.tick <= now do
     if t.live = 0 then begin
       (* Nothing can fire: fast-forward the cursor to just short of
-         [now] instead of sweeping every empty slot on the way.  Stale
-         (cancelled/fired) records left in skipped slots are unlinked
-         on a later sweep. *)
+         [now] instead of sweeping every empty slot on the way.  Every
+         node still linked is a cancelled one, so drop them all rather
+         than let the skipped slots pin their payloads for a whole
+         revolution. *)
+      if t.stale then begin
+        Array.fill t.wheel 0 t.slots Nil;
+        t.stale <- false
+      end;
       let target = int_of_float (now /. t.tick) - 1 in
       if target > t.cursor_abs then t.cursor_abs <- target
     end;

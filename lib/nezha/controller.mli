@@ -8,7 +8,12 @@
     FEs elsewhere (remote pressure) or evict their FEs (local pressure),
     per Fig. 8.  A centralized {!Monitor} detects FE crashes and failover
     completes by dropping the dead FE from every BE's location config
-    while keeping at least [min_fes] (§4.4). *)
+    while keeping at least {!Policy.min_fes} (§4.4).
+
+    Every decision is {!Policy.step}'s; this module is the effect layer.
+    It turns node reads and RPC acks into {!Policy.input}s and carries
+    the {!Policy.intent}s out as RPCs, simulator schedules, gateway
+    routes and learning. *)
 
 open Nezha_engine
 open Nezha_net
@@ -17,7 +22,7 @@ open Nezha_vswitch
 
 (** {1 The paper's control policy}
 
-    One value each, shared by the region-scale bridge
+    Aliases of {!Policy}'s constants, shared by the region-scale bridge
     ([Nezha_workloads.Region_sim]). *)
 
 val offload_threshold : float
@@ -32,7 +37,7 @@ val initial_fes : int
 
 val fe_mem_max : float
 (** Idle-candidate memory ceiling (50%); the CPU ceiling is
-    [config.fe_cpu_max]. *)
+    {!Policy.fe_cpu_max}. *)
 
 val push_bytes_per_s : float
 (** Rule-table push bandwidth to an FE: 200 MB/s. *)
@@ -64,23 +69,16 @@ val rpc_retry_delay : attempt:int -> float
     (0-based): [min (rpc_timeout × rpc_backoff^attempt) rpc_backoff_cap].
     @raise Invalid_argument on a negative [attempt]. *)
 
-(** The remaining policy constants stay internal: the Fig. 8 scale
-    threshold (40%) and safe level (40%), the 200 ms vNIC-server
-    learning interval (§4.2.1) plus 0.5 ms in-flight slack, and the p2c
-    load signal's EWMA weight (0.3) and per-steered-vNIC pressure
-    (0.05).  FE health probing is {!Monitor}'s (§4.4). *)
+(** The remaining policy constants are {!Policy}'s; the 200 ms
+    vNIC-server learning interval (§4.2.1) plus 0.5 ms in-flight slack
+    stay internal.  FE health probing is {!Monitor}'s (§4.4). *)
 
 type config = {
   report_interval : float;  (** utilization report period *)
-  min_fes : int;  (** failover floor, §4.4 *)
-  fe_cpu_max : float;  (** idle-candidate ceiling (CPU): 30% *)
   auto_offload : bool;
   auto_scale : bool;
   auto_fallback : bool;
-  fallback_idle_ticks : int;
-      (** consecutive reports with the FEs near-idle and the BE far below
-          the safe level before falling back (§4.2.2: fallback only when
-          the local vSwitch can clearly absorb the load again) *)
+      (** fall back after {!Policy.fallback_idle_ticks} idle reports *)
   placement : Placement.policy;
       (** FE candidate selection: the paper's least-loaded ordering, or
           power-of-two-choices over the live load signal (ROADMAP
@@ -157,11 +155,11 @@ val scale_out : t -> ?avoid:Topology.server_id list -> offload -> add:int -> int
 
 val scale_in_server : t -> Topology.server_id -> unit
 (** Evict every FE on this server (local pressure or failover),
-    replenishing any offload that falls below [min_fes]. *)
+    replenishing any offload that falls below {!Policy.min_fes}. *)
 
 val scale_in_offload : t -> offload -> remove:int -> int
 (** SLO-driven targeted scale-in: drop up to [remove] FEs from this
-    offload (never below [min_fes]), cross-rack and most-loaded victims
+    offload (never below {!Policy.min_fes}), cross-rack and most-loaded victims
     first; routing updates immediately, tables release after the
     learning window.  Returns how many were removed. *)
 

@@ -4,6 +4,7 @@ open Nezha_vswitch
 open Nezha_fabric
 module Controller = Nezha_core.Controller
 module Placement = Nezha_core.Placement
+module Policy = Nezha_core.Policy
 
 (* Region-scale bridge: thousands of real vSwitches (one per server,
    rack-aligned onto the shards of a [Sim.Sharded] cluster) driven by
@@ -390,7 +391,9 @@ let run cfg =
   in
   let scan () =
     for sid = 0 to n - 1 do
-      if ctl.state.(sid) = No_offload && ctl.reported.(sid) >= Controller.offload_threshold
+      (* The region reports one utilization per server, its CPU load;
+         memory pressure is not modeled as an offload trigger here. *)
+      if ctl.state.(sid) = No_offload && Policy.wants_offload ~cpu:ctl.reported.(sid) ~mem:0.0
       then begin
         let fes =
           Placement.select
@@ -398,11 +401,10 @@ let run cfg =
               s <> sid
               && ctl.state.(s) = No_offload
               && (not ctl.reserved.(s))
-              && ctl.reported.(s) <= Controller.default_config.Controller.fe_cpu_max
-              && srvs.(s).mem <= Controller.fe_mem_max)
+              && Policy.idle_candidate ~cpu:ctl.reported.(s) ~mem:srvs.(s).mem)
             ~same_rack:(fun s -> Topology.same_rack topo s sid)
             ~cpu:(fun s -> ctl.reported.(s))
-            ~count:Controller.initial_fes all_servers
+            ~count:Policy.initial_fes all_servers
         in
         match fes with
         | [] -> () (* no idle capacity this scan; retry next period *)

@@ -249,7 +249,8 @@ let test_slo_loop_scales_out_on_tight_budget () =
 
 let test_slo_loop_scales_in_to_the_floor () =
   (* A 10 s budget every hop beats: the loop must drain the pool, and
-     stop exactly at the serving minimum. *)
+     stop exactly at the serving minimum — the controller's failover
+     floor, which sits above the SLO loop's own. *)
   let slo =
     {
       Slo.default_config with
@@ -262,16 +263,17 @@ let test_slo_loop_scales_in_to_the_floor () =
     }
   in
   let cfg =
-    { Controller.default_config with Controller.slo = Some slo; min_fes = 2 }
+    { Controller.default_config with Controller.slo = Some slo }
   in
   let t = Testbed.create ~controller_config:cfg () in
   Controller.start t.Testbed.ctl;
-  let o = Testbed.offload t () in
-  check_int "starts at four FEs" 4 (List.length (Controller.offload_fe_servers o));
+  let o = Testbed.offload t ~num_fes:(Policy.min_fes + 2) () in
+  check_int "starts two above the floor" (Policy.min_fes + 2)
+    (List.length (Controller.offload_fe_servers o));
   ignore (Testbed.run_crr t ~rate:200.0 ~duration:15.0 () : Nezha_workloads.Tcp_crr.t);
   let slo_state = Option.get (Controller.slo t.Testbed.ctl) in
   check_bool "scale-ins happened" true (Slo.scale_ins slo_state > 0);
-  check_int "drained exactly to the serving minimum" 2
+  check_int "drained exactly to the serving minimum" Policy.min_fes
     (List.length (Controller.offload_fe_servers o))
 
 (* ------------------------------------------------------------------ *)

@@ -424,7 +424,6 @@ let test_auto_fallback () =
       Controller.auto_offload = true;
       auto_scale = false;
       auto_fallback = true;
-      fallback_idle_ticks = 3;
       report_interval = 0.5;
     }
   in

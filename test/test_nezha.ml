@@ -218,11 +218,12 @@ let test_offload_reaches_final_stage () =
 
 let test_offload_no_candidates () =
   let w = make_world () in
-  (* Crash every other server so no candidates qualify... simpler: ask on
-     a 1-server world by excluding everything via cpu ceiling. *)
-  let cfg = { Controller.default_config with Controller.fe_cpu_max = -1.0; auto_offload = false; auto_scale = false } in
-  let ctl = Controller.create ~config:cfg ~fabric:w.fabric ~rng:w.rng () in
-  match Controller.offload_vnic ctl ~server:0 ~vnic:vnic1 () with
+  (* Crash the SmartNIC of every server but the BE's: a crashed NIC is
+     never an FE candidate, so none qualifies. *)
+  List.iter
+    (fun s -> if s <> 0 then Smartnic.crash (Vswitch.nic (Fabric.vswitch w.fabric s)))
+    (Topology.servers (Fabric.topology w.fabric));
+  match Controller.offload_vnic w.ctl ~server:0 ~vnic:vnic1 () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected no candidates"
 
