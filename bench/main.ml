@@ -459,27 +459,30 @@ let run_micro_tests tests =
          in
          [ (name, v) ])
 
-(* 20,000 CRR-like sessions (one client address, consecutive source
-   ports), probed as hits in a seeded shuffled order.  The probe keys
-   are built afresh, as a packet's lookup builds them, so a hit compares
-   fields rather than pointers. *)
+(* A CRR client's session keys: one client address, consecutive source
+   ports. *)
+let micro_crr_key i =
+  Nezha_tables.Flow_key.of_packet_fields ~vpc:(Nezha_net.Vpc.make 7)
+    ~flow:
+      (Nezha_net.Five_tuple.make ~src:(Nezha_net.Ipv4.of_octets 10 0 0 1)
+         ~dst:(Nezha_net.Ipv4.of_octets 10 1 77 5) ~src_port:(10_000 + i) ~dst_port:80
+         ~proto:Nezha_net.Five_tuple.Tcp)
+
+(* 20,000 CRR-like sessions, probed as hits in a seeded shuffled order.
+   The probe keys are built afresh, as a packet's lookup builds them, so
+   a hit compares fields rather than pointers. *)
 let micro_flow_table_find_20k () =
   let n = 20_000 in
-  let crr_key i =
-    Nezha_tables.Flow_key.of_packet_fields ~vpc:(Nezha_net.Vpc.make 7)
-      ~flow:
-        (Nezha_net.Five_tuple.make ~src:(Nezha_net.Ipv4.of_octets 10 0 0 1)
-           ~dst:(Nezha_net.Ipv4.of_octets 10 1 77 5) ~src_port:(10_000 + i) ~dst_port:80
-           ~proto:Nezha_net.Five_tuple.Tcp)
-  in
   let table =
     Nezha_tables.Flow_table.create ~entry_overhead:40 ~value_bytes:(fun _ -> 64)
       ~default_aging:8.0 ()
   in
   for i = 0 to n - 1 do
-    ignore (Nezha_tables.Flow_table.insert table ~now:0.0 (crr_key i) i : Nezha_tables.Admission.t)
+    ignore
+      (Nezha_tables.Flow_table.insert table ~now:0.0 (micro_crr_key i) i
+        : Nezha_tables.Admission.t)
   done;
-  let probes = Array.init n crr_key in
+  let probes = Array.init n micro_crr_key in
   Rng.shuffle (Rng.create 11) probes;
   let idx = ref 0 in
   Bechamel.Test.make ~name:"flow_table_find_20k"
@@ -487,6 +490,61 @@ let micro_flow_table_find_20k () =
          let i = !idx in
          idx := if i + 1 = n then 0 else i + 1;
          Nezha_tables.Flow_table.find table (Array.unsafe_get probes i)))
+
+(* Session churn at 20,000 live sessions: each op inserts a new session
+   and runs the aging sweep, which expires, slot by slot, the sessions
+   inserted one aging period (20,000 ops) earlier.  Keys cycle through
+   twice the live count, so every insert is of a key that has aged out.
+   The table is warmed to that steady state before timing. *)
+let micro_flow_table_churn_20k () =
+  let live = 20_000 and aging = 8.0 in
+  let n = 2 * live in
+  let dt = aging /. float_of_int live in
+  let keys = Array.init n micro_crr_key in
+  let table =
+    Nezha_tables.Flow_table.create ~entry_overhead:40 ~value_bytes:(fun _ -> 64)
+      ~default_aging:aging ()
+  in
+  let idx = ref 0 and now = ref 0.0 in
+  let on_expire _ _ = () in
+  let op () =
+    let i = !idx in
+    idx := if i + 1 = n then 0 else i + 1;
+    now := !now +. dt;
+    ignore
+      (Nezha_tables.Flow_table.insert table ~now:!now (Array.unsafe_get keys i) i
+        : Nezha_tables.Admission.t);
+    Nezha_tables.Flow_table.expire table ~now:!now ~on_expire
+  in
+  for _ = 1 to 2 * n do
+    ignore (op () : int)
+  done;
+  Bechamel.Test.make ~name:"flow_table_churn_20k" (Bechamel.Staged.stage op)
+
+(* A timer wheel holding 32,768 live loops, as a region run's servers
+   keep: one per slot of a 32,768-slot wheel, linked in a seeded
+   shuffled order so consecutive firings touch scattered nodes.  Each op
+   advances one tick, firing one timer, which re-arms itself one
+   revolution ahead. *)
+let micro_timer_wheel_rearm_32k () =
+  let n = 32_768 in
+  let w = Timer_wheel.create ~tick:1.0 ~slots:n in
+  let order = Array.init n Fun.id in
+  Rng.shuffle (Rng.create 13) order;
+  let handles = Array.make n Timer_wheel.none in
+  Array.iter
+    (fun i ->
+      handles.(i) <- Timer_wheel.add w ~now:0.0 ~deadline:(float_of_int i +. 0.5) i)
+    order;
+  let now = ref 0.0 in
+  let fire i =
+    let deadline = !now +. float_of_int n -. 0.5 in
+    ignore (Timer_wheel.rearm w handles.(i) ~now:!now ~deadline : Timer_wheel.timer)
+  in
+  Bechamel.Test.make ~name:"timer_wheel_rearm_32k"
+    (Bechamel.Staged.stage (fun () ->
+         now := !now +. 1.0;
+         Timer_wheel.advance w ~now:!now fire))
 
 let micro_results () =
   let open Bechamel in
@@ -646,11 +704,17 @@ let micro_results () =
       ]
   in
   let core = run_micro_tests tests in
-  (* A session table at CRR scale gets a Bechamel run of its own, like
-     the rule-scale sweep below, so its live heap does not tax the
-     kernels above. *)
+  (* Each session-scale kernel (a session table or a timer wheel at
+     region scale) gets a Bechamel run of its own, like the rule-scale
+     sweep below, so its live heap does not tax the other kernels. *)
   Gc.compact ();
-  let sessions_20k = run_micro_tests [ micro_flow_table_find_20k () ] in
+  let sessions_20k =
+    List.concat_map
+      (fun kernel ->
+        Gc.compact ();
+        run_micro_tests [ kernel () ])
+      [ micro_flow_table_find_20k; micro_flow_table_churn_20k; micro_timer_wheel_rearm_32k ]
+  in
   (* Rule-scale sweep: one Bechamel run per scale, with only that
      scale's matrix live.  Multi-MB live indexes tax every allocating
      op's incremental-GC slices (measured: ~40x inflation on the

@@ -26,7 +26,16 @@ type t = {
   mutable handles : handle array;  (* by slot *)
   timer_tick : float;
   timer_slots : int;
-  mutable wheel : timer Timer_wheel.t option; (* created lazily *)
+  mutable wheel : Timer_wheel.t option; (* created lazily *)
+  (* Timer loops by loop id, the payload of the loop's wheel node: its
+     body and its node's handle.  A loop that ends or is cancelled gives
+     its id back, and its body slot lets go of the closure.  Free ids
+     are chained through [nodes], a free id [i] holding [-2 - next]
+     (so [-1] ends the chain, and no free entry is a handle). *)
+  mutable bodies : (t -> float option) array;
+  mutable nodes : int array;
+  mutable free_loop : int; (* head of the free-id chain, or -1 *)
+  mutable loops : int; (* loop ids ever handed out *)
   mutable shard : shard option;
 }
 
@@ -42,11 +51,12 @@ and cluster = {
 and msg = { at_time : float; src : int; mseq : int; act : t -> unit }
 
 (* A timer loop: the wheel node is the loop's for its whole life, and
-   each [Some delay] from [fire] re-links it in place. *)
-and timer = { fire : t -> float option; mutable node : timer Timer_wheel.timer }
+   each [Some delay] from its body re-links it in place. *)
+and timer = { owner : t; id : int; node : Timer_wheel.timer; mutable cancelled : bool }
 
 let dead_handle = { alive = false }
 let no_action : t -> unit = fun _ -> ()
+let no_body : t -> float option = fun _ -> None
 
 let create ?(capacity = 256) ?(timer_tick = 1e-3) ?(timer_slots = 1024) () =
   if timer_tick <= 0.0 then invalid_arg "Sim.create: timer_tick must be positive";
@@ -67,6 +77,10 @@ let create ?(capacity = 256) ?(timer_tick = 1e-3) ?(timer_slots = 1024) () =
     timer_tick;
     timer_slots;
     wheel = None;
+    bodies = [||];
+    nodes = [||];
+    free_loop = -1;
+    loops = 0;
     shard = None;
   }
 
@@ -199,16 +213,60 @@ let get_wheel t =
     t.wheel <- Some w;
     w
 
+let new_loop t body =
+  let id =
+    if t.free_loop >= 0 then begin
+      let id = t.free_loop in
+      t.free_loop <- -2 - t.nodes.(id);
+      id
+    end
+    else begin
+      let id = t.loops in
+      if id = Array.length t.bodies then begin
+        let n = max 16 (id + (id / 2)) in
+        let extend a fill =
+          let b = Array.make n fill in
+          Array.blit a 0 b 0 id;
+          b
+        in
+        t.bodies <- extend t.bodies no_body;
+        t.nodes <- extend t.nodes Timer_wheel.none
+      end;
+      t.loops <- id + 1;
+      id
+    end
+  in
+  t.bodies.(id) <- body;
+  id
+
+let end_loop t id =
+  t.bodies.(id) <- no_body;
+  t.nodes.(id) <- -2 - t.free_loop;
+  t.free_loop <- id
+
 let timeout t ~delay fire =
   let delay = if delay < 0.0 then 0.0 else delay in
   let w = get_wheel t in
-  let l = { fire; node = Timer_wheel.none } in
-  l.node <- Timer_wheel.add w ~now:t.clk.now ~deadline:(t.clk.now +. delay) l;
-  l
+  let id = new_loop t fire in
+  let node = Timer_wheel.add w ~now:t.clk.now ~deadline:(t.clk.now +. delay) id in
+  t.nodes.(id) <- node;
+  { owner = t; id; node; cancelled = false }
 
-let cancel_timer l = Timer_wheel.cancel l.node
+(* A loop cancelled while armed ends now; one cancelled from inside its
+   own body ends when the body returns.  Once a loop has ended its node
+   handle is stale, so the cancel reaches no later loop with its id. *)
+let cancel_timer l =
+  if not l.cancelled then begin
+    l.cancelled <- true;
+    match l.owner.wheel with
+    | Some w ->
+      let armed = Timer_wheel.armed w l.node in
+      Timer_wheel.cancel w l.node;
+      if armed then end_loop l.owner l.id
+    | None -> ()
+  end
 
-let timer_cancelled l = Timer_wheel.cancelled l.node
+let timer_cancelled l = l.cancelled
 
 (* ---- the engine turn ------------------------------------------------ *)
 
@@ -243,15 +301,17 @@ let run_wheel_slot t =
     let now' = if boundary > t.clk.now then boundary else t.clk.now in
     t.clk.now <- now';
     ignore
-      (Timer_wheel.advance w ~now:now' (fun l ->
+      (Timer_wheel.advance w ~now:now' (fun id ->
            t.executed <- t.executed + 1;
-           match l.fire t with
+           let node = t.nodes.(id) in
+           (match t.bodies.(id) t with
            | None -> ()
            | Some delay ->
-             (* A cancel from inside [fire] left the node cancelled, and
-                [rearm] keeps it so. *)
+             (* A cancel from inside the body left the node cancelled,
+                and [rearm] keeps it so. *)
              let delay = if delay < 0.0 then 0.0 else delay in
-             l.node <- Timer_wheel.rearm l.node ~now:now' ~deadline:(now' +. delay))
+             ignore (Timer_wheel.rearm w node ~now:now' ~deadline:(now' +. delay) : int));
+           if not (Timer_wheel.armed w node) then end_loop t id)
         : int)
 
 (* One engine turn: either sweep the next due wheel slot or pop one heap

@@ -7,6 +7,15 @@ type stage = Dual | Final
 
 type lb_mode = Flow_level | Packet_level
 
+(* Hop sequence numbers and FE addresses key the BE's own tables: a
+   multiplicative mix instead of the generic [Hashtbl.hash]. *)
+module Int_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = (x * 0x2545F4914F6CDD1D) lsr 32
+end)
+
 type counters = {
   tx_via_fe : Stats.Counter.t;
   rx_from_fe : Stats.Counter.t;
@@ -33,7 +42,7 @@ type pending = {
   mutable last_fe : Ipv4.t;
   mutable retries : int;
   mutable tried : Ipv4.t list;
-  mutable timer : int Timer_wheel.timer option;
+  mutable timer : Timer_wheel.timer;
   mutable sent_at : float;  (** when the last (re)transmission left, for tracing *)
 }
 
@@ -48,10 +57,10 @@ type t = {
   pins : Ipv4.t Flow_key.Table.t;
   mutable fallback_ruleset : Ruleset.t option;
   mutable next_seq : int;
-  outstanding : (int, pending) Hashtbl.t;
-  wheel : int Timer_wheel.t;
-  (* Consecutive hop timeouts per FE; reset on any ack from it. *)
-  suspects : (Ipv4.t, int ref) Hashtbl.t;
+  outstanding : pending Int_table.t; (* by hop sequence number *)
+  wheel : Timer_wheel.t; (* payloads are hop sequence numbers *)
+  (* Consecutive hop timeouts per FE address; reset on any ack from it. *)
+  suspects : int ref Int_table.t;
   (* Remote-hop latency (send → hop ack) — cumulative histogram for
      telemetry plus a bounded window drained by the controller's SLO
      tick.  [sent_at] is the last (re)transmission, so a retransmitted
@@ -95,27 +104,29 @@ let note_wait t pd =
   if Sim.now (Vswitch.sim t.vs) > pd.sent_at then
     trace_stage t pd.clean ~name:"retx_wait" ~t0:pd.sent_at ()
 
+let fe_key fe = Int32.to_int (Ipv4.to_int32 fe)
+
 let is_suspect t fe =
-  match Hashtbl.find_opt t.suspects fe with
+  match Int_table.find_opt t.suspects (fe_key fe) with
   | Some n -> !n >= Params.offload_suspect_after
   | None -> false
 
 (* The FE set is never empty, so with no suspects (the clean path) the
    answer is [false] without a lookup. *)
 let all_suspect t =
-  Hashtbl.length t.suspects > 0 && Array.for_all (fun fe -> is_suspect t fe) t.fes
+  Int_table.length t.suspects > 0 && Array.for_all (fun fe -> is_suspect t fe) t.fes
 
 let bump_suspect t fe =
-  match Hashtbl.find_opt t.suspects fe with
+  match Int_table.find_opt t.suspects (fe_key fe) with
   | Some n -> incr n
-  | None -> Hashtbl.replace t.suspects fe (ref 1)
+  | None -> Int_table.replace t.suspects (fe_key fe) (ref 1)
 
 (* The hash choice, steered around FEs currently suspected of being
    unreachable.  With no suspects this is exactly [fe_for] — the clean
    path is untouched. *)
 let pick_fe t flow =
   let fe = fe_for t flow in
-  if Hashtbl.length t.suspects = 0 || not (is_suspect t fe) then fe
+  if Int_table.length t.suspects = 0 || not (is_suspect t fe) then fe
   else begin
     let n = Array.length t.fes in
     let h = Five_tuple.session_hash flow mod n in
@@ -141,14 +152,36 @@ let step_state_tx st ~flags ~proto ~wire_bytes =
   in
   { st with State.tcp = tcp'; stats = stats' }
 
-let store_state t ?handle key st =
-  ignore
-    (Vswitch.store_session t.vs t.vnic.Vnic.id ?handle key
-       { Vswitch.pre = None; state = Some st; generation = 0 }
-      : Admission.t)
+(* Session access goes through the vNIC's table, looked up once per
+   continuation ([None] once the vNIC is gone, when reads see no session
+   and writes are dropped), and a handle found in it. *)
+let sessions t = Vswitch.sessions t.vs t.vnic.Vnic.id
+
+let session_entry ss ?handle key =
+  match ss with Some ss -> Vswitch.session_entry ss ?handle key | None -> None
+
+(* A handle from an earlier look at the vNIC's table, if that table is
+   still the vNIC's: a vNIC removed and added again has a new one. *)
+let carried ~from ss handle =
+  match (from, ss) with Some a, Some b when a == b -> handle | _ -> None
+
+let store_state t ss ?handle key st =
+  match ss with
+  | Some ss ->
+    ignore
+      (Vswitch.store_session t.vs ss ?handle key
+         { Vswitch.pre = None; state = Some st; generation = 0 }
+        : Admission.t)
+  | None -> ()
+
+let touch_state t ss ?handle key =
+  match ss with Some ss -> Vswitch.touch_session t.vs ss ?handle key | None -> ()
 
 (* The state a session handle holds, if any. *)
-let state_of = function Some h -> (Flow_table.value h).Vswitch.state | None -> None
+let state_of ss handle =
+  match (ss, handle) with
+  | Some ss, Some h -> (Vswitch.session_value ss h).Vswitch.state
+  | _, _ -> None
 
 let send_to_fe t pkt ~fe ~nsh =
   Packet.set_nsh pkt nsh;
@@ -223,15 +256,16 @@ let local_rx_slow_path t pkt =
       let cycles = cycles + Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt) in
       Vswitch.charge t.vs ~cycles (fun _ ->
           trace_stage t pkt ~name:"local_rx_slow_path" ~t0 ();
-          let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id key in
-          let prior = state_of handle in
+          let ss = sessions t in
+          let handle = session_entry ss key in
+          let prior = state_of ss handle in
           let verdict, out =
             Nf.process ~pre ~state:prior ~dir:Packet.Rx ~flags:pkt.Packet.flags
               ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
           in
           (match out with
-          | Nf.Init st | Nf.Update st -> store_state t ?handle key st
-          | Nf.Keep -> Vswitch.touch_session t.vs t.vnic.Vnic.id ?handle key);
+          | Nf.Init st | Nf.Update st -> store_state t ss ?handle key st
+          | Nf.Keep -> touch_state t ss ?handle key);
           match verdict with
           | Nf.Deliver ->
             ignore (Packet.clear_nsh pkt : Packet.nsh option);
@@ -260,14 +294,10 @@ let resend t pd fe =
 
 let arm_timer t pd =
   let now = Sim.now (Vswitch.sim t.vs) in
-  pd.timer <-
-    Some
-      (Timer_wheel.add t.wheel ~now
-         ~deadline:(now +. Params.offload_retx_timeout)
-         pd.seq)
+  pd.timer <- Timer_wheel.add t.wheel ~now ~deadline:(now +. Params.offload_retx_timeout) pd.seq
 
 let on_timeout t seq =
-  match Hashtbl.find_opt t.outstanding seq with
+  match Int_table.find_opt t.outstanding seq with
   | None -> () (* acked since the wheel slot was written *)
   | Some pd ->
     Stats.Counter.incr t.counters.offload_timeouts;
@@ -307,19 +337,19 @@ let on_timeout t seq =
       arm_timer t pd;
       resend t pd fe
     | Some _ | None ->
-      Hashtbl.remove t.outstanding seq;
+      Int_table.remove t.outstanding seq;
       give_up t pd
 
 let handle_ack t nsh =
   match nsh.Packet.hop_ack with
   | None -> ()
   | Some seq -> (
-    match Hashtbl.find_opt t.outstanding seq with
+    match Int_table.find_opt t.outstanding seq with
     | None -> () (* duplicate or post-give-up ack *)
     | Some pd ->
-      Hashtbl.remove t.outstanding seq;
-      (match pd.timer with Some tm -> Timer_wheel.cancel tm | None -> ());
-      if Hashtbl.length t.suspects > 0 then Hashtbl.remove t.suspects pd.last_fe;
+      Int_table.remove t.outstanding seq;
+      Timer_wheel.cancel t.wheel pd.timer;
+      if Int_table.length t.suspects > 0 then Int_table.remove t.suspects (fe_key pd.last_fe);
       let lat = Sim.now (Vswitch.sim t.vs) -. pd.sent_at in
       Stats.Histogram.record t.hop_hist lat;
       if t.hop_window_n < hop_window_cap then begin
@@ -341,10 +371,11 @@ let handle_tx_batch t batch =
     let cycles = ref 0 in
     (* Each packet's session handle, found once here for the freshness
        charge and kept for the commit. *)
+    let ss0 = sessions t in
     let handles = Array.make n None in
     for i = 0 to n - 1 do
       let pkt = Pbatch.get batch i in
-      let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id (key_of pkt) in
+      let handle = session_entry ss0 (key_of pkt) in
       handles.(i) <- handle;
       let fresh = Option.is_none handle in
       cycles :=
@@ -356,20 +387,20 @@ let handle_tx_batch t batch =
     let accepted =
       Vswitch.charge_batch t.vs ~cycles:!cycles ~npkts:n (fun sim ->
           (* The batch keeps the FE-bound packets, in order. *)
-          let i = ref 0 in
+          let i = ref 0 and ss = sessions t in
           Pbatch.filter_in_place batch (fun pkt ->
               trace_stage t pkt ~name:"be_tx" ~t0 ();
               let key = key_of pkt in
-              let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id ?handle:handles.(!i) key in
+              let handle = session_entry ss ?handle:(carried ~from:ss0 ss handles.(!i)) key in
               incr i;
               let flags = pkt.Packet.flags and proto = pkt.Packet.flow.Five_tuple.proto in
               let st =
-                match state_of handle with
+                match state_of ss handle with
                 | Some st -> step_state_tx st ~flags ~proto ~wire_bytes:(Packet.wire_size pkt)
                 | None ->
                   State.init ~first_dir:Packet.Tx ?tcp:(Nf.tcp_phase_of_flags flags ~proto) ()
               in
-              store_state t ?handle key st;
+              store_state t ss ?handle key st;
               if all_suspect t && local_ruleset t <> None then begin
                 (* Every FE looks unreachable: skip the hop entirely rather
                    than queue a retransmission dance per packet. *)
@@ -384,7 +415,7 @@ let handle_tx_batch t batch =
                 in
                 let fe = pick_fe t pkt.Packet.flow in
                 let nsh =
-                  if Hashtbl.length t.outstanding < Params.offload_track_capacity
+                  if Int_table.length t.outstanding < Params.offload_track_capacity
                   then begin
                     let seq = t.next_seq in
                     t.next_seq <- t.next_seq + 1;
@@ -397,11 +428,11 @@ let handle_tx_batch t batch =
                         last_fe = fe;
                         retries = 0;
                         tried = [];
-                        timer = None;
+                        timer = Timer_wheel.none;
                         sent_at = Sim.now sim;
                       }
                     in
-                    Hashtbl.replace t.outstanding seq pd;
+                    Int_table.replace t.outstanding seq pd;
                     arm_timer t pd;
                     Stats.Counter.incr t.counters.offload_tracked;
                     nsh
@@ -426,9 +457,9 @@ let handle_notify t pkt nsh =
   Vswitch.charge t.vs ~cycles:Params.state_update_cycles (fun _ ->
       match Option.map Pre_action.decode nsh.Packet.carried_pre_actions with
       | Some (Ok pre) -> (
-        let key = key_of pkt in
-        let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id key in
-        match state_of handle with
+        let key = key_of pkt and ss = sessions t in
+        let handle = session_entry ss key in
+        match state_of ss handle with
         | Some st ->
           (* Arm or disarm the statistics counters per the rule-table
              lookup the FE just performed (§3.2.2). *)
@@ -438,7 +469,7 @@ let handle_notify t pkt nsh =
             | Some _, None -> Some { State.packets = 0; bytes = 0 }
             | None, _ -> None
           in
-          store_state t ?handle key { st with State.stats = stats' }
+          store_state t ss ?handle key { st with State.stats = stats' }
         | None -> ())
       | Some (Error _) | None -> ())
 
@@ -447,8 +478,8 @@ let handle_rx_with_pre t pkt nsh pre_blob =
   match Pre_action.decode pre_blob with
   | Error _ -> Vswitch.count_drop t.vs Nf.No_route
   | Ok pre ->
-    let key = key_of pkt in
-    let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id key in
+    let key = key_of pkt and ss0 = sessions t in
+    let handle = session_entry ss0 key in
     let fresh = Option.is_none handle in
     let cycles =
       Params.packet_cycles ~wire_bytes:(Packet.wire_size pkt)
@@ -457,16 +488,17 @@ let handle_rx_with_pre t pkt nsh pre_blob =
     in
     Vswitch.charge t.vs ~cycles (fun _sim ->
         trace_stage t pkt ~name:"be_rx_finalize" ~t0 ();
-        let handle = Vswitch.session_entry t.vs t.vnic.Vnic.id ?handle key in
-        let prior = state_of handle in
+        let ss = sessions t in
+        let handle = session_entry ss ?handle:(carried ~from:ss0 ss handle) key in
+        let prior = state_of ss handle in
         let verdict, out =
           Nf.process ~pre ~state:prior ~dir:Packet.Rx ~flags:pkt.Packet.flags
             ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt)
             ?decap_src:nsh.Packet.orig_outer_src ()
         in
         (match out with
-        | Nf.Init st | Nf.Update st -> store_state t ?handle key st
-        | Nf.Keep -> Vswitch.touch_session t.vs t.vnic.Vnic.id ?handle key);
+        | Nf.Init st | Nf.Update st -> store_state t ss ?handle key st
+        | Nf.Keep -> touch_state t ss ?handle key);
         Stats.Counter.incr t.counters.rx_from_fe;
         match verdict with
         | Nf.Deliver ->
@@ -544,10 +576,10 @@ let install ~vs ~vnic ~vni ~fes ?fallback_ruleset () =
       pins = Flow_key.Table.create 4;
       fallback_ruleset;
       next_seq = 0;
-      outstanding = Hashtbl.create 64;
+      outstanding = Int_table.create 64;
       wheel =
         Timer_wheel.create ~tick:(Params.offload_retx_timeout /. 4.0) ~slots:64;
-      suspects = Hashtbl.create 4;
+      suspects = Int_table.create 4;
       hop_hist = Stats.Histogram.create ();
       hop_window = [];
       hop_window_n = 0;
@@ -588,11 +620,11 @@ let uninstall t =
   Vswitch.set_intercept t.vs t.vnic.Vnic.id None;
   (* Resolve anything still in flight through the local path so an
      offload torn down mid-chaos never strands packets. *)
-  let pds = Hashtbl.fold (fun _ pd acc -> pd :: acc) t.outstanding [] in
-  Hashtbl.reset t.outstanding;
+  let pds = Int_table.fold (fun _ pd acc -> pd :: acc) t.outstanding [] in
+  Int_table.reset t.outstanding;
   List.iter
     (fun pd ->
-      (match pd.timer with Some tm -> Timer_wheel.cancel tm | None -> ());
+      Timer_wheel.cancel t.wheel pd.timer;
       note_wait t pd;
       give_up t pd)
     (List.sort (fun a b -> compare a.seq b.seq) pds)
@@ -605,12 +637,10 @@ let uninstall t =
    dead for good; reconciliation installs a fresh [install]. *)
 let crash t =
   t.closed <- true;
-  let n = Hashtbl.length t.outstanding in
-  Hashtbl.iter
-    (fun _ pd -> match pd.timer with Some tm -> Timer_wheel.cancel tm | None -> ())
-    t.outstanding;
-  Hashtbl.reset t.outstanding;
-  Hashtbl.reset t.suspects;
+  let n = Int_table.length t.outstanding in
+  Int_table.iter (fun _ pd -> Timer_wheel.cancel t.wheel pd.timer) t.outstanding;
+  Int_table.reset t.outstanding;
+  Int_table.reset t.suspects;
   Flow_key.Table.reset t.pins;
   Stats.Counter.add t.counters.offload_dropped n
 
@@ -654,7 +684,7 @@ let pin_flow t flow fe = Flow_key.Table.replace t.pins (pin_key t flow) fe
 let unpin_flow t flow = Flow_key.Table.remove t.pins (pin_key t flow)
 let pinned_count t = Flow_key.Table.length t.pins
 
-let outstanding t = Hashtbl.length t.outstanding
+let outstanding t = Int_table.length t.outstanding
 
 let hop_latency_hist t = t.hop_hist
 

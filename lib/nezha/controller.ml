@@ -771,14 +771,17 @@ let migrate_be t h ~to_server =
         | Ok () ->
           Vswitch.drop_ruleset new_vs h.vnic.Vnic.id;
           (* Carry the states (the VM migration copies them). *)
-          Vswitch.iter_sessions old_vs h.vnic.Vnic.id (fun key session ->
-              match session.Vswitch.state with
-              | Some _ ->
-                ignore
-                  (Vswitch.store_session new_vs h.vnic.Vnic.id key
-                     { session with Vswitch.pre = None }
-                    : Admission.t)
-              | None -> ());
+          Option.iter
+            (fun target ->
+              Vswitch.iter_sessions old_vs h.vnic.Vnic.id (fun key session ->
+                  match session.Vswitch.state with
+                  | Some _ ->
+                    ignore
+                      (Vswitch.store_session new_vs target key
+                         { session with Vswitch.pre = None }
+                        : Admission.t)
+                  | None -> ()))
+            (Vswitch.sessions new_vs h.vnic.Vnic.id);
           let be' = successor_be t h new_vs in
           (match h.be with Some b -> Be.uninstall b | None -> ());
           Vswitch.remove_vnic old_vs h.vnic.Vnic.id;

@@ -48,10 +48,10 @@ let trace_stage t pkt ~name ~cached ~t0 =
 let resolve_pre t s ~flow_tx ~key =
   let generation = Ruleset.generation s.ruleset in
   match Flow_table.find_entry s.flows key with
-  | Some h when (Flow_table.value h).generation = generation ->
+  | Some h when (Flow_table.value s.flows h).generation = generation ->
     Stats.Counter.incr t.counters.fast_hits;
     Flow_table.refresh s.flows ~now:(Sim.now (Vswitch.sim t.vs)) h;
-    Some ((Flow_table.value h).pre, Params.split_fast_path_cycles, false)
+    Some ((Flow_table.value s.flows h).pre, Params.split_fast_path_cycles, false)
   | Some _ | None -> (
     Stats.Counter.incr t.counters.rule_lookups;
     match Vswitch.slow_path t.vs s.ruleset ~vpc:s.vnic.Vnic.vpc ~flow_tx with

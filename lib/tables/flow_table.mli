@@ -8,8 +8,16 @@
     insertion fails when a capacity budget would be exceeded — which is
     precisely the mechanism that caps #concurrent flows on a SmartNIC.
 
+    {b Layout.}  A binding is a stable id into a pool of flat arrays: its
+    key packed into three [int] words (vpc, protocol and ports in one,
+    each address in its own), its deadline and armed time in a
+    [float array], its accounted bytes and wheel timer in [int array]s,
+    and its value in a value array.  Inserting, refreshing and expiring
+    store unboxed words; the value is the one pointer a binding holds.
+    A released id keeps nothing alive, and is handed out again.
+
     {b Aging by deadline.}  Each entry stores its aging deadline and owns
-    one wheel timer, whose payload is the entry itself.  Refreshing an
+    one wheel timer, whose payload is the entry's id.  Refreshing an
     entry to a later deadline only stores that deadline — it allocates
     nothing and leaves the wheel alone; when the timer fires at the old
     deadline it re-arms in place at the stored one, allocating nothing
@@ -21,33 +29,36 @@
     differ.
 
     {b Index.}  Entries are found through one flat open-addressed index:
-    linear probing over a power-of-two array of full key hashes and a
-    parallel array of entries, grown (doubled) at 3/4 load.  The hash
-    packs the key's fields into exact integer words and allocates
-    nothing; a key is compared only where its full hash matches.  A
-    removal shifts the rest of its probe run back, so no tombstones
-    accumulate and a vacated slot holds nothing.  {!iter} visits
-    bindings in slot order.
+    linear probing over a power-of-two array of (full key hash, id)
+    pairs, grown (doubled) at 3/4 load.  The hash packs the key's fields
+    into the three exact integer words the pool stores and allocates
+    nothing; a key is compared, word by word, only where its full hash
+    matches.  A removal shifts the rest of its probe run back, so no
+    tombstones accumulate.  {!iter} visits bindings in slot order.
 
-    {b Handles.}  {!find_entry} returns the entry itself.  While it is
-    {!live}, {!refresh} and {!replace} act on it with no further hash
-    lookup, so a packet's session path hashes its key once.  {!remove},
-    {!expire} and {!clear} kill the entry; a caller holding a dead
-    handle goes back to the key ({!find_entry} again, or {!insert}).
+    {b Handles.}  {!find_entry} returns a handle: the binding's id and
+    the generation it was issued under, in one [int].  While it is
+    {!live}, {!value}, {!refresh} and {!replace} act on the binding with
+    no further hash lookup, so a packet's session path hashes its key
+    once.  {!remove}, {!expire} and {!clear} kill the handle; the id may
+    then be reused by a new binding, which a stale handle never reaches.
+    A caller holding a dead handle goes back to the key ({!find_entry}
+    again, or {!insert}).
 
     {b Sized at the first insert.}  A table allocates its 512-slot
-    index and 256-slot aging wheel at its first successful insert, so
-    one that never holds a session — an idle vNIC — costs a few dozen
-    words.  The geometry is the same as if they had been allocated at
-    creation, and the new wheel starts at the insert's [now], where
-    {!expire} calls up to then would have left an empty one: iteration
-    and expiry order do not depend on when the table was sized.  Before
-    that, every read sees an empty table; {!clear} leaves a sized table
-    sized, its index shrunk back to 512 slots. *)
+    index, its pool and its 256-slot aging wheel at its first successful
+    insert, so one that never holds a session — an idle vNIC — costs a
+    few dozen words.  The geometry is the same as if they had been
+    allocated at creation, and the new wheel starts at the insert's
+    [now], where {!expire} calls up to then would have left an empty
+    one: iteration and expiry order do not depend on when the table was
+    sized.  Before that, every read sees an empty table; {!clear} leaves
+    a sized table sized, its index and pool shrunk back to their first
+    sizes. *)
 
 type 'v t
 
-type 'v entry
+type 'v entry [@@immediate]
 (** A handle on one binding. *)
 
 val create :
@@ -71,11 +82,14 @@ val find : 'v t -> Flow_key.t -> 'v option
 
 val find_entry : 'v t -> Flow_key.t -> 'v entry option
 
-val live : 'v entry -> bool
-(** [false] once the binding was removed, expired or cleared. *)
+val live : 'v t -> 'v entry -> bool
+(** [false] once the binding was removed, expired or cleared, also
+    when its id has since been reused.  A handle means something only
+    to the table that issued it. *)
 
-val value : 'v entry -> 'v
-(** The entry's current value (its last one, once dead). *)
+val value : 'v t -> 'v entry -> 'v
+(** The binding's current value.
+    @raise Invalid_argument if the entry is dead. *)
 
 val refresh : 'v t -> now:float -> ?aging:float -> 'v entry -> unit
 (** {!touch} through a handle.
@@ -89,26 +103,23 @@ val replace : 'v t -> now:float -> ?aging:float -> 'v entry -> 'v -> Admission.t
 val touch : 'v t -> now:float -> ?aging:float -> Flow_key.t -> bool
 (** Refresh the aging deadline of an entry; [false] if absent. *)
 
-val update : 'v t -> now:float -> Flow_key.t -> ('v -> 'v) -> bool
-(** Mutate the value in place (memory accounting is refreshed) and touch
-    it; [false] if absent. *)
-
 val remove : 'v t -> Flow_key.t -> bool
 
 val expire : 'v t -> now:float -> on_expire:(Flow_key.t -> 'v -> unit) -> int
 (** Evict every entry idle past its aging time; returns the count.  Must
-    be called with non-decreasing [now]. *)
+    be called with non-decreasing [now].  [on_expire] gets a key rebuilt
+    from the stored words, equal to the one inserted. *)
 
 val length : 'v t -> int
 val memory_bytes : 'v t -> int
-val capacity_bytes : 'v t -> int option
 
 val pending_timers : 'v t -> int
 (** Armed wheel timers: one per entry, however often entries are
     refreshed. *)
 
 val iter : 'v t -> (Flow_key.t -> 'v -> unit) -> unit
-(** [f] must not insert into or remove from [t]. *)
+(** [f] must not insert into or remove from [t].  Keys are rebuilt as
+    for {!expire}. *)
 
 val clear : 'v t -> unit
 (** Drop every binding; all handles die. *)

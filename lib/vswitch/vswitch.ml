@@ -437,7 +437,9 @@ let aging_for s =
 (* Store [s] in [e]'s table: over [h], the key's live entry, or as a new
    binding when there is none. *)
 let put_session t e h key s =
-  let old_bytes = match h with Some h -> session_bytes t.params (Flow_table.value h) | None -> 0 in
+  let old_bytes =
+    match h with Some h -> session_bytes t.params (Flow_table.value e.sessions h) | None -> 0
+  in
   let delta = session_bytes t.params s - old_bytes in
   let reserved = if delta > 0 then Smartnic.mem_reserve t.nic delta else true in
   if not reserved then Admission.table_full
@@ -460,21 +462,23 @@ let put_session t e h key s =
   end
 
 let refresh_session t e h =
-  Flow_table.refresh e.sessions ~now:(Sim.now t.sim) ?aging:(aging_for (Flow_table.value h)) h
+  Flow_table.refresh e.sessions ~now:(Sim.now t.sim)
+    ?aging:(aging_for (Flow_table.value e.sessions h))
+    h
 
-(* The caller's handle while it lives, else the key's binding now.  A
-   live handle needs no vNIC lookup: removing a vNIC clears its table,
-   which kills every handle into it. *)
-let session_entry t vid ?handle key =
+type sessions = vnic_entry
+
+let sessions = entry
+
+(* The caller's handle while it lives, else the key's binding now. *)
+let session_entry e ?handle key =
   match handle with
-  | Some h when Flow_table.live h -> handle
-  | Some _ | None -> (
-    match entry t vid with None -> None | Some e -> Flow_table.find_entry e.sessions key)
+  | Some h when Flow_table.live e.sessions h -> handle
+  | Some _ | None -> Flow_table.find_entry e.sessions key
 
-let store_session t vid ?handle key s =
-  match entry t vid with
-  | None -> Admission.table_full
-  | Some e -> put_session t e (session_entry t vid ?handle key) key s
+let session_value e h = Flow_table.value e.sessions h
+
+let store_session t e ?handle key s = put_session t e (session_entry e ?handle key) key s
 
 let remove_session t vid key =
   match entry t vid with
@@ -486,11 +490,8 @@ let remove_session t vid key =
       Smartnic.mem_release t.nic (session_bytes t.params v);
       Flow_table.remove e.sessions key)
 
-let touch_session t vid ?handle key =
-  match entry t vid with
-  | None -> ()
-  | Some e -> (
-    match session_entry t vid ?handle key with Some h -> refresh_session t e h | None -> ())
+let touch_session t e ?handle key =
+  match session_entry e ?handle key with Some h -> refresh_session t e h | None -> ()
 
 let iter_sessions t vid f =
   match entry t vid with None -> () | Some e -> Flow_table.iter e.sessions f
@@ -657,7 +658,7 @@ let walk_group t e rs ~dir ~generation pkt h =
 let resolve t e rs ~dir ~generation pkt key =
   match Flow_table.find_entry e.sessions key with
   | Some h as found -> (
-    match Flow_table.value h with
+    match Flow_table.value e.sessions h with
     | { pre = Some pre; _ } as s when s.generation = generation ->
       Stats.Counter.incr t.counters.fast_path_hits;
       Cached (pre, s, h)
@@ -718,13 +719,19 @@ let commit t e ~dir ~t0 out { pkt; key; res; decap_src } =
   | Cached (pre, s, h) -> (
     trace_stage t pkt ~name:"fast_path" ~args:(dir_args dir) ~t0 ();
     let verdict, out_state = run_nf ~dir ?decap_src ~pre ~state:s.state pkt in
-    let live = Flow_table.live h in
+    let live = Flow_table.live e.sessions h in
     (match out_state with
-    | Nf.Keep -> if live then refresh_session t e h else touch_session t vid key
+    | Nf.Keep -> (
+      if live then refresh_session t e h
+      else match entry t vid with Some now_e -> touch_session t now_e key | None -> ())
     | Nf.Init st | Nf.Update st ->
       let s = { s with state = Some st } in
       ignore
-        (if live then put_session t e (Some h) key s else store_session t vid key s
+        (if live then put_session t e (Some h) key s
+         else
+           match entry t vid with
+           | Some now_e -> store_session t now_e key s
+           | None -> Admission.table_full
           : Admission.t));
     match verdict with
     | Nf.Deliver -> deliver t vid ~dir out pre pkt
@@ -737,7 +744,7 @@ let commit t e ~dir ~t0 out { pkt; key; res; decap_src } =
         ~t0 ();
     let target =
       match h with
-      | Some x when Flow_table.live x -> Some (e, h)
+      | Some x when Flow_table.live e.sessions x -> Some (e, h)
       | Some _ | None -> (
         match entry t vid with
         | Some e -> Some (e, Flow_table.find_entry e.sessions key)
@@ -745,7 +752,7 @@ let commit t e ~dir ~t0 out { pkt; key; res; decap_src } =
     in
     let prior =
       match target with
-      | Some (_, Some x) -> (Flow_table.value x).state
+      | Some (e, Some x) -> (Flow_table.value e.sessions x).state
       | Some (_, None) | None -> None
     in
     let verdict, out_state = run_nf ~dir ?decap_src ~pre ~state:prior pkt in

@@ -175,30 +175,40 @@ val sync_rule_memory : t -> Vnic.id -> Admission.t
     pre-actions and/or the session state; under Nezha the BE keeps only
     states and the FE only pre-actions.
 
-    A packet looks its session up once.  {!session_entry} returns a
-    {!Flow_table.entry} handle; a packet that carries it through
-    SmartNIC service passes it back as [?handle] to store or touch its
-    session without hashing the key again.  A handle that died in the
-    meantime (the session was removed, aged out or wiped), or an absent
-    one, sends the call down the key path. *)
+    A packet looks its session up once.  {!sessions} gives the vNIC's
+    table and {!session_entry} a {!Flow_table.entry} handle in it; a
+    packet that carries both through SmartNIC service passes the handle
+    back as [?handle] to read, store or touch its session without
+    hashing the key again.  A handle is good only in the table it came
+    from (a vNIC removed and added again has a new one).  A handle that
+    died in the meantime (the session was removed, aged out or wiped),
+    or an absent one, sends the call down the key path. *)
 
 type session = { pre : Pre_action.t option; state : State.t option; generation : int }
+
+type sessions
+(** One vNIC's session table. *)
+
+val sessions : t -> Vnic.id -> sessions option
+(** The vNIC's session table; [None] once the vNIC is gone. *)
 
 val find_session : t -> Vnic.id -> Flow_key.t -> session option
 
 val session_entry :
-  t -> Vnic.id -> ?handle:session Flow_table.entry -> Flow_key.t ->
-  session Flow_table.entry option
+  sessions -> ?handle:session Flow_table.entry -> Flow_key.t -> session Flow_table.entry option
 (** [handle] while it is live, else the key's entry now. *)
 
+val session_value : sessions -> session Flow_table.entry -> session
+(** @raise Invalid_argument if the entry is dead. *)
+
 val store_session :
-  t -> Vnic.id -> ?handle:session Flow_table.entry -> Flow_key.t -> session -> Admission.t
+  t -> sessions -> ?handle:session Flow_table.entry -> Flow_key.t -> session -> Admission.t
 (** Inserts or replaces, charging the memory model.  Establishing
     sessions get the short SYN aging time automatically (§7.3). *)
 
 val remove_session : t -> Vnic.id -> Flow_key.t -> bool
 
-val touch_session : t -> Vnic.id -> ?handle:session Flow_table.entry -> Flow_key.t -> unit
+val touch_session : t -> sessions -> ?handle:session Flow_table.entry -> Flow_key.t -> unit
 (** Refresh the session's aging deadline; a no-op when it is gone. *)
 
 val iter_sessions : t -> Vnic.id -> (Flow_key.t -> session -> unit) -> unit

@@ -389,12 +389,12 @@ let test_sim_negative_delay_clamped () =
 let test_wheel_fires_in_window () =
   let w = Timer_wheel.create ~tick:0.1 ~slots:64 in
   let fired = ref [] in
-  ignore (Timer_wheel.add w ~now:0.0 ~deadline:1.0 "a" : string Timer_wheel.timer);
-  ignore (Timer_wheel.add w ~now:0.0 ~deadline:2.0 "b" : string Timer_wheel.timer);
+  ignore (Timer_wheel.add w ~now:0.0 ~deadline:1.0 1 : Timer_wheel.timer);
+  ignore (Timer_wheel.add w ~now:0.0 ~deadline:2.0 2 : Timer_wheel.timer);
   check_int "pending" 2 (Timer_wheel.pending w);
   let n = Timer_wheel.advance w ~now:1.5 (fun v -> fired := v :: !fired) in
   check_int "one fired" 1 n;
-  Alcotest.(check (list string)) "a fired" [ "a" ] !fired;
+  Alcotest.(check (list int)) "the first fired" [ 1 ] !fired;
   let n2 = Timer_wheel.advance w ~now:2.5 (fun v -> fired := v :: !fired) in
   check_int "second fired" 1 n2;
   check_int "none pending" 0 (Timer_wheel.pending w)
@@ -402,8 +402,9 @@ let test_wheel_fires_in_window () =
 let test_wheel_cancel () =
   let w = Timer_wheel.create ~tick:0.1 ~slots:16 in
   let t = Timer_wheel.add w ~now:0.0 ~deadline:0.5 42 in
-  Timer_wheel.cancel t;
-  check_bool "cancelled" true (Timer_wheel.cancelled t);
+  check_bool "armed" true (Timer_wheel.armed w t);
+  Timer_wheel.cancel w t;
+  check_bool "cancelled" false (Timer_wheel.armed w t);
   check_int "pending drops immediately" 0 (Timer_wheel.pending w);
   let n = Timer_wheel.advance w ~now:1.0 (fun _ -> Alcotest.fail "must not fire") in
   check_int "no fires" 0 n
@@ -412,20 +413,20 @@ let test_wheel_multi_revolution () =
   (* Deadline far beyond one revolution must survive sweeps until due. *)
   let w = Timer_wheel.create ~tick:0.1 ~slots:4 in
   let fired = ref 0 in
-  ignore (Timer_wheel.add w ~now:0.0 ~deadline:3.0 () : unit Timer_wheel.timer);
-  ignore (Timer_wheel.advance w ~now:1.0 (fun () -> incr fired) : int);
+  ignore (Timer_wheel.add w ~now:0.0 ~deadline:3.0 0 : Timer_wheel.timer);
+  ignore (Timer_wheel.advance w ~now:1.0 (fun _ -> incr fired) : int);
   check_int "not yet" 0 !fired;
-  ignore (Timer_wheel.advance w ~now:2.9 (fun () -> incr fired) : int);
+  ignore (Timer_wheel.advance w ~now:2.9 (fun _ -> incr fired) : int);
   check_int "still not" 0 !fired;
-  ignore (Timer_wheel.advance w ~now:3.2 (fun () -> incr fired) : int);
+  ignore (Timer_wheel.advance w ~now:3.2 (fun _ -> incr fired) : int);
   check_int "fired on time" 1 !fired
 
 let test_wheel_min_one_tick () =
   let w = Timer_wheel.create ~tick:1.0 ~slots:8 in
   let fired = ref 0 in
   (* Deadline in the past is clamped one tick ahead, never dropped. *)
-  ignore (Timer_wheel.add w ~now:5.0 ~deadline:1.0 () : unit Timer_wheel.timer);
-  ignore (Timer_wheel.advance w ~now:7.0 (fun () -> incr fired) : int);
+  ignore (Timer_wheel.add w ~now:5.0 ~deadline:1.0 0 : Timer_wheel.timer);
+  ignore (Timer_wheel.advance w ~now:7.0 (fun _ -> incr fired) : int);
   check_int "fired after clamp" 1 !fired
 
 let test_wheel_rearm_swept_slot () =
@@ -433,8 +434,8 @@ let test_wheel_rearm_swept_slot () =
      the slot being swept: the new timer must survive the sweep. *)
   let w = Timer_wheel.create ~tick:1.0 ~slots:4 in
   let now = ref 0.0 and fired = ref [] in
-  let arm n = ignore (Timer_wheel.add w ~now:!now ~deadline:(!now +. 3.5) n : int Timer_wheel.timer) in
-  ignore (Timer_wheel.add w ~now:0.0 ~deadline:0.5 0 : int Timer_wheel.timer);
+  let arm n = ignore (Timer_wheel.add w ~now:!now ~deadline:(!now +. 3.5) n : Timer_wheel.timer) in
+  ignore (Timer_wheel.add w ~now:0.0 ~deadline:0.5 0 : Timer_wheel.timer);
   for i = 1 to 20 do
     now := float_of_int i;
     ignore
@@ -452,16 +453,16 @@ let test_wheel_rearm_in_place () =
      instants, and a re-arm must hand back that node. *)
   let w = Timer_wheel.create ~tick:1.0 ~slots:4 in
   let now = ref 0.0 and fired = ref [] and count = ref 0 in
-  let node = Timer_wheel.add w ~now:0.0 ~deadline:0.5 () in
+  let node = Timer_wheel.add w ~now:0.0 ~deadline:0.5 0 in
   for i = 1 to 20 do
     now := float_of_int i;
     ignore
-      (Timer_wheel.advance w ~now:!now (fun () ->
+      (Timer_wheel.advance w ~now:!now (fun _ ->
            fired := (!count, !now) :: !fired;
            incr count;
            if !count <= 3 then
              check_bool "re-armed in place" true
-               (Timer_wheel.rearm node ~now:!now ~deadline:(!now +. 3.5) == node))
+               (Timer_wheel.rearm w node ~now:!now ~deadline:(!now +. 3.5) = node))
         : int)
   done;
   Alcotest.(check (list (pair int (float 0.0))))
@@ -469,10 +470,224 @@ let test_wheel_rearm_in_place () =
     [ (0, 1.0); (1, 5.0); (2, 9.0); (3, 13.0) ]
     (List.rev !fired);
   check_int "nothing pending" 0 (Timer_wheel.pending w);
+  check_bool "a fired timer's handle goes stale" false (Timer_wheel.armed w node);
   check_bool "a pending timer is replaced, not moved" true
-    (let n = Timer_wheel.add w ~now:20.0 ~deadline:30.0 () in
-     let n' = Timer_wheel.rearm n ~now:20.0 ~deadline:25.0 in
-     n' != n && Timer_wheel.cancelled n && Timer_wheel.pending w = 1)
+    (let n = Timer_wheel.add w ~now:20.0 ~deadline:30.0 0 in
+     let n' = Timer_wheel.rearm w n ~now:20.0 ~deadline:25.0 in
+     n' <> n && (not (Timer_wheel.armed w n)) && Timer_wheel.armed w n'
+     && Timer_wheel.pending w = 1)
+
+(* A re-arm of a fired node from its own callback stores unboxed words
+   only: no allocation at all. *)
+let test_wheel_rearm_allocates_nothing () =
+  let w = Timer_wheel.create ~tick:1.0 ~slots:16 in
+  let node = Timer_wheel.add w ~now:0.0 ~deadline:0.5 0 in
+  let rearms = ref 0 and allocating = ref 0 in
+  for i = 1 to 1000 do
+    (* Both floats are boxed before the measurement: passing a float to
+       a function boxes it in the caller. *)
+    let now = float_of_int i in
+    let deadline = Sys.opaque_identity (now +. 0.5) in
+    ignore
+      (Timer_wheel.advance w ~now (fun _ ->
+           let w0 = Gc.minor_words () in
+           let again = Timer_wheel.rearm w node ~now ~deadline in
+           if Gc.minor_words () -. w0 > 0.0 then incr allocating;
+           if again = node then incr rearms)
+        : int)
+  done;
+  check_int "re-armed in place every time" 1000 !rearms;
+  check_int "re-arms that allocated" 0 !allocating
+
+(* The wheel against a list model of its slots.  Each slot is a list,
+   newest first; a sweep fires the due timers front to back, keeps the
+   rest in their order, and puts what its callbacks linked into the slot
+   in front of them.  Operations go through every handle ever issued,
+   so cancels and re-arms hit pending, cancelled and released nodes
+   alike: on a released one they must be no-ops.  Callbacks re-arm
+   their own node (payloads = 0 mod 4, at most three firings) or add a
+   child timer (payloads = 1 mod 4), sometimes into the slot being
+   swept. *)
+type wm_state = Wm_pending | Wm_cancelled | Wm_fired | Wm_fired_cancelled | Wm_released
+
+type wm = { payload : int; mutable deadline : float; mutable st : wm_state }
+
+type wop = W_add of int | W_cancel of int | W_rearm of int * int | W_advance of float
+
+let wm_tick = 1.0
+let wm_slots = 4
+
+let wop_show = function
+  | W_add d -> Printf.sprintf "add +%d/4" d
+  | W_cancel i -> Printf.sprintf "cancel #%d" i
+  | W_rearm (i, d) -> Printf.sprintf "rearm #%d +%d/4" i d
+  | W_advance dt -> Printf.sprintf "advance +%g" dt
+
+let prop_wheel_matches_list_model =
+  let open QCheck in
+  let gen =
+    Gen.(
+      list_size (int_range 1 120)
+        (frequency
+           [
+             (5, map (fun d -> W_add d) (int_bound 40));
+             (2, map (fun i -> W_cancel i) (int_bound 60));
+             (2, map2 (fun i d -> W_rearm (i, d)) (int_bound 60) (int_bound 40));
+             (4, map (fun i -> W_advance (float_of_int i *. 0.25)) (int_bound 12));
+             (1, return (W_advance 30.0));
+           ]))
+  in
+  Test.make ~name:"timer wheel matches a list model" ~count:300
+    (make ~print:(fun ops -> String.concat "; " (List.map wop_show ops)) gen)
+    (fun ops ->
+      let w = Timer_wheel.create ~tick:wm_tick ~slots:wm_slots in
+      (* The model. *)
+      let slots = Array.make wm_slots [] and cursor = ref 0 and live = ref 0 in
+      let stale = ref false in
+      let m_link now d m =
+        let d = Float.max now d in
+        let k = max (int_of_float (d /. wm_tick)) !cursor in
+        m.deadline <- d;
+        m.st <- Wm_pending;
+        slots.(k mod wm_slots) <- m :: slots.(k mod wm_slots);
+        incr live
+      in
+      let m_cancel m =
+        match m.st with
+        | Wm_pending ->
+          m.st <- Wm_cancelled;
+          decr live;
+          stale := true
+        | Wm_fired -> m.st <- Wm_fired_cancelled
+        | Wm_cancelled | Wm_fired_cancelled | Wm_released -> ()
+      in
+      (* Every handle issued, newest first, with its model node; and by
+         payload, the node now carrying it. *)
+      let issued = ref [] and real_of = Hashtbl.create 16 and model_of = Hashtbl.create 16 in
+      let issue p h m =
+        issued := (h, m) :: !issued;
+        Hashtbl.replace real_of p h;
+        Hashtbl.replace model_of p m
+      in
+      let next_payload = ref 0 in
+      let real_fires = Hashtbl.create 16 and model_fires = Hashtbl.create 16 in
+      let bump tbl p =
+        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt tbl p) in
+        Hashtbl.replace tbl p n;
+        n
+      in
+      let pick i = List.nth !issued (i mod List.length !issued) in
+      let m_advance now =
+        let fired = ref [] in
+        while float_of_int (!cursor + 1) *. wm_tick <= now do
+          if !live = 0 then begin
+            if !stale then begin
+              Array.iteri
+                (fun s chain ->
+                  List.iter (fun m -> m.st <- Wm_released) chain;
+                  slots.(s) <- [])
+                slots;
+              stale := false
+            end;
+            cursor := max !cursor (int_of_float (now /. wm_tick) - 1)
+          end;
+          let s = !cursor mod wm_slots in
+          let chain = slots.(s) in
+          slots.(s) <- [];
+          let keep = ref [] in
+          List.iter
+            (fun m ->
+              match m.st with
+              | Wm_pending when m.deadline <= now ->
+                m.st <- Wm_fired;
+                decr live;
+                fired := m.payload :: !fired;
+                let p = m.payload in
+                let n = bump model_fires p in
+                if p < 1_000_000 && p mod 4 = 0 && n < 3 then
+                  m_link now (now +. (float_of_int (p mod 7) *. 0.25)) m
+                else if p < 1_000_000 && p mod 4 = 1 then begin
+                  let c = { payload = p + 1_000_000; deadline = 0.0; st = Wm_released } in
+                  m_link now (now +. (float_of_int (p mod 5) *. 0.25)) c;
+                  Hashtbl.replace model_of c.payload c
+                end;
+                if m.st = Wm_fired || m.st = Wm_fired_cancelled then m.st <- Wm_released
+              | Wm_pending -> keep := m :: !keep
+              | Wm_cancelled | Wm_fired | Wm_fired_cancelled | Wm_released ->
+                m.st <- Wm_released)
+            chain;
+          slots.(s) <- slots.(s) @ List.rev !keep;
+          incr cursor
+        done;
+        List.rev !fired
+      in
+      let r_advance now =
+        let fired = ref [] and children = ref [] in
+        ignore
+          (Timer_wheel.advance w ~now (fun p ->
+               fired := p :: !fired;
+               let n = bump real_fires p in
+               if p < 1_000_000 && p mod 4 = 0 && n < 3 then begin
+                 let h = Hashtbl.find real_of p in
+                 ignore
+                   (Timer_wheel.rearm w h ~now ~deadline:(now +. (float_of_int (p mod 7) *. 0.25))
+                     : Timer_wheel.timer)
+               end
+               else if p < 1_000_000 && p mod 4 = 1 then begin
+                 let c = p + 1_000_000 in
+                 let h =
+                   Timer_wheel.add w ~now ~deadline:(now +. (float_of_int (p mod 5) *. 0.25)) c
+                 in
+                 Hashtbl.replace real_of c h;
+                 children := (c, h) :: !children
+               end)
+            : int);
+        (List.rev !fired, List.rev !children)
+      in
+      let now = ref 0.0 in
+      List.for_all
+        (fun op ->
+          let same_fires =
+            match op with
+            | W_add d ->
+              let p = !next_payload in
+              incr next_payload;
+              let deadline = !now +. (float_of_int d *. 0.25) in
+              let h = Timer_wheel.add w ~now:!now ~deadline p in
+              let m = { payload = p; deadline = 0.0; st = Wm_released } in
+              m_link !now deadline m;
+              issue p h m;
+              true
+            | W_cancel i when !issued <> [] ->
+              let h, m = pick i in
+              Timer_wheel.cancel w h;
+              m_cancel m;
+              true
+            | W_rearm (i, d) when !issued <> [] ->
+              let h, m = pick i in
+              let deadline = !now +. (float_of_int d *. 0.25) in
+              let h' = Timer_wheel.rearm w h ~now:!now ~deadline in
+              (* A pending timer is replaced; any other is left as is. *)
+              if m.st = Wm_pending then begin
+                m_cancel m;
+                let m' = { payload = m.payload; deadline = 0.0; st = Wm_released } in
+                m_link !now deadline m';
+                issue m.payload h' m';
+                h' <> h
+              end
+              else h' = h
+            | W_cancel _ | W_rearm _ -> true
+            | W_advance dt ->
+              now := !now +. dt;
+              let real, children = r_advance !now in
+              let model = m_advance !now in
+              List.iter (fun (c, h) -> issue c h (Hashtbl.find model_of c)) children;
+              real = model
+          in
+          same_fires
+          && Timer_wheel.pending w = !live
+          && List.for_all (fun (h, m) -> Timer_wheel.armed w h = (m.st = Wm_pending)) !issued)
+        ops)
 
 let prop_wheel_fires_everything =
   QCheck.Test.make ~name:"timer wheel fires every non-cancelled timer" ~count:100
@@ -480,10 +695,10 @@ let prop_wheel_fires_everything =
     (fun deadlines ->
       let w = Timer_wheel.create ~tick:0.25 ~slots:32 in
       List.iter
-        (fun d -> ignore (Timer_wheel.add w ~now:0.0 ~deadline:d () : unit Timer_wheel.timer))
+        (fun d -> ignore (Timer_wheel.add w ~now:0.0 ~deadline:d 0 : Timer_wheel.timer))
         deadlines;
       let fired = ref 0 in
-      ignore (Timer_wheel.advance w ~now:100.0 (fun () -> incr fired) : int);
+      ignore (Timer_wheel.advance w ~now:100.0 (fun _ -> incr fired) : int);
       !fired = List.length deadlines && Timer_wheel.pending w = 0)
 
 
@@ -658,10 +873,36 @@ let test_sim_timeout_cancel_inside () =
   check_bool "cancelled" true (Sim.timer_cancelled timer);
   check_int "nothing pending" 0 (Sim.pending sim)
 
+(* A loop that ended or was cancelled leaves nothing of itself in the
+   simulation: its body, and what the body captures, can be collected,
+   while a running loop's body stays. *)
+let test_sim_ended_loop_unreachable () =
+  let sim = Sim.create () in
+  let weak = Weak.create 3 in
+  let loop i ~stop =
+    let cell = Bytes.make 16 'x' in
+    Weak.set weak i (Some cell);
+    Sim.timeout sim ~delay:1.0 (fun _ ->
+        ignore (Sys.opaque_identity cell);
+        if stop then None else Some 1.0)
+  in
+  let _ended = loop 0 ~stop:true in
+  let cancelled = loop 1 ~stop:false in
+  let _running = loop 2 ~stop:false in
+  Sim.run sim ~until:2.5;
+  Sim.cancel_timer cancelled;
+  Sim.run sim ~until:5.0;
+  Gc.full_major ();
+  check_bool "an ended loop's body is gone" false (Weak.check weak 0);
+  check_bool "a cancelled loop's body is gone" false (Weak.check weak 1);
+  check_bool "a running loop's body stays" true (Weak.check weak 2);
+  check_int "one loop left" 1 (Sim.pending sim)
+
 let test_sim_timeout_loop_promotes_little () =
-  (* A loop re-arms its one node: with a minor collection every 2 ms of
-     simulated time, whatever a firing allocates and keeps gets
-     promoted, and a fresh node per firing would be ~8 words. *)
+  (* A loop re-arms its one node, whose link, state and deadline are
+     unboxed words in the wheel's pool: with a minor collection every
+     2 ms of simulated time, whatever a firing allocates and keeps gets
+     promoted, and a firing keeps nothing. *)
   let sim = Sim.create () in
   let firings = ref 0 in
   for i = 0 to 999 do
@@ -685,8 +926,8 @@ let test_sim_timeout_loop_promotes_little () =
      deadline just past a slot boundary. *)
   check_bool "ran every loop" true (!firings - f0 >= 90_000);
   check_bool
-    (Printf.sprintf "%.2f promoted words per firing <= 2" per_firing)
-    true (per_firing <= 2.0)
+    (Printf.sprintf "%.3f promoted words per firing <= 0.01" per_firing)
+    true (per_firing <= 0.01)
 
 (* ------------------------------------------------------------------ *)
 (* Sim against a reference model
@@ -1082,6 +1323,8 @@ let () =
           Alcotest.test_case "timeout cancel inside its loop" `Quick test_sim_timeout_cancel_inside;
           Alcotest.test_case "timeout loop promotes little" `Quick
             test_sim_timeout_loop_promotes_little;
+          Alcotest.test_case "an ended loop leaves nothing behind" `Quick
+            test_sim_ended_loop_unreachable;
         ]
         @ qsuite
             [ prop_timeout_matches_schedule; prop_timeout_loop_matches_readd; prop_sim_matches_model ]
@@ -1107,6 +1350,7 @@ let () =
           Alcotest.test_case "past deadline clamped" `Quick test_wheel_min_one_tick;
           Alcotest.test_case "re-arm into the swept slot" `Quick test_wheel_rearm_swept_slot;
           Alcotest.test_case "re-arm in place" `Quick test_wheel_rearm_in_place;
+          Alcotest.test_case "re-arm allocates nothing" `Quick test_wheel_rearm_allocates_nothing;
         ]
-        @ qsuite [ prop_wheel_fires_everything ] );
+        @ qsuite [ prop_wheel_fires_everything; prop_wheel_matches_list_model ] );
     ]

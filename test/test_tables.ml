@@ -268,10 +268,11 @@ let test_ft_update () =
   let t = mk_table () in
   let k = key "1.1.1.1" "2.2.2.2" in
   ignore (Flow_table.insert t ~now:0.0 k "a" : Admission.t);
-  check_bool "update" true (Flow_table.update t ~now:1.0 k (fun v -> v ^ "b"));
+  let h = Option.get (Flow_table.find_entry t k) in
+  check_bool "update" true (Flow_table.replace t ~now:1.0 h (Flow_table.value t h ^ "b") = Ok ());
   check_bool "new value" true (Flow_table.find t k = Some "ab");
   check_int "memory tracks growth" 102 (Flow_table.memory_bytes t);
-  check_bool "missing update" false (Flow_table.update t ~now:1.0 (key "9.9.9.9" "8.8.8.8") Fun.id)
+  check_bool "missing update" true (Flow_table.find_entry t (key "9.9.9.9" "8.8.8.8") = None)
 
 let prop_ft_memory_consistent =
   let gen = QCheck.Gen.(list_size (int_range 1 100) (pair (int_bound 1000) (int_bound 20))) in
@@ -298,16 +299,16 @@ let test_ft_handles () =
   let k = key "1.1.1.1" "2.2.2.2" in
   ignore (Flow_table.insert t ~now:0.0 k "a" : Admission.t);
   let h = Option.get (Flow_table.find_entry t k) in
-  check_bool "live" true (Flow_table.live h);
+  check_bool "live" true (Flow_table.live t h);
   check_bool "replace" true (Flow_table.replace t ~now:1.0 h "abc" = Ok ());
   check_bool "replaced value" true (Flow_table.find t k = Some "abc");
   check_int "memory follows replace" 103 (Flow_table.memory_bytes t);
   Flow_table.refresh t ~now:7.0 h;
   check_int "refreshed past the first deadline" 0
     (Flow_table.expire t ~now:12.0 ~on_expire:(fun _ _ -> ()));
-  check_bool "still live" true (Flow_table.live h);
+  check_bool "still live" true (Flow_table.live t h);
   ignore (Flow_table.remove t k : bool);
-  check_bool "remove kills" false (Flow_table.live h);
+  check_bool "remove kills" false (Flow_table.live t h);
   check_bool "dead handle refuses refresh" true
     (match Flow_table.refresh t ~now:13.0 h with
     | () -> false
@@ -315,11 +316,11 @@ let test_ft_handles () =
   ignore (Flow_table.insert t ~now:13.0 k "b" : Admission.t);
   let h = Option.get (Flow_table.find_entry t k) in
   ignore (Flow_table.expire t ~now:30.0 ~on_expire:(fun _ _ -> ()) : int);
-  check_bool "expire kills" false (Flow_table.live h);
+  check_bool "expire kills" false (Flow_table.live t h);
   ignore (Flow_table.insert t ~now:30.0 k "c" : Admission.t);
   let h = Option.get (Flow_table.find_entry t k) in
   Flow_table.clear t;
-  check_bool "clear kills" false (Flow_table.live h);
+  check_bool "clear kills" false (Flow_table.live t h);
   check_int "no timer left" 0 (Flow_table.pending_timers t)
 
 (* Refreshing a live entry re-arms nothing and allocates less than the
@@ -369,12 +370,12 @@ let test_ft_unsized () =
 type ft_op =
   | Ins of int * int * float option (* key, value length, aging *)
   | Touch of int * float option
-  | Upd of int * int
   | Refresh of int * float option
   | Replace of int * int * float option
   | Rem of int
   | Clear
   | Expire
+  | Hold of int (* keep the key's handle, if any, for later checks *)
 
 let ft_aging = 8.0
 let ft_tick = ft_aging /. 8.0
@@ -388,12 +389,12 @@ let ft_op_gen =
     [
       (4, map3 (fun k l a -> Ins (k, l, a)) k len aging);
       (3, map2 (fun k a -> Touch (k, a)) k aging);
-      (2, map2 (fun k l -> Upd (k, l)) k len);
       (2, map2 (fun k a -> Refresh (k, a)) k aging);
       (2, map3 (fun k l a -> Replace (k, l, a)) k len aging);
       (1, map (fun k -> Rem k) k);
       (1, return Clear);
       (4, return Expire);
+      (3, map (fun k -> Hold k) k);
     ]
 
 let ft_dt_gen =
@@ -406,15 +407,20 @@ let ft_show (dt, op) =
     (match op with
     | Ins (k, l, _) -> Printf.sprintf "ins %d/%d" k l
     | Touch (k, _) -> Printf.sprintf "touch %d" k
-    | Upd (k, l) -> Printf.sprintf "upd %d/%d" k l
     | Refresh (k, _) -> Printf.sprintf "refresh %d" k
     | Replace (k, l, _) -> Printf.sprintf "replace %d/%d" k l
     | Rem k -> Printf.sprintf "rem %d" k
     | Clear -> "clear"
-    | Expire -> "expire")
+    | Expire -> "expire"
+    | Hold k -> Printf.sprintf "hold %d" k)
 
 let ft_keys = Array.init 6 (fun i -> key "10.0.0.1" "10.0.0.2" ~sport:(2000 + i))
 
+(* The model also names each binding by a serial number, so the test
+   can hold handles across [remove], [expire] and [clear] while ids are
+   reused by later inserts: a held handle is live exactly while its
+   binding is, reads that binding's value, and once dead refuses
+   [refresh] and [replace] without touching the key's new binding. *)
 let prop_ft_deadline_aging =
   QCheck.Test.make ~name:"deadline aging matches eager re-arm model" ~count:300
     (QCheck.make
@@ -425,19 +431,46 @@ let prop_ft_deadline_aging =
         Flow_table.create ~capacity_bytes:ft_capacity ~entry_overhead:100
           ~value_bytes:String.length ~default_aging:ft_aging ()
       in
-      (* The model: key index -> (value, deadline). *)
-      let model = Hashtbl.create 8 in
-      let used () = Hashtbl.fold (fun _ (v, _) acc -> acc + 100 + String.length v) model 0 in
+      (* The model: key index -> (value, deadline, binding serial). *)
+      let model = Hashtbl.create 8 and serial = ref 0 in
+      let used () = Hashtbl.fold (fun _ (v, _, _) acc -> acc + 100 + String.length v) model 0 in
       let aging_of = Option.value ~default:ft_aging in
       let m_store now k v aging =
-        let old = match Hashtbl.find_opt model k with Some (o, _) -> 100 + String.length o | None -> 0 in
-        if used () - old + 100 + String.length v <= ft_capacity then
-          Hashtbl.replace model k (v, now +. aging_of aging)
+        let old, b =
+          match Hashtbl.find_opt model k with
+          | Some (o, _, b) -> (100 + String.length o, b)
+          | None -> (0, !serial + 1)
+        in
+        if used () - old + 100 + String.length v <= ft_capacity then begin
+          serial := max !serial b;
+          Hashtbl.replace model k (v, now +. aging_of aging, b)
+        end
       in
       let m_touch now k aging =
         match Hashtbl.find_opt model k with
-        | Some (v, _) -> Hashtbl.replace model k (v, now +. aging_of aging)
+        | Some (v, _, b) -> Hashtbl.replace model k (v, now +. aging_of aging, b)
         | None -> ()
+      in
+      (* Held handles: (key, handle, binding serial). *)
+      let held = ref [] in
+      let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      let held_ok now =
+        List.for_all
+          (fun (k, h, b) ->
+            match Hashtbl.find_opt model k with
+            | Some (v, _, b') when b' = b -> Flow_table.live t h && Flow_table.value t h = v
+            | Some _ | None ->
+              (not (Flow_table.live t h))
+              && refused (fun () -> Flow_table.value t h)
+              && refused (fun () -> Flow_table.refresh t ~now ~aging:100.0 h)
+              && refused (fun () -> Flow_table.replace t ~now h "stale"))
+          !held
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun k key ->
+                  Flow_table.find t key
+                  = Option.map (fun (v, _, _) -> v) (Hashtbl.find_opt model k))
+                ft_keys)
       in
       let slot_end d = float_of_int (int_of_float (d /. ft_tick) + 1) *. ft_tick in
       let now = ref 0.0 in
@@ -455,13 +488,6 @@ let prop_ft_deadline_aging =
             | Touch (k, aging) ->
               ignore (Flow_table.touch t ~now ?aging ft_keys.(k) : bool);
               m_touch now k aging;
-              true
-            | Upd (k, l) ->
-              let v = String.make l 'y' in
-              ignore (Flow_table.update t ~now ft_keys.(k) (fun _ -> v) : bool);
-              (match Hashtbl.find_opt model k with
-              | Some _ -> Hashtbl.replace model k (v, now +. ft_aging)
-              | None -> ());
               true
             | Refresh (k, aging) ->
               (match Flow_table.find_entry t ft_keys.(k) with
@@ -484,12 +510,19 @@ let prop_ft_deadline_aging =
               Flow_table.clear t;
               Hashtbl.reset model;
               true
+            | Hold k ->
+              (match (Flow_table.find_entry t ft_keys.(k), Hashtbl.find_opt model k) with
+              | Some h, Some (_, _, b) -> held := (k, h, b) :: List.filteri (fun i _ -> i < 7) !held
+              | _, _ -> ());
+              true
             | Expire ->
               let got = ref [] in
               ignore
                 (Flow_table.expire t ~now ~on_expire:(fun k v -> got := (k, v) :: !got) : int);
               let due =
-                Hashtbl.fold (fun k (v, d) acc -> if slot_end d <= now then (k, v) :: acc else acc) model []
+                Hashtbl.fold
+                  (fun k (v, d, _) acc -> if slot_end d <= now then (k, v) :: acc else acc)
+                  model []
               in
               List.iter (fun (k, _) -> Hashtbl.remove model k) due;
               let want = List.map (fun (k, v) -> (ft_keys.(k), v)) due in
@@ -498,7 +531,7 @@ let prop_ft_deadline_aging =
                 (fun (a, v) (b, w) -> Flow_key.equal a b && String.equal v w)
                 (sort !got) (sort want)
           in
-          expired_ok
+          expired_ok && held_ok now
           && Flow_table.length t = Hashtbl.length model
           && Flow_table.memory_bytes t = used ()
           && Flow_table.pending_timers t = Hashtbl.length model)
@@ -550,9 +583,6 @@ let prop_ft_sized_at_first_insert =
         | Touch (k, aging) ->
           ignore (Flow_table.touch t ~now ?aging ft_keys.(k) : bool);
           None
-        | Upd (k, l) ->
-          ignore (Flow_table.update t ~now ft_keys.(k) (fun _ -> String.make l 'y') : bool);
-          None
         | Refresh (k, aging) ->
           Option.iter (Flow_table.refresh t ~now ?aging) (Flow_table.find_entry t ft_keys.(k));
           None
@@ -567,6 +597,7 @@ let prop_ft_sized_at_first_insert =
         | Clear ->
           Flow_table.clear t;
           None
+        | Hold _ -> None
         | Expire ->
           let got = ref [] in
           ignore (Flow_table.expire t ~now ~on_expire:(fun k v -> got := (k, v) :: !got) : int);
@@ -757,6 +788,31 @@ let test_ft_find_alloc () =
   let hit = words_per_find hits and miss = words_per_find misses in
   check_bool (Printf.sprintf "%.3f words per hit <= 2 (the Some)" hit) true (hit <= 2.01);
   check_bool (Printf.sprintf "%.3f words per miss = 0" miss) true (miss <= 0.01)
+
+(* A binding's key, times, bytes and timer are unboxed words in the
+   pool, so under a minor collection after every insert, an insert into
+   a sized table promotes the value it stores (a pair: 3 words) and
+   nothing else.  The table is sized for every key first, and emptied by
+   [remove] and an [expire] that drops the cancelled timers, so the
+   measured inserts grow nothing. *)
+let test_ft_insert_promotes_only_the_value () =
+  let n = 2000 in
+  let keys = Array.init n (fun i -> key "10.0.0.1" "10.0.0.2" ~sport:(20000 + i)) in
+  let t = Flow_table.create ~entry_overhead:10 ~value_bytes:(fun _ -> 1) ~default_aging:8.0 () in
+  Array.iter (fun k -> ignore (Flow_table.insert t ~now:0.0 k (0, 0) : Admission.t)) keys;
+  Array.iter (fun k -> ignore (Flow_table.remove t k : bool)) keys;
+  ignore (Flow_table.expire t ~now:20.0 ~on_expire:(fun _ _ -> ()) : int);
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 0 to n - 1 do
+    ignore (Flow_table.insert t ~now:21.0 keys.(i) (i, i) : Admission.t);
+    Gc.minor ()
+  done;
+  let per_insert = ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int n in
+  check_int "all bound" n (Flow_table.length t);
+  check_bool
+    (Printf.sprintf "%.3f promoted words per insert <= 3 (the value)" per_insert)
+    true (per_insert <= 3.01)
 
 (* ------------------------------------------------------------------ *)
 (* Tss: tuple-space search classifier *)
@@ -1256,6 +1312,8 @@ let () =
           Alcotest.test_case "a removed, expired or cleared entry is unreachable" `Quick
             test_ft_dead_unreachable;
           Alcotest.test_case "find_entry allocates at most its Some" `Quick test_ft_find_alloc;
+          Alcotest.test_case "an insert promotes only its value" `Quick
+            test_ft_insert_promotes_only_the_value;
         ]
         @ qsuite
             [
