@@ -19,8 +19,8 @@ writes the same three simulation outputs:
 
 Every simulation in the repository is seeded, so a change that claims
 to keep behaviour must leave all three identical.  Prints one line per
-output, `identical` or the first differing key path with both values,
-and exits non-zero unless all three are identical.
+output, `identical` or every differing key path with both values, and
+exits non-zero unless all three are identical.
 """
 
 import argparse
@@ -48,32 +48,31 @@ OUTPUTS = {
 # ---- comparison --------------------------------------------------------------
 
 
-def first_difference(a, b, ignore, path="$"):
-    """The key path of the first place [a] and [b] differ, walking objects
-    in sorted key order and arrays by index, skipping keys in [ignore];
-    None when they are identical.  Numbers compare by type and value, so
-    1 and 1.0 differ, as they would in the printed JSON."""
+def differences(a, b, ignore, path="$"):
+    """Every key path where [a] and [b] differ, each with both values, walking
+    objects in sorted key order and arrays by index, skipping keys in
+    [ignore]; empty when they are identical.  Numbers compare by type and
+    value, so 1 and 1.0 differ, as they would in the printed JSON."""
     if isinstance(a, dict) and isinstance(b, dict):
+        out = []
         for k in sorted(set(a) | set(b)):
             if k in ignore:
                 continue
             if k not in a or k not in b:
-                return "%s.%s (only in %s)" % (path, k, "head" if k in b else "base")
-            d = first_difference(a[k], b[k], ignore, "%s.%s" % (path, k))
-            if d is not None:
-                return d
-        return None
+                out.append("%s.%s (only in %s)" % (path, k, "head" if k in b else "base"))
+            else:
+                out += differences(a[k], b[k], ignore, "%s.%s" % (path, k))
+        return out
     if isinstance(a, list) and isinstance(b, list):
+        out = []
         for i, (x, y) in enumerate(zip(a, b)):
-            d = first_difference(x, y, ignore, "%s[%d]" % (path, i))
-            if d is not None:
-                return d
+            out += differences(x, y, ignore, "%s[%d]" % (path, i))
         if len(a) != len(b):
-            return "%s (length %d vs %d)" % (path, len(a), len(b))
-        return None
+            out.append("%s (length %d vs %d)" % (path, len(a), len(b)))
+        return out
     if type(a) is not type(b) or a != b:
-        return "%s (base %s, head %s)" % (path, json.dumps(a), json.dumps(b))
-    return None
+        return ["%s (base %s, head %s)" % (path, json.dumps(a), json.dumps(b))]
+    return []
 
 
 # ---- trees and runs ------------------------------------------------------------
@@ -115,15 +114,20 @@ def identity(base_rev):
         for name, (_, _, ignore) in OUTPUTS.items():
             print("== %s" % name, file=sys.stderr, flush=True)
             docs = {side: produce(trees[side], name, scratch, side) for side in trees}
-            verdicts[name] = first_difference(docs["base"], docs["head"], ignore)
+            verdicts[name] = differences(docs["base"], docs["head"], ignore)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", base_tree], cwd=root,
                        capture_output=True)
         subprocess.run(["git", "worktree", "prune"], cwd=root, capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
-    for name, d in verdicts.items():
-        print("%-6s %s" % (name, "identical" if d is None else "differs at " + d))
-    return 0 if all(d is None for d in verdicts.values()) else 1
+    for name, ds in verdicts.items():
+        if not ds:
+            print("%-6s identical" % name)
+            continue
+        print("%-6s differs at %d key path(s):" % (name, len(ds)))
+        for d in ds:
+            print("       " + d)
+    return 0 if not any(verdicts.values()) else 1
 
 
 # ---- selftest ------------------------------------------------------------------
@@ -137,29 +141,30 @@ def selftest():
 
     doc = {"meta": {"rev": "a"}, "x": {"b": [1, 2.5, {"c": "d"}], "a": 1}}
     same = json.loads(json.dumps(doc))
-    check("equal documents are identical", first_difference(doc, same, set()) is None)
+    check("equal documents are identical", differences(doc, same, set()) == [])
     moved = json.loads(json.dumps(doc))
     moved["meta"]["rev"] = "b"
-    check("an ignored key may differ", first_difference(doc, moved, {"meta"}) is None)
+    check("an ignored key may differ", differences(doc, moved, {"meta"}) == [])
     check("the same change outside the ignore set is reported",
-          first_difference(doc, moved, set()) == '$.meta.rev (base "a", head "b")')
+          differences(doc, moved, set()) == ['$.meta.rev (base "a", head "b")'])
     deep = json.loads(json.dumps(doc))
     deep["x"]["b"][2]["c"] = "e"
     check("a nested change names its key path",
-          first_difference(doc, deep, {"meta"}).startswith("$.x.b[2].c "))
+          differences(doc, deep, {"meta"}) == ['$.x.b[2].c (base "d", head "e")'])
     both = json.loads(json.dumps(deep))
     both["x"]["a"] = 2
-    check("the first path in sorted key order is named",
-          first_difference(doc, both, {"meta"}).startswith("$.x.a "))
+    check("two separate changes are both reported, in sorted key order",
+          differences(doc, both, {"meta"})
+          == ["$.x.a (base 1, head 2)", '$.x.b[2].c (base "d", head "e")'])
     check("an int and an equal float differ",
-          first_difference({"v": 1}, {"v": 1.0}, set()) is not None)
+          differences({"v": 1}, {"v": 1.0}, set()) == ["$.v (base 1, head 1.0)"])
     check("a missing key is reported",
-          first_difference({"v": 1}, {"v": 1, "w": 2}, set()) == "$.w (only in head)")
+          differences({"v": 1}, {"v": 1, "w": 2}, set()) == ["$.w (only in head)"])
     check("a longer array is reported",
-          first_difference([1], [1, 2], set()) == "$ (length 1 vs 2)")
+          differences([1], [1, 2], set()) == ["$ (length 1 vs 2)"])
     check("ignored keys are skipped at any depth",
-          first_difference({"a": {"peak_rss_bytes": 1}}, {"a": {"peak_rss_bytes": 2}},
-                           {"peak_rss_bytes"}) is None)
+          differences({"a": {"peak_rss_bytes": 1}}, {"a": {"peak_rss_bytes": 2}},
+                      {"peak_rss_bytes"}) == [])
     for name, ok in checks:
         print("selftest %-60s %s" % (name, "ok" if ok else "FAIL"))
     failed = [n for n, ok in checks if not ok]

@@ -8,10 +8,6 @@ open Nezha_vswitch
    the intents out as RPCs, simulator schedules, gateway routes and
    learning. *)
 
-let offload_threshold = Policy.offload_threshold
-let overload_level = Policy.overload_level
-let initial_fes = Policy.initial_fes
-let fe_mem_max = Policy.fe_mem_max
 let learning_interval = 0.2 (* vNIC-server learning, §4.2.1 *)
 let rtt = 0.0005 (* in-flight slack *)
 let push_bytes_per_s = 200e6 (* rule-table push bandwidth to an FE *)
@@ -553,7 +549,7 @@ and scale_in_offload t h ~remove =
 (* ------------------------------------------------------------------ *)
 (* Offload (§4.2.1) *)
 
-and offload_vnic t ~server ~vnic ?(num_fes = initial_fes) ?(version_filter = fun _ -> true) () =
+and offload_vnic t ~server ~vnic ?(num_fes = Policy.initial_fes) ?(version_filter = fun _ -> true) () =
   match Fabric.vswitch_opt t.fabric server with
   | None -> Error "no vSwitch on this server"
   | Some _ when not (fenced t server) -> Error "fenced: stale controller epoch"
@@ -569,7 +565,8 @@ and offload_vnic t ~server ~vnic ?(num_fes = initial_fes) ?(version_filter = fun
       match
         decide t
           (Policy.Offload
-             { server; vnic; addr = Vnic.addr vnic_rec; num_fes; version_ok = version_filter; pool; node = h })
+             { server; vnic; addr = Vnic.addr vnic_rec; num_fes; avoid = []; version_ok = version_filter;
+               pool; node = h })
       with
       | [ Policy.Push { fes; _ } ] ->
         t.offload_events <- t.offload_events + 1;

@@ -20,24 +20,10 @@ open Nezha_net
 open Nezha_fabric
 open Nezha_vswitch
 
-(** {1 The paper's control policy}
+(** {1 Control-plane constants}
 
-    Aliases of {!Policy}'s constants, shared by the region-scale bridge
-    ([Nezha_workloads.Region_sim]). *)
-
-val offload_threshold : float
-(** §4.2.1 / Fig. 8: a vSwitch above 70% CPU or memory offloads its
-    heaviest vNIC. *)
-
-val overload_level : float
-(** 95%: what counts as an overload occurrence (Fig. 13). *)
-
-val initial_fes : int
-(** 4 FEs per new offload (App. B.2). *)
-
-val fe_mem_max : float
-(** Idle-candidate memory ceiling (50%); the CPU ceiling is
-    {!Policy.fe_cpu_max}. *)
+    The paper's policy constants (thresholds, FE counts and ceilings,
+    overload level) are {!Policy}'s. *)
 
 val push_bytes_per_s : float
 (** Rule-table push bandwidth to an FE: 200 MB/s. *)
@@ -137,7 +123,8 @@ val offload_vnic :
   (offload, string) result
 (** Trigger remote offloading for a vNIC (also called by the automatic
     policy).  Runs the dual-running stage and schedules the final stage;
-    returns immediately with the offload handle.
+    returns immediately with the offload handle.  [num_fes] defaults to
+    {!Policy.initial_fes}.
 
     [version_filter] restricts FE candidates by vSwitch software version —
     §7.2's new capabilities: offload to *upgraded* vSwitches to release a
@@ -284,7 +271,7 @@ val rpc_failures : t -> int
 (** RPCs abandoned after {!rpc_max_retries} retries. *)
 
 val overload_occurrences : t -> Topology.server_id -> int
-(** Report ticks with utilization above [overload_level] (Fig. 13). *)
+(** Report ticks with utilization above {!Policy.overload_level} (Fig. 13). *)
 
 val total_overload_occurrences : t -> int
 

@@ -1,29 +1,11 @@
-(* FE candidate ordering (§4.2.1, App. B.1), shared by the online
-   controller and the region-scale bridge.  Two policies: the paper's
-   least-loaded ordering with same-ToR preference, and
-   power-of-two-choices over a live load signal (ROADMAP item 4). *)
+(* FE candidate ordering (§4.2.1, App. B.1), used by [Policy.select]
+   and the SLO ramp.  Two policies: the paper's least-loaded ordering
+   with same-ToR preference, and power-of-two-choices over a live load
+   signal (ROADMAP item 4). *)
 
 open Nezha_engine
 
 type policy = Least_loaded | Power_of_two
-
-module Ewma = struct
-  type t = { alpha : float; mutable value : float; mutable seeded : bool }
-
-  let create ?(alpha = 0.3) () =
-    if not (alpha > 0. && alpha <= 1.) then
-      invalid_arg "Placement.Ewma.create: alpha outside (0, 1]";
-    { alpha; value = 0.; seeded = false }
-
-  let observe t x =
-    if t.seeded then t.value <- t.value +. (t.alpha *. (x -. t.value))
-    else begin
-      t.value <- x;
-      t.seeded <- true
-    end
-
-  let value t = t.value
-end
 
 let rec take n = function
   | [] -> []
@@ -33,7 +15,10 @@ let rec take n = function
 let select ~eligible ~same_rack ~cpu ~count servers =
   let candidates = List.filter eligible servers in
   let near, far = List.partition same_rack candidates in
-  let by_cpu l = List.sort (fun a b -> Float.compare (cpu a) (cpu b)) l in
+  (* [cpu] is read once per server, not once per comparison. *)
+  let by_cpu l =
+    List.map snd (List.sort (fun (a, _) (b, _) -> Float.compare a b) (List.map (fun s -> (cpu s, s)) l))
+  in
   take count (by_cpu near @ by_cpu far)
 
 (* Power-of-two-choices: draw two distinct candidates, keep the less

@@ -1,6 +1,6 @@
-(** FE candidate selection (§4.2.1, App. B.1) as pure orderings, shared
-    by the online {!Controller} and the region-scale bridge
-    ([Nezha_workloads.Region_sim]).
+(** FE candidate selection (§4.2.1, App. B.1) as pure orderings, used
+    by {!Policy.select} and the SLO ramp
+    ([Nezha_workloads.Region_sim.run_slo]).
 
     Two policies coexist (selectable per controller):
 
@@ -9,7 +9,8 @@
       prefer servers in the BE's own rack, within each tier pick the
       least-loaded by reported CPU.
     - {!select_p2c} — power-of-two-choices over a live load signal
-      (EWMA of reported utilization plus outstanding offloads): draw
+      (the caller's; {!Policy.load} is an EWMA of reported utilization
+      plus outstanding offloads): draw
       two distinct candidates, keep the less loaded, repeat.  Same-rack
       candidates are preferred while their load stays within 0.15 of
       the global minimum; suspect servers are only ever
@@ -18,21 +19,6 @@
 open Nezha_engine
 
 type policy = Least_loaded | Power_of_two
-
-(** Exponentially-weighted moving average — the live load signal fed to
-    {!select_p2c}.  [observe] folds a new sample in with weight
-    [alpha]; the first sample seeds the average directly. *)
-module Ewma : sig
-  type t
-
-  val create : ?alpha:float -> unit -> t
-  (** Default [alpha] 0.3.  @raise Invalid_argument unless
-      [0 < alpha <= 1]. *)
-
-  val observe : t -> float -> unit
-  val value : t -> float
-  (** 0.0 before the first observation. *)
-end
 
 val select :
   eligible:('a -> bool) ->

@@ -119,9 +119,12 @@ let conserved v ~health =
    as the BE first, then the wider pool; similar load preferred. *)
 
 let select v (p : pool) ~be_server ~exclude ~count ?(version_ok = fun _ -> true) () =
+  (* Candidates are indexed by server id. *)
+  let excluded = Array.make (Array.length p.candidates) false in
+  List.iter (fun s -> if s >= 0 && s < Array.length excluded then excluded.(s) <- true) exclude;
   let eligible (c : candidate) =
     c.server <> be_server
-    && (not (List.mem c.server exclude))
+    && (not excluded.(c.server))
     && c.vswitch && (not c.crashed) && version_ok c.version
     (* A server that just gave up its FEs needs its resources for local
        traffic; leave it alone for a while. *)
@@ -149,7 +152,7 @@ type 'a input =
   | Tick of { health : (int * health) list }
   | Slo of Slo.decision
   | Offload of {
-      server : int; vnic : Vnic.id; addr : Vnic.Addr.t; num_fes : int;
+      server : int; vnic : Vnic.id; addr : Vnic.Addr.t; num_fes : int; avoid : int list;
       version_ok : int -> bool; pool : pool; node : 'a;
     }
   | Pushed of { id : int; fes : int list }
@@ -314,11 +317,11 @@ let step v = function
     | None -> (v, []))
   | Slo (Slo.Scale_in remove) -> (
     match extreme v ~thinnest:false with Some o -> (v, [ Shrink { o; remove } ]) | None -> (v, []))
-  | Offload { server; vnic; addr; num_fes; version_ok; pool; node } -> (
+  | Offload { server; vnic; addr; num_fes; avoid; version_ok; pool; node } -> (
     let key = (server, Vnic.id_to_int vnic) in
     if find_key v key <> None then (v, [])
     else
-      match select v pool ~be_server:server ~exclude:[] ~count:num_fes ~version_ok () with
+      match select v pool ~be_server:server ~exclude:avoid ~count:num_fes ~version_ok () with
       | [] -> (v, [])
       | fes ->
         let v, o =

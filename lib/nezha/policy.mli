@@ -193,6 +193,7 @@ type 'a input =
       vnic : Vnic.id;
       addr : Vnic.Addr.t;
       num_fes : int;
+      avoid : int list;  (** servers already committed elsewhere, never picked *)
       version_ok : int -> bool;
       pool : pool;
       node : 'a;

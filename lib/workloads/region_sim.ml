@@ -8,20 +8,21 @@ module Policy = Nezha_core.Policy
 
 (* Region-scale bridge: thousands of real vSwitches (one per server,
    rack-aligned onto the shards of a [Sim.Sharded] cluster) driven by
-   Region-sampled demand profiles, with a fleet controller on shard 0
-   doing Nezha offload placement against them.  The headline output is
-   Fig. 13/15's "overloads before/after Nezha", measured from the event
-   simulation — an overload *occurs* only when a demand spike outruns
-   report -> detect -> place -> push -> activate.
+   Region-sampled demand profiles, with a fleet controller on shard 0 —
+   a second effect layer over [Policy] (DESIGN.md §16) — placing
+   offloads against them.  The headline output is Fig. 13's "overloads
+   before/after Nezha", measured from the event simulation — an
+   overload *occurs* only when a demand spike outruns report -> detect
+   -> place -> push -> activate.
 
    Shard-isolation contract (DESIGN.md §10): every cross-server
    interaction is a [Sharded.send] with delay >= the cluster lookahead,
    which here is the control-plane RPC latency — reports up to the
-   controller, activation pushes back down.  Demand ticks, flow-churn
-   timers and overload accounting are purely shard-local; the only
-   cross-shard *reads* are of data frozen at setup (profiles, spike
-   schedules, topology).  That makes runs independent of the shard
-   count, not just replayable. *)
+   controller, activation pushes and restores back down, each carrying
+   its payload.  Demand ticks, flow-churn timers and overload accounting
+   are purely shard-local; the only cross-shard *reads* are of data
+   frozen at setup (profiles, spike schedules, topology).  That makes
+   runs independent of the shard count, not just replayable. *)
 
 type config = {
   racks : int;
@@ -70,7 +71,7 @@ let default_config =
   }
 
 (* Model constants.  The offload policy itself (threshold, FE count and
-   ceilings, push bandwidth, overload level) is the controller's. *)
+   ceilings, overload level) is [Policy]'s. *)
 let flow_mean = 1.0 (* mean flow lifetime driving churn, s *)
 let ctl_latency = 0.01 (* control-plane RPC latency = cluster lookahead *)
 let keep_share = 0.3 (* demand share the BE keeps once offloaded *)
@@ -114,7 +115,6 @@ type tally = { mutable packets : float }
 
 type srv = {
   sid : int;
-  shard : int;
   sim : Sim.t;
   base_cpu : float;
   mem : float;
@@ -173,20 +173,11 @@ let[@inline] effective srvs srv now =
 
 (* ------------------------------------------------------------------ *)
 
-type ctl_state = No_offload | Pending | Active
-
 type ctl = {
-  sim : Sim.t;
-  reported : float array;
-  state : ctl_state array;
-  reserved : bool array;
-  fe_of : (int * float) list array;
-      (** per FE server: the (BE, share) duties the controller intends
-          for it — what a recovery re-push restores *)
-  rngs : Rng.t array;  (** per-server decision streams: draws never
-                           depend on report arrival interleaving *)
-  mutable detections : int;
-  mutable activations : int;
+  reported : float array;  (** report mailbox: last CPU per server *)
+  rngs : Rng.t array;  (** per-server push-time streams, keyed by id *)
+  mutable view : unit Policy.view;
+  mutable pushing : int list;  (** FEs of the pushes in flight *)
   mutable down : bool;  (** primary crashed, standby not yet up *)
   mutable takeovers : int;
   mutable pending_readverts : (int * int * float) list;
@@ -228,7 +219,7 @@ let run cfg =
                 let ramp =
                   cfg.ramp_median *. Rng.lognormal srng ~mu:0.0 ~sigma:ramp_sigma
                 in
-                let peak = Controller.overload_level +. 0.05 +. Rng.float srng 0.25 in
+                let peak = Policy.overload_level +. 0.05 +. Rng.float srng 0.25 in
                 { t0; ramp; peak_add = peak -. p.Region.cpu; hold_s = cfg.hold })
           end
         in
@@ -249,7 +240,6 @@ let run cfg =
         in
         {
           sid;
-          shard = shard_of sid;
           sim = Sim.Sharded.shard cluster (shard_of sid);
           base_cpu = p.Region.cpu;
           mem = p.Region.mem;
@@ -292,17 +282,17 @@ let run cfg =
   (* Real vSwitch + SmartNIC per server, placed on its rack's shard; one
      concrete vNIC with a ruleset (memory admission included), with the
      remaining modeled vNICs reserved against SmartNIC memory. *)
+  let vnic_of sid =
+    Vnic.make ~id:1
+      ~vpc:(Vpc.make (sid + 1))
+      ~ip:(Ipv4.of_octets 10 (sid lsr 16) ((sid lsr 8) land 255) (sid land 255))
+      ~mac:(Mac.of_int64 (Int64.of_int (sid + 1)))
+  in
   Array.iter
     (fun (srv : srv) ->
       let vs = Fabric.add_server fabric ~sim:srv.sim srv.sid ~params in
-      let vnic =
-        Vnic.make ~id:1
-          ~vpc:(Vpc.make (srv.sid + 1))
-          ~ip:(Ipv4.of_octets 10 (srv.sid lsr 16) ((srv.sid lsr 8) land 255) (srv.sid land 255))
-          ~mac:(Mac.of_int64 (Int64.of_int (srv.sid + 1)))
-      in
       let rs = Ruleset.create ~vni:(srv.sid + 1) () in
-      (match Vswitch.add_vnic vs vnic rs with
+      (match Vswitch.add_vnic vs (vnic_of srv.sid) rs with
       | Ok () -> ()
       | Error _ -> failwith "Region_sim: vNIC ruleset does not fit");
       ignore
@@ -311,20 +301,13 @@ let run cfg =
           : bool))
     srvs;
   let ctl =
-    {
-      sim = ctl_sim;
-      reported = Array.map (fun s -> s.base_cpu) srvs;
-      state = Array.make n No_offload;
-      reserved = Array.make n false;
-      fe_of = Array.make n [];
-      rngs =
-        Array.init n (fun sid -> Rng.create (cfg.seed lxor (0x85ebca6b * (sid + 1))));
-      detections = 0;
-      activations = 0;
-      down = false;
-      takeovers = 0;
-      pending_readverts = [];
-    }
+    { reported = Array.map (fun s -> s.base_cpu) srvs;
+      rngs = Array.init n (fun sid -> Rng.create (cfg.seed lxor (0x85ebca6b * (sid + 1))));
+      view =
+        Policy.create
+          { report_interval = cfg.report_interval; auto_offload = true; auto_scale = false;
+            auto_fallback = false; placement = Placement.Least_loaded };
+      pushing = []; down = false; takeovers = 0; pending_readverts = [] }
   in
   (* --- per-server demand ticks and flow churn ---------------------- *)
   let pps_per_unit = 1e6 in
@@ -344,7 +327,7 @@ let run cfg =
         else begin
           let eff = effective srvs srv now in
           srv.tally.packets <- srv.tally.packets +. (eff *. pps_per_unit *. cfg.tick);
-          if eff > Controller.overload_level then begin
+          if eff > Policy.overload_level then begin
             srv.over_ticks <- srv.over_ticks + 1;
             if not srv.over then begin
               srv.over <- true;
@@ -380,52 +363,57 @@ let run cfg =
           end;
           now < cfg.duration))
     srvs;
-  (* --- controller scan on shard 0 ---------------------------------- *)
-  let all_servers = Topology.servers topo in
-  let activation_delay sid =
-    let p = profiles.(sid) in
-    let state_bytes = 5.5e6 +. (p.Region.flows *. 94.5e6) in
-    (2.0 *. rpc_rtt)
-    +. (state_bytes /. Controller.push_bytes_per_s
-        *. Rng.lognormal ctl.rngs.(sid) ~mu:0.0 ~sigma:0.35)
+  (* --- fleet controller on shard 0: an effect layer over Policy --- *)
+  let step input = let view, intents = Policy.step ctl.view input in ctl.view <- view; intents in
+  let share fes = (1.0 -. keep_share) /. float_of_int (List.length fes) in
+  let activated (o : unit Policy.offload) = o.completed_at <> None in
+  (* The tables reach the FEs [delay] after the decision; then the BE's
+     keep-share and each FE's duty go down to their shards. *)
+  let push (o : unit Policy.offload) fes =
+    let be = o.be_server in
+    let state_s = (5.5e6 +. (profiles.(be).Region.flows *. 94.5e6)) /. Controller.push_bytes_per_s in
+    let delay = (2.0 *. rpc_rtt) +. (state_s *. Rng.lognormal ctl.rngs.(be) ~mu:0.0 ~sigma:0.35) in
+    ctl.pushing <- fes @ ctl.pushing;
+    ignore
+      (Sim.schedule ctl_sim ~delay (fun csim ->
+           ctl.pushing <- List.filter (fun s -> not (List.mem s fes)) ctl.pushing;
+           ignore (step (Policy.Pushed { id = o.id; fes }));
+           ignore (step (Policy.Activated { id = o.id; at = Sim.now csim }));
+           let send dst f =
+             Sim.Sharded.send csim ~dst:(shard_of dst) ~delay:ctl_latency (fun _ -> f srvs.(dst))
+           in
+           send be (fun s -> s.keep <- keep_share);
+           List.iter (fun f -> send f (fun s -> s.absorbed <- (be, share fes) :: s.absorbed)) fes)
+        : Sim.handle)
   in
+  (* Candidate facts are the controller's own: the report mailbox and
+     the setup-frozen memory.  Least-loaded never draws from [draw].
+     Most servers report a constant load, so a scan refreshes only the
+     facts whose report moved: rebuilding all 2,000 promoted them. *)
+  let candidate s : Policy.candidate =
+    { server = s; rack = Topology.rack_of topo s; vswitch = true; crashed = false; version = 0;
+      peek = (ctl.reported.(s), srvs.(s).mem); fe_served = None; suspect = false }
+  in
+  let candidates = Array.init n candidate in
   let scan () =
+    let moved s (c : Policy.candidate) = if fst c.peek <> ctl.reported.(s) then candidates.(s) <- candidate s in
+    let fresh = lazy (Array.iteri moved candidates) in
     for sid = 0 to n - 1 do
-      (* The region reports one utilization per server, its CPU load;
-         memory pressure is not modeled as an offload trigger here. *)
-      if ctl.state.(sid) = No_offload && Policy.wants_offload ~cpu:ctl.reported.(sid) ~mem:0.0
+      (* One utilization per server, its CPU: memory pressure is not an
+         offload trigger here.  An offloaded server needs no candidates. *)
+      if Policy.wants_offload ~cpu:ctl.reported.(sid) ~mem:0.0 && Policy.find_key ctl.view (sid, 1) = None
       then begin
-        let fes =
-          Placement.select
-            ~eligible:(fun s ->
-              s <> sid
-              && ctl.state.(s) = No_offload
-              && (not ctl.reserved.(s))
-              && Policy.idle_candidate ~cpu:ctl.reported.(s) ~mem:srvs.(s).mem)
-            ~same_rack:(fun s -> Topology.same_rack topo s sid)
-            ~cpu:(fun s -> ctl.reported.(s))
-            ~count:Policy.initial_fes all_servers
-        in
-        match fes with
-        | [] -> () (* no idle capacity this scan; retry next period *)
-        | fes ->
-          ctl.state.(sid) <- Pending;
-          ctl.detections <- ctl.detections + 1;
-          List.iter (fun f -> ctl.reserved.(f) <- true) fes;
-          let share = (1.0 -. keep_share) /. float_of_int (List.length fes) in
-          ignore
-            (Sim.schedule ctl.sim ~delay:(activation_delay sid) (fun csim ->
-                 ctl.state.(sid) <- Active;
-                 ctl.activations <- ctl.activations + 1;
-                 Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:ctl_latency
-                   (fun _ -> srvs.(sid).keep <- keep_share);
-                 List.iter
-                   (fun f ->
-                     ctl.fe_of.(f) <- (sid, share) :: ctl.fe_of.(f);
-                     Sim.Sharded.send csim ~dst:(shard_of f) ~delay:ctl_latency
-                       (fun _ -> srvs.(f).absorbed <- (sid, share) :: srvs.(f).absorbed))
-                   fes)
-              : Sim.handle)
+        Lazy.force fresh;
+        (* An FE takes one duty: without Fig. 8's scale-out (off here) a
+           second could only overload it.  No intent: no idle FE this
+           scan (retried next period). *)
+        let vnic = vnic_of sid and be_rack = Topology.rack_of topo sid in
+        step
+          (Policy.Offload
+             { server = sid; vnic = vnic.id; addr = Vnic.addr vnic; num_fes = Policy.initial_fes;
+               avoid = Policy.fe_pool ctl.view @ ctl.pushing; version_ok = (fun _ -> true); node = ();
+               pool = { now = Sim.now ctl_sim; draw = ctl.rngs.(sid); be_rack; candidates } })
+        |> List.iter (function Policy.Push { o; fes } -> push o fes | _ -> ())
       end
     done
   in
@@ -434,25 +422,32 @@ let run cfg =
       Sim.now sim < cfg.duration);
   (* --- crash storm (DESIGN.md §13) ---------------------------------- *)
   (* Reconciliation, controller side: a rebooted server re-advertises
-     (stamped with its boot incarnation); after [resync_delay] the
-     controller re-pushes its intent — BE keep-share and FE duties —
-     which lands back on the owning shard.  The restore applies only if
-     the server has not crashed again meanwhile (incarnation fence);
-     the MTTR sample runs crash instant -> intent restored. *)
+     (stamped with its boot incarnation); [resync_delay] later the
+     controller steps [Restarted] and sends the restored BE keep-share
+     and FE duties down in one message.  It applies only if the server
+     has not crashed again (incarnation fence); MTTR is crash -> restore. *)
   let readvert sid inc t_crash =
     if ctl.down then
       ctl.pending_readverts <- (sid, inc, t_crash) :: ctl.pending_readverts
     else
       ignore
         (Sim.schedule ctl_sim ~delay:cfg.resync_delay (fun csim ->
-             Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:ctl_latency
-               (fun ssim ->
+             (* A crash loses every replica and BE tracker the server held. *)
+             let lost = List.filter activated (Policy.offloads ctl.view) |> List.map (fun o -> o.Policy.id) in
+             let be, duties =
+               List.fold_left
+                 (fun (be, duties) -> function
+                   | Policy.Reinstall_be _ -> (true, duties)
+                   | Policy.Restore_fe { o; _ } -> (be, (o.be_server, share o.fes) :: duties)
+                   | _ -> (be, duties))
+                 (false, [])
+                 (step (Policy.Restarted { server = sid; fe_unserved = lost; be_closed = lost }))
+             in
+             Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:ctl_latency (fun ssim ->
                  let s = srvs.(sid) in
                  if (not s.down) && s.incarnation = inc then begin
-                   (match ctl.state.(sid) with
-                   | Active -> s.keep <- keep_share
-                   | Pending | No_offload -> ());
-                   s.absorbed <- ctl.fe_of.(sid);
+                   if be then s.keep <- keep_share;
+                   s.absorbed <- duties;
                    s.mttr <- (Sim.now ssim -. t_crash) :: s.mttr
                  end))
           : Sim.handle)
@@ -552,8 +547,11 @@ let run cfg =
         mix !digest
           (Int64.to_int (Int64.logand (Int64.bits_of_float srv.tally.packets) 0xffffffffL)))
     srvs;
-  digest := mix !digest ctl.detections;
-  digest := mix !digest ctl.activations;
+  (* Every offload the controller decided stays in its view. *)
+  let detections = Policy.next_id ctl.view in
+  let activations = List.length (List.filter activated (Policy.offloads ctl.view)) in
+  digest := mix !digest detections;
+  digest := mix !digest activations;
   digest := mix !digest ctl.takeovers;
   let mttr_sorted =
     let a = Array.of_list !mttr_samples in
@@ -580,8 +578,8 @@ let run cfg =
     flow_expiries = !flow_expiries;
     overloads = !overloads;
     overload_ticks = !over_ticks;
-    detections = ctl.detections;
-    activations = ctl.activations;
+    detections;
+    activations;
     packets_modeled = !packets;
     pool_reused = reused;
     pool_fresh = fresh;
@@ -595,7 +593,7 @@ let run cfg =
     digest = !digest;
   }
 
-(* Fig. 13/15 headline: the same seeded region run twice — controller
+(* Fig. 13 headline: the same seeded region run twice — controller
    off ("before") then on ("after").  Simulated, not closed-form: the
    "after" residue is exactly the spikes whose ramps beat activation. *)
 type before_after = { before : result; after : result }

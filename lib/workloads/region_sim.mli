@@ -1,4 +1,4 @@
-(** Region-scale event-simulated overload study (Fig. 13/15 headline).
+(** Region-scale event-simulated overload study (Fig. 13 headline).
 
     Instantiates thousands of {e real} vSwitches — one per server, with
     a SmartNIC, a vNIC and a ruleset admitted against NIC memory — on a
@@ -6,8 +6,10 @@
     Demand comes from {!Region.sample_fleet} profiles; the top CPS
     fraction are hotspots that receive Poisson-many demand spikes over
     one compressed "day".  A fleet controller on shard 0 receives
-    utilization reports, runs the shared {!Nezha_core.Placement} policy
-    and pushes offload activations back; an overload is {e counted only
+    utilization reports, steps {!Nezha_core.Policy} — the candidate
+    selection and offload intent record {!Nezha_core.Controller} uses —
+    and pushes offload activations and restores back, each message
+    carrying its payload; an overload is {e counted only
     when it happens in the simulation} — i.e. the spike's ramp crosses
     the overload level before report → detect → place → state-push →
     activate completes.  This replaces the closed-form
@@ -51,8 +53,9 @@ type config = {
 val default_config : config
 (** 250 racks x 8 servers = 2,000 vSwitches, 8 shards, 30 s
     compressed day.  The offload policy is not configured here: the
-    fleet controller uses {!Nezha_core.Controller}'s threshold, FE count
-    ([initial_fes]), FE ceilings, push bandwidth and overload level.
+    fleet controller steps {!Nezha_core.Policy} and uses its threshold,
+    FE count ([initial_fes]), FE ceilings and overload level, and
+    {!Nezha_core.Controller}'s push bandwidth.
     Fixed model constants: 10 ms control-plane latency (the cluster
     lookahead), 1 s mean flow lifetime, a BE keeps 30% of its spike
     demand once offloaded, spike-ramp lognormal sigma 0.8, 2 ms RPC

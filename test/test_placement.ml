@@ -222,21 +222,6 @@ let test_evict_stable_on_ties () =
   Alcotest.(check (list int)) "ties keep input order" [ 2; 1; 5; 7; 3 ]
     (evict ~be_rack:0 servers)
 
-let test_ewma_smoothing () =
-  let e = Placement.Ewma.create ~alpha:0.5 () in
-  Alcotest.(check (float 1e-9)) "zero before any sample" 0.0
-    (Placement.Ewma.value e);
-  Placement.Ewma.observe e 1.0;
-  Alcotest.(check (float 1e-9)) "first sample seeds" 1.0 (Placement.Ewma.value e);
-  Placement.Ewma.observe e 0.0;
-  Alcotest.(check (float 1e-9)) "half-life decay" 0.5 (Placement.Ewma.value e);
-  (match Placement.Ewma.create ~alpha:0.0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "alpha 0 accepted");
-  match Placement.Ewma.create ~alpha:1.5 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "alpha > 1 accepted"
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -260,7 +245,6 @@ let () =
             test_cross_rack_when_local_overloaded;
           Alcotest.test_case "suspect only as last resort" `Quick
             test_suspect_only_as_last_resort_fixed;
-          Alcotest.test_case "ewma load signal" `Quick test_ewma_smoothing;
         ] );
       ( "evict-order",
         [

@@ -53,7 +53,7 @@ let offloaded ?(config = cfg) fes =
   let v, _ =
     step v
       (Policy.Offload
-         { server = 0; vnic; addr = addr 1; num_fes = 4; version_ok = (fun _ -> true); pool = pool (); node = () })
+         { server = 0; vnic; addr = addr 1; num_fes = 4; avoid = []; version_ok = (fun _ -> true); pool = pool (); node = () })
   in
   let v, _ = step v (Policy.Pushed { id = 0; fes }) in
   let v, _ = step v (Policy.Activated { id = 0; at = 1.0 }) in
@@ -182,7 +182,14 @@ let test_candidate_filter () =
     (Policy.select v (pool ~facts ()) ~be_server:0 ~exclude:[ 3 ] ~count:8 ~version_ok:(fun _ -> false) ()
     = []);
   check_bool "ceilings" true
-    (Policy.idle_candidate ~cpu:0.3 ~mem:0.5 && not (Policy.idle_candidate ~cpu:0.3 ~mem:0.51))
+    (Policy.idle_candidate ~cpu:0.3 ~mem:0.5 && not (Policy.idle_candidate ~cpu:0.3 ~mem:0.51));
+  let _, is =
+    step v
+      (Policy.Offload
+         { server = 0; vnic; addr = addr 1; num_fes = 3; avoid = [ 3; 4 ]; version_ok = (fun _ -> true);
+           pool = pool ~facts (); node = () })
+  in
+  check_shapes "an offload never picks an avoided server" [ "push [5;6;7]" ] is
 
 (* A dead FE is dropped and refilled; an offload that loses its last FE
    falls back when no refill lands. *)
@@ -236,7 +243,7 @@ let test_repair_table () =
   let v, _ =
     step v
       (Policy.Offload
-         { server = 0; vnic; addr = addr 1; num_fes = 2; version_ok = (fun _ -> true); pool = pool (); node = () })
+         { server = 0; vnic; addr = addr 1; num_fes = 2; avoid = []; version_ok = (fun _ -> true); pool = pool (); node = () })
   in
   let _, is = step v (Policy.Tick { health = [ (0, healthy_be ~be_open:false []) ] }) in
   check_shapes "activating offload left alone" [] is
@@ -300,7 +307,7 @@ let input_of v (op, a, b, c) : unit Policy.input option =
   | 0 ->
     Some
       (Policy.Offload
-         { server = a; vnic = Vnic.id_of_int b; addr = addr b; num_fes = 1 + (c mod 4); version_ok = (fun _ -> true); pool = p; node = () })
+         { server = a; vnic = Vnic.id_of_int b; addr = addr b; num_fes = 1 + (c mod 4); avoid = []; version_ok = (fun _ -> true); pool = p; node = () })
   | 1 -> Option.map (fun id -> Policy.Pushed { id; fes = random_fes }) (id b)
   | 2 -> Option.map (fun id -> Policy.Activated { id; at = float_of_int c }) (id b)
   | 3 ->

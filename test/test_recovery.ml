@@ -287,8 +287,8 @@ let test_crash_on_remote_shard () =
     = Faults.Pass)
 
 (* Differential: the crash-storm region (server crashes + controller
-   failover) must produce identical fault timing digests — and MTTR
-   figures — for any shard count. *)
+   failover) must produce identical fault timing digests, controller
+   decisions and MTTR figures for any shard count. *)
 let storm_cfg =
   {
     Region_sim.default_config with
@@ -312,15 +312,13 @@ let storm_cfg =
   }
 
 let test_storm_digest_shard_invariant () =
-  let r1 = Region_sim.run { storm_cfg with Region_sim.shards = 1 } in
-  let r3 = Region_sim.run { storm_cfg with Region_sim.shards = 3 } in
+  let run shards = Region_sim.run { storm_cfg with Region_sim.shards } in
+  let r1 = run 1 in
   check_bool "storm actually crashed servers" true (r1.Region_sim.crashes > 0);
-  check_int "same digest across shard counts" r1.Region_sim.digest r3.Region_sim.digest;
-  check_int "same crashes" r1.Region_sim.crashes r3.Region_sim.crashes;
+  Region_check.equivalent r1 2 (run 2);
+  Region_check.equivalent r1 4 (run 4);
   check_int "every crash rebooted" r1.Region_sim.crashes r1.Region_sim.restarts;
-  check_bool "identical MTTR percentiles" true
-    (r1.Region_sim.mttr_p50 = r3.Region_sim.mttr_p50
-    && r1.Region_sim.mttr_p99 = r3.Region_sim.mttr_p99);
+  check_bool "the controller acted" true (r1.Region_sim.activations > 0);
   check_int "one controller takeover" 1 r1.Region_sim.ctl_takeovers;
   check_int "no post-convergence blackholes" 0 r1.Region_sim.late_blackholed;
   check_bool "storm blackholed traffic while nodes were down" true
