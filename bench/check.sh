@@ -21,7 +21,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# SLO elastic-control-plane gate (ROADMAP item 4), shared by the full
+# SLO elastic-control-plane gate (DESIGN.md §15), shared by the full
 # macro run and the --smoke target.  Asserts: the offered load really
 # ramped x10; the pool followed it up AND back down; P99 stayed within
 # the hysteresis budget for most post-warmup ticks; no decision

@@ -1,8 +1,19 @@
-type handle = { mutable alive : bool }
+(* A handle packs an event's sequence number over its pool slot.  The
+   event is live while [live.(slot)] still holds that (masked) sequence
+   number: firing or cancelling it stores [dead], and a later event in
+   the slot stores its own, so a stale handle matches nothing. *)
+type handle = int
+
+let slot_bits = 26
+let slot_mask = (1 lsl slot_bits) - 1
+let seq_mask = (1 lsl (62 - slot_bits)) - 1
+let dead = -1
 
 (* The clock sits in an all-float record, so advancing it stores an
-   unboxed float: no allocation and no write barrier per event. *)
-type clock = { mutable now : float }
+   unboxed float: no allocation and no write barrier per event.  Beside
+   it sits the wheel's head, the next slot sweep or [infinity] when no
+   timer is pending, so an engine turn reads both heads from memory. *)
+type clock = { mutable now : float; mutable wheel_at : float }
 
 (* The event queue is a binary min-heap over [(time, seq)] kept in three
    parallel arrays: heap position [i] holds the event [(times.(i),
@@ -11,7 +22,7 @@ type clock = { mutable now : float }
    run no write barrier.  Positions [size, fresh) of [slots] hold the
    free slots: popping an event parks its slot just past the heap and
    the next push takes it back, so a warm simulation hands out no new
-   slot. *)
+   slot, and an event allocates nothing but its action. *)
 type t = {
   clk : clock;
   mutable seq : int;
@@ -23,7 +34,7 @@ type t = {
   mutable fresh : int;  (* slots ever handed out *)
   mutable reused : int;
   mutable actions : (t -> unit) array;  (* by slot *)
-  mutable handles : handle array;  (* by slot *)
+  mutable live : int array;  (* by slot: the queued event's seq, or [dead] *)
   timer_tick : float;
   timer_slots : int;
   mutable wheel : Timer_wheel.t option; (* created lazily *)
@@ -54,7 +65,6 @@ and msg = { at_time : float; src : int; mseq : int; act : t -> unit }
    each [Some delay] from its body re-links it in place. *)
 and timer = { owner : t; id : int; node : Timer_wheel.timer; mutable cancelled : bool }
 
-let dead_handle = { alive = false }
 let no_action : t -> unit = fun _ -> ()
 let no_body : t -> float option = fun _ -> None
 
@@ -63,7 +73,7 @@ let create ?(capacity = 256) ?(timer_tick = 1e-3) ?(timer_slots = 1024) () =
   if timer_slots <= 0 then invalid_arg "Sim.create: timer_slots must be positive";
   let cap = max 1 capacity in
   {
-    clk = { now = 0.0 };
+    clk = { now = 0.0; wheel_at = infinity };
     seq = 0;
     executed = 0;
     times = Array.make cap 0.0;
@@ -73,7 +83,7 @@ let create ?(capacity = 256) ?(timer_tick = 1e-3) ?(timer_slots = 1024) () =
     fresh = 0;
     reused = 0;
     actions = Array.make cap no_action;
-    handles = Array.make cap dead_handle;
+    live = Array.make cap dead;
     timer_tick;
     timer_slots;
     wheel = None;
@@ -88,6 +98,7 @@ let now t = t.clk.now
 
 let grow t =
   let cap = Array.length t.times in
+  if 2 * cap > slot_mask + 1 then failwith "Sim: event queue full";
   let extend a fill =
     let b = Array.make (2 * cap) fill in
     Array.blit a 0 b 0 cap;
@@ -97,11 +108,11 @@ let grow t =
   t.seqs <- extend t.seqs 0;
   t.slots <- extend t.slots 0;
   t.actions <- extend t.actions no_action;
-  t.handles <- extend t.handles dead_handle
+  t.live <- extend t.live dead
 
 let pool_stats t = (t.reused, t.fresh)
 
-let enqueue t ~time ~handle action =
+let enqueue t ~time action =
   let n = t.size in
   let slot =
     if n < t.fresh then begin
@@ -115,8 +126,9 @@ let enqueue t ~time ~handle action =
     end
   in
   t.actions.(slot) <- action;
-  t.handles.(slot) <- handle;
   t.seq <- t.seq + 1;
+  let seq = t.seq land seq_mask in
+  t.live.(slot) <- seq;
   (* Sift a hole up from position [n].  The new event carries the
      largest sequence number yet, so it rises only past strictly later
      times. *)
@@ -132,7 +144,8 @@ let enqueue t ~time ~handle action =
   times.(!i) <- time;
   seqs.(!i) <- t.seq;
   slots.(!i) <- slot;
-  t.size <- n + 1
+  t.size <- n + 1;
+  (seq lsl slot_bits) lor slot
 
 (* Drop the root: sift the last event down from a hole at the root, then
    park the root's slot at the position the heap gave up. *)
@@ -172,34 +185,42 @@ let remove_min t =
 
 let at t ~time action =
   let time = if time < t.clk.now then t.clk.now else time in
-  let handle = { alive = true } in
-  enqueue t ~time ~handle action;
-  handle
+  enqueue t ~time action
 
 let schedule t ~delay action =
   let delay = if delay < 0.0 then 0.0 else delay in
   at t ~time:(t.clk.now +. delay) action
 
-let cancel _t handle = handle.alive <- false
+let[@inline] holds t h =
+  let slot = h land slot_mask in
+  slot < Array.length t.live && t.live.(slot) = h lsr slot_bits
 
-let cancelled handle = not handle.alive
+let cancel t h = if holds t h then t.live.(h land slot_mask) <- dead
+
+let cancelled t h = not (holds t h)
 
 let every t ~period ?(jitter = fun () -> 0.0) f =
   if period <= 0.0 then invalid_arg "Sim.every: period must be positive";
-  (* One handle and one tick closure serve every firing: each period
-     re-arms by re-enqueueing them into a recycled queue slot. *)
-  let handle = { alive = true } in
+  (* One tick closure serves every firing: each period re-arms by
+     re-enqueueing it into a recycled queue slot. *)
   let rec tick sim =
     if f sim then begin
       let delay = period +. jitter () in
       let delay = if delay < 0.0 then 0.0 else delay in
-      handle.alive <- true;
-      enqueue sim ~time:(sim.clk.now +. delay) ~handle tick
+      ignore (enqueue sim ~time:(sim.clk.now +. delay) tick : handle)
     end
   in
-  enqueue t ~time:t.clk.now ~handle tick
+  ignore (enqueue t ~time:t.clk.now tick : handle)
 
 (* ---- wheel-backed timers ------------------------------------------- *)
+
+(* Every change to the wheel's pending set goes through [timeout],
+   [cancel_timer] or a slot sweep, and each ends here. *)
+let refresh_wheel t =
+  t.clk.wheel_at <-
+    (match t.wheel with
+    | Some w when Timer_wheel.pending w > 0 -> Timer_wheel.next_sweep_at w
+    | _ -> infinity)
 
 let get_wheel t =
   match t.wheel with
@@ -250,6 +271,7 @@ let timeout t ~delay fire =
   let id = new_loop t fire in
   let node = Timer_wheel.add w ~now:t.clk.now ~deadline:(t.clk.now +. delay) id in
   t.nodes.(id) <- node;
+  refresh_wheel t;
   { owner = t; id; node; cancelled = false }
 
 (* A loop cancelled while armed ends now; one cancelled from inside its
@@ -262,7 +284,8 @@ let cancel_timer l =
     | Some w ->
       let armed = Timer_wheel.armed w l.node in
       Timer_wheel.cancel w l.node;
-      if armed then end_loop l.owner l.id
+      if armed then end_loop l.owner l.id;
+      refresh_wheel l.owner
     | None -> ()
   end
 
@@ -272,23 +295,17 @@ let timer_cancelled l = l.cancelled
 
 let[@inline] heap_next t = if t.size = 0 then infinity else t.times.(0)
 
-let[@inline] wheel_next t =
-  match t.wheel with
-  | Some w when Timer_wheel.pending w > 0 -> Timer_wheel.next_sweep_at w
-  | _ -> infinity
-
-let next_event_time t = Float.min (heap_next t) (wheel_next t)
+let next_event_time t = Float.min (heap_next t) t.clk.wheel_at
 
 let run_heap_event t =
   let slot = t.slots.(0) in
   t.clk.now <- t.times.(0);
-  let h = t.handles.(slot) and act = t.actions.(slot) in
+  let alive = t.live.(slot) = t.seqs.(0) land seq_mask and act = t.actions.(slot) in
   (* Clear the slot so the pool never keeps dead captures alive. *)
-  t.handles.(slot) <- dead_handle;
+  t.live.(slot) <- dead;
   t.actions.(slot) <- no_action;
   remove_min t;
-  if h.alive then begin
-    h.alive <- false;
+  if alive then begin
     t.executed <- t.executed + 1;
     act t
   end
@@ -312,13 +329,14 @@ let run_wheel_slot t =
              let delay = if delay < 0.0 then 0.0 else delay in
              ignore (Timer_wheel.rearm w node ~now:now' ~deadline:(now' +. delay) : int));
            if not (Timer_wheel.armed w node) then end_loop t id)
-        : int)
+        : int);
+    refresh_wheel t
 
 (* One engine turn: either sweep the next due wheel slot or pop one heap
    event, whichever comes first (wheel wins ties so coarse timers never
    lag an equal-time event). *)
 let step t =
-  let hn = heap_next t and wn = wheel_next t in
+  let hn = heap_next t and wn = t.clk.wheel_at in
   if wn <= hn then
     if wn = infinity then false
     else begin
@@ -331,27 +349,24 @@ let step t =
   end
 
 (* Core loop shared by [run] and the sharded window executor: execute
-   turns while the next event time is [< limit_ex] and [<= limit_in],
-   reading the heap and wheel heads once per turn.  [max_events] may
-   overshoot by at most the contents of one wheel slot. *)
-let exec t ~limit_ex ~limit_in ~fits_budget =
+   turns while the next event time is [< limit_ex] and [<= limit_in]
+   and fewer than [budget] events have run, reading the heap and wheel
+   heads once per turn.  The budget may overshoot by at most the
+   contents of one wheel slot. *)
+let exec t ~limit_ex ~limit_in ~budget =
+  let clk = t.clk in
   let running = ref true in
-  while !running && fits_budget t do
-    let hn = heap_next t and wn = wheel_next t in
+  while !running && t.executed < budget do
+    let hn = heap_next t and wn = clk.wheel_at in
     if wn <= hn then
       if wn < limit_ex && wn <= limit_in then run_wheel_slot t else running := false
     else if hn < limit_ex && hn <= limit_in then run_heap_event t
     else running := false
   done
 
-let run ?until ?max_events t =
-  let fits_budget =
-    match max_events with
-    | None -> fun _ -> true
-    | Some m -> fun t -> t.executed < m
-  in
+let run ?until ?(max_events = max_int) t =
   let limit_in = match until with None -> infinity | Some u -> u in
-  exec t ~limit_ex:infinity ~limit_in ~fits_budget;
+  exec t ~limit_ex:infinity ~limit_in ~budget:max_events;
   match until with
   | Some stop when t.clk.now < stop && next_event_time t > stop -> t.clk.now <- stop
   | Some _ | None -> ()
@@ -437,8 +452,6 @@ module Sharded = struct
             sorted)
       c.mail
 
-  let always _ = true
-
   let run ?until c =
     let stop = match until with None -> infinity | Some u -> u in
     let rec loop () =
@@ -461,7 +474,7 @@ module Sharded = struct
            others. *)
         let wend = m +. c.lookahead in
         Array.iter
-          (fun s -> exec s ~limit_ex:wend ~limit_in:stop ~fits_budget:always)
+          (fun s -> exec s ~limit_ex:wend ~limit_in:stop ~budget:max_int)
           c.members;
         loop ()
       end

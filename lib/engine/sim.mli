@@ -7,12 +7,13 @@
     ties), which keeps runs deterministic.
 
     The heap keeps each event's time, sequence number and pool slot in
-    three unboxed parallel arrays; the slot holds the action and handle.
-    Sifting moves no pointer, so it runs no write barrier.  Slots are
-    recycled, so a warm simulation allocates only each [schedule]'s
-    handle: [every] reuses one closure and one handle across all
-    firings.  Wheel timers bypass the heap entirely, and a [timeout]
-    loop keeps one wheel node across all its firings.
+    three unboxed parallel arrays; the slot holds the action and the
+    sequence number of the event queued there.  Sifting moves no
+    pointer, so it runs no write barrier.  Slots are recycled and a
+    handle is an immediate [int], so a warm simulation allocates
+    nothing for an event but its action: [every] reuses one closure
+    across all firings.  Wheel timers bypass the heap entirely, and a
+    [timeout] loop keeps one wheel node across all its firings.
 
     For region-scale runs, {!Sharded} partitions work across several
     simulations advanced in conservative-sync windows (see DESIGN.md
@@ -20,8 +21,11 @@
 
 type t
 
-type handle
-(** A scheduled event, usable for cancellation. *)
+type handle [@@immediate]
+(** A scheduled event, usable for cancellation: its pool slot and its
+    sequence number in one [int].  It names its event only while that
+    event is queued; once the event has fired or been cancelled, the
+    handle is stale, even after its slot holds a later event. *)
 
 type timer
 (** A wheel-backed coarse timer loop (see {!timeout}). *)
@@ -46,9 +50,11 @@ val at : t -> time:float -> (t -> unit) -> handle
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event.  Cancelling an already-fired or
-    already-cancelled event is a no-op. *)
+    already-cancelled event is a no-op.  A handle means something only
+    to the simulation that issued it. *)
 
-val cancelled : handle -> bool
+val cancelled : t -> handle -> bool
+(** [true] once the event has fired or been cancelled. *)
 
 val timeout : t -> delay:float -> (t -> float option) -> timer
 (** [timeout t ~delay f] schedules [f] on the timer wheel: O(1) insert
@@ -72,8 +78,8 @@ val timer_cancelled : timer -> bool
 val every : t -> period:float -> ?jitter:(unit -> float) -> (t -> bool) -> unit
 (** [every t ~period f] runs [f] now and then every [period] (plus
     [jitter ()] if given) until [f] returns [false].  All firings share
-    one tick closure and one handle; re-arming takes back a recycled
-    queue slot, so a periodic task allocates nothing per period.
+    one tick closure; re-arming takes back a recycled queue slot, so a
+    periodic task allocates nothing per period.
     @raise Invalid_argument if [period <= 0]. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit

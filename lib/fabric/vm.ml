@@ -36,7 +36,13 @@ type t = {
   kernel : kernel;
   effective_hz : float;
   load : load;
+  (* The admitted packets, oldest at [head], in a power-of-two ring: the
+     kernel is a FIFO server, so deliveries fire in admission order and
+     the one [finish] closure pops the oldest (see [Smartnic]). *)
+  mutable backlog : Packet.t array;
+  mutable head : int;
   mutable queued : int;
+  mutable finish : Sim.t -> unit;
   mutable app : Sim.t -> Packet.t -> unit;
   mutable delivered : int;
   mutable dropped : int;
@@ -47,25 +53,60 @@ type t = {
 let saturating_cores ~vcpus ~contention =
   float_of_int vcpus /. (1.0 +. (contention *. float_of_int (vcpus - 1)))
 
+(* What an empty ring cell holds: built by hand, so it takes no uid. *)
+let no_packet =
+  let any = Ipv4.of_int32 0l in
+  {
+    Packet.uid = -1;
+    vpc = Vpc.make 0;
+    flow = Five_tuple.make ~src:any ~dst:any ~src_port:0 ~dst_port:0 ~proto:Five_tuple.Tcp;
+    direction = Packet.Rx;
+    flags = Packet.no_flags;
+    payload_len = 0;
+    vxlan = None;
+    nsh = None;
+    trace_id = 0;
+  }
+
+let finish t sim =
+  let pkt = t.backlog.(t.head) in
+  t.backlog.(t.head) <- no_packet;
+  t.head <- (t.head + 1) land (Array.length t.backlog - 1);
+  t.queued <- t.queued - 1;
+  t.delivered <- t.delivered + 1;
+  if pkt.Packet.flags.Packet.syn then t.accepted <- t.accepted + 1;
+  (match t.tracer with
+  | Some tr when pkt.Packet.trace_id <> 0 ->
+    Trace.end_trace tr ~id:pkt.Packet.trace_id ~now:(Sim.now sim)
+  | Some _ | None -> ());
+  t.app sim pkt
+
 let create ~sim ~name ~vcpus ?(kernel = default_kernel) () =
   if vcpus <= 0 then invalid_arg "Vm.create: vcpus must be positive";
   let effective_hz =
     kernel.per_core_hz *. saturating_cores ~vcpus ~contention:kernel.contention
   in
-  {
-    sim;
-    name;
-    vcpus;
-    kernel;
-    effective_hz;
-    load = { busy_until = 0.0; busy_acc = 0.0; last_sample_time = 0.0; last_sample_busy = 0.0 };
-    queued = 0;
-    app = (fun _ _ -> ());
-    delivered = 0;
-    dropped = 0;
-    accepted = 0;
-    tracer = None;
-  }
+  let t =
+    {
+      sim;
+      name;
+      vcpus;
+      kernel;
+      effective_hz;
+      load = { busy_until = 0.0; busy_acc = 0.0; last_sample_time = 0.0; last_sample_busy = 0.0 };
+      backlog = [||];
+      head = 0;
+      queued = 0;
+      finish = (fun _ -> ());
+      app = (fun _ _ -> ());
+      delivered = 0;
+      dropped = 0;
+      accepted = 0;
+      tracer = None;
+    }
+  in
+  t.finish <- finish t;
+  t
 
 let name t = t.name
 let vcpus t = t.vcpus
@@ -76,6 +117,16 @@ let max_cps t = t.effective_hz /. float_of_int t.kernel.connection_cycles
 let set_app t f = t.app <- f
 
 let set_tracer t tr = t.tracer <- tr
+
+(* Double the ring (from 8), unrolling it to start at 0. *)
+let grow t =
+  let n = Array.length t.backlog in
+  let backlog = Array.make (max 8 (2 * n)) no_packet in
+  for i = 0 to t.queued - 1 do
+    backlog.(i) <- t.backlog.((t.head + i) land (n - 1))
+  done;
+  t.backlog <- backlog;
+  t.head <- 0
 
 let deliver t pkt =
   if t.queued >= t.kernel.backlog then begin
@@ -96,6 +147,8 @@ let deliver t pkt =
     let dur = float_of_int cycles /. t.effective_hz in
     l.busy_until <- start +. dur;
     l.busy_acc <- l.busy_acc +. dur;
+    if t.queued = Array.length t.backlog then grow t;
+    t.backlog.((t.head + t.queued) land (Array.length t.backlog - 1)) <- pkt;
     t.queued <- t.queued + 1;
     (* The kernel stage covers queue wait + processing: arrival to app
        invocation — where the trace ends (the packet reached its VM). *)
@@ -104,17 +157,7 @@ let deliver t pkt =
       Trace.add_span tr ~id:pkt.Packet.trace_id ~name:"vm_kernel"
         ~component:("vm/" ^ t.name) ~t0:now ~t1:l.busy_until ()
     | Some _ | None -> ());
-    ignore
-      (Sim.at t.sim ~time:l.busy_until (fun sim ->
-           t.queued <- t.queued - 1;
-           t.delivered <- t.delivered + 1;
-           if is_new_conn then t.accepted <- t.accepted + 1;
-           (match t.tracer with
-           | Some tr when pkt.Packet.trace_id <> 0 ->
-             Trace.end_trace tr ~id:pkt.Packet.trace_id ~now:(Sim.now sim)
-           | Some _ | None -> ());
-           t.app sim pkt)
-        : Sim.handle)
+    ignore (Sim.at t.sim ~time:l.busy_until t.finish : Sim.handle)
   end
 
 let packets_delivered t = t.delivered

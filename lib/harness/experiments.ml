@@ -976,7 +976,7 @@ let region_mttr ?(cfg = default_storm_config) () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* SLO-tracking ramp (ROADMAP item 4): the Region_sim diurnal ×10
+(* SLO-tracking ramp (DESIGN.md §15): the Region_sim diurnal ×10
    offered-load ramp driven by the real Slo decision core, run clean
    and with the rack-partition chaos variant, plus a same-seed rerun
    for the determinism gate.  The default partition window sits in the

@@ -277,7 +277,7 @@ val default_storm_config : Nezha_workloads.Region_sim.config
 
 val region_mttr : ?cfg:Nezha_workloads.Region_sim.config -> unit -> region_mttr
 
-(** {1 SLO-tracking ramp (ROADMAP item 4)}
+(** {1 SLO-tracking ramp (DESIGN.md §15)}
 
     The {!Nezha_workloads.Region_sim.run_slo} diurnal ×10 offered-load
     ramp driven by the real {!Nezha_core.Slo} decision core: run clean,

@@ -67,8 +67,8 @@ type config = {
       (** fall back after {!Policy.fallback_idle_ticks} idle reports *)
   placement : Placement.policy;
       (** FE candidate selection: the paper's least-loaded ordering, or
-          power-of-two-choices over the live load signal (ROADMAP
-          item 4) *)
+          power-of-two-choices over the live load signal (DESIGN.md
+          §15) *)
   slo : Slo.config option;
       (** when set, an {!Slo} loop rides the report tick: observed P99
           remote-hop latency (drained from every BE tracker) drives

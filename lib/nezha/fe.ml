@@ -316,7 +316,7 @@ let install vs =
       Vnic.Addr.Table.iter
         (fun _ s ->
           ignore
-            (Flow_table.expire s.flows ~now ~on_expire:(fun _ _ ->
+            (Flow_table.expire_values s.flows ~now ~on_expire:(fun _ ->
                  Smartnic.mem_release (Vswitch.nic vs) Params.session_entry_overhead)
               : int))
         t.served;
@@ -326,7 +326,7 @@ let install vs =
 let vswitch t = t.vs
 
 let release_served t s =
-  Flow_table.iter s.flows (fun _ _ ->
+  Flow_table.iter_values s.flows (fun _ ->
       Smartnic.mem_release (Vswitch.nic t.vs) Params.session_entry_overhead);
   Flow_table.clear s.flows;
   Smartnic.mem_release (Vswitch.nic t.vs) s.rule_bytes

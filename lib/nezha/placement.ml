@@ -1,7 +1,7 @@
 (* FE candidate ordering (§4.2.1, App. B.1), used by [Policy.select]
    and the SLO ramp.  Two policies: the paper's least-loaded ordering
    with same-ToR preference, and power-of-two-choices over a live load
-   signal (ROADMAP item 4). *)
+   signal (DESIGN.md §15). *)
 
 open Nezha_engine
 

@@ -1,4 +1,4 @@
-(** Latency-SLO autoscaling decisions (ROADMAP item 4, after Meili).
+(** Latency-SLO autoscaling decisions (DESIGN.md §15, after Meili).
 
     The paper's controller scales the FE pool on a CPU threshold; the
     production interface is a latency budget.  This module is the pure

@@ -382,8 +382,10 @@ let remove t (key : Flow_key.t) =
 (* A firing timer whose binding's deadline lies in a slot the sweep has
    not reached yet re-arms there; one whose deadline's slot is this one
    expires the binding.  Either way the binding leaves the table at the
-   same [expire] call as a timer re-armed on every touch would. *)
-let expire t ~now ~on_expire =
+   same [expire] call as a timer re-armed on every touch would.
+   [on_expire] gets the released id, whose key words stay readable
+   until the id is reused, and the binding's value. *)
+let sweep t ~now on_expire =
   match t.wheel with
   | None -> 0
   | Some w ->
@@ -395,28 +397,34 @@ let expire t ~now ~on_expire =
              (* [~now:d]: arm exactly at [d], which may already be past. *)
              arm t ~now:d id d
            else begin
-             let key = key_of t id and v = Obj.obj t.values.(id) in
+             let v = Obj.obj t.values.(id) in
              let mask = slots t - 1 in
              delete_slot t (slot_of t.index mask id (id_hash t id land mask));
              t.used_bytes <- t.used_bytes - t.bytes.(id);
              release t id;
              incr fired;
-             on_expire key v
+             on_expire id v
            end)
         : int);
     !fired
+
+let expire t ~now ~on_expire = sweep t ~now (fun id v -> on_expire (key_of t id) v)
+let expire_values t ~now ~on_expire = sweep t ~now (fun _ v -> on_expire v)
 
 let length t = t.count
 let memory_bytes t = t.used_bytes
 let pending_timers t = match t.wheel with Some w -> Timer_wheel.pending w | None -> 0
 
-let iter t f =
+let iter_ids t f =
   for i = 0 to slots t - 1 do
     if t.index.(2 * i) <> empty then begin
       let id = t.index.((2 * i) + 1) in
-      f (key_of t id) (Obj.obj t.values.(id))
+      f id (Obj.obj t.values.(id))
     end
   done
+
+let iter t f = iter_ids t (fun id v -> f (key_of t id) v)
+let iter_values t f = iter_ids t (fun _ v -> f v)
 
 (* Like [Hashtbl.reset]: a grown index and pool shrink back to their
    first sizes.  The stamp runs on, so no handle issued before can match

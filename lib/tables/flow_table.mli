@@ -110,6 +110,10 @@ val expire : 'v t -> now:float -> on_expire:(Flow_key.t -> 'v -> unit) -> int
     be called with non-decreasing [now].  [on_expire] gets a key rebuilt
     from the stored words, equal to the one inserted. *)
 
+val expire_values : 'v t -> now:float -> on_expire:('v -> unit) -> int
+(** {!expire} for a callback that never reads the key: no key is
+    rebuilt. *)
+
 val length : 'v t -> int
 val memory_bytes : 'v t -> int
 
@@ -120,6 +124,10 @@ val pending_timers : 'v t -> int
 val iter : 'v t -> (Flow_key.t -> 'v -> unit) -> unit
 (** [f] must not insert into or remove from [t].  Keys are rebuilt as
     for {!expire}. *)
+
+val iter_values : 'v t -> ('v -> unit) -> unit
+(** {!iter} for a callback that never reads the key: no key is
+    rebuilt. *)
 
 val clear : 'v t -> unit
 (** Drop every binding; all handles die. *)

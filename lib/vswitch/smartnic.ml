@@ -16,7 +16,16 @@ type t = {
   params : Params.t;
   name : string;
   load : load;
+  (* The queued continuations, oldest at [head], in a power-of-two
+     ring.  The CPU is a FIFO server: a job completes no earlier than
+     the one submitted before it, and its event has a larger sequence
+     number, so completion events fire in submission order and the one
+     [finish] closure pops the oldest.  A job costs its event's queue
+     slot and no wrapper closure. *)
+  mutable jobs : (Sim.t -> unit) array;
+  mutable head : int;
   mutable queued : int;
+  mutable finish : Sim.t -> unit;
   (* Trailing-window bookkeeping for [peek_utilization]: ring of recent
      (time, busy_acc) snapshots taken on submissions. *)
   mutable snap_times : float array;
@@ -31,22 +40,39 @@ type t = {
 
 let snap_capacity = 512
 
+let no_job : Sim.t -> unit = fun _ -> ()
+
+let finish t sim =
+  let k = t.jobs.(t.head) in
+  t.jobs.(t.head) <- no_job;
+  t.head <- (t.head + 1) land (Array.length t.jobs - 1);
+  t.queued <- t.queued - 1;
+  t.completed <- t.completed + 1;
+  if not t.crashed then k sim
+
 let create ~sim ~params ~name =
-  {
-    sim;
-    params;
-    name;
-    load = { busy_until = 0.0; busy_acc = 0.0; last_sample_time = 0.0; last_sample_busy = 0.0 };
-    queued = 0;
-    snap_times = Array.make snap_capacity 0.0;
-    snap_busy = Array.make snap_capacity 0.0;
-    snap_head = 0;
-    snap_len = 0;
-    completed = 0;
-    dropped = 0;
-    mem_used = 0;
-    crashed = false;
-  }
+  let t =
+    {
+      sim;
+      params;
+      name;
+      load = { busy_until = 0.0; busy_acc = 0.0; last_sample_time = 0.0; last_sample_busy = 0.0 };
+      jobs = [||];
+      head = 0;
+      queued = 0;
+      finish = no_job;
+      snap_times = Array.make snap_capacity 0.0;
+      snap_busy = Array.make snap_capacity 0.0;
+      snap_head = 0;
+      snap_len = 0;
+      completed = 0;
+      dropped = 0;
+      mem_used = 0;
+      crashed = false;
+    }
+  in
+  t.finish <- finish t;
+  t
 
 let name t = t.name
 let params t = t.params
@@ -59,6 +85,16 @@ let record_snapshot t now =
   t.snap_busy.(i) <- t.load.busy_acc;
   if t.snap_len < snap_capacity then t.snap_len <- t.snap_len + 1
   else t.snap_head <- (t.snap_head + 1) mod snap_capacity
+
+(* Double the ring (from 8), unrolling it to start at 0. *)
+let grow t =
+  let n = Array.length t.jobs in
+  let jobs = Array.make (max 8 (2 * n)) no_job in
+  for i = 0 to t.queued - 1 do
+    jobs.(i) <- t.jobs.((t.head + i) land (n - 1))
+  done;
+  t.jobs <- jobs;
+  t.head <- 0
 
 let submit t ~cycles k =
   if t.crashed then begin
@@ -75,14 +111,11 @@ let submit t ~cycles k =
     let dur = cpu_time t ~cycles in
     l.busy_until <- start +. dur;
     l.busy_acc <- l.busy_acc +. dur;
+    if t.queued = Array.length t.jobs then grow t;
+    t.jobs.((t.head + t.queued) land (Array.length t.jobs - 1)) <- k;
     t.queued <- t.queued + 1;
     record_snapshot t now;
-    ignore
-      (Sim.at t.sim ~time:l.busy_until (fun sim ->
-           t.queued <- t.queued - 1;
-           t.completed <- t.completed + 1;
-           if not t.crashed then k sim)
-        : Sim.handle);
+    ignore (Sim.at t.sim ~time:l.busy_until t.finish : Sim.handle);
     true
   end
 

@@ -139,19 +139,23 @@ let create ~sim ~params ~name ~underlay_ip ~gateway () =
   in
   (* Aging pump: sweep session tables a few times per aging period. *)
   let period = params.Params.flow_aging /. 4.0 in
+  let release v = Smartnic.mem_release t.nic (session_bytes t.params v) in
   Sim.every sim ~period (fun sim' ->
       let now = Sim.now sim' in
       Vnic.Id_table.iter
         (fun _ e ->
           ignore
-            (Flow_table.expire e.sessions ~now ~on_expire:(fun key v ->
-                 Smartnic.mem_release t.nic (session_bytes t.params v);
-                 (* Flow logging: counted sessions emit a record on exit. *)
-                 match (t.flow_log, v.state) with
-                 | Some sink, Some { State.stats = Some s; first_dir; _ } ->
-                   t.flow_records <- t.flow_records + 1;
-                   sink { key; packets = s.State.packets; bytes = s.State.bytes; first_dir }
-                 | _, _ -> ())
+            (match t.flow_log with
+             | None -> Flow_table.expire_values e.sessions ~now ~on_expire:release
+             | Some sink ->
+               Flow_table.expire e.sessions ~now ~on_expire:(fun key v ->
+                   release v;
+                   (* Flow logging: counted sessions emit a record on exit. *)
+                   match v.state with
+                   | Some { State.stats = Some s; first_dir; _ } ->
+                     t.flow_records <- t.flow_records + 1;
+                     sink { key; packets = s.State.packets; bytes = s.State.bytes; first_dir }
+                   | _ -> ())
               : int))
         t.vnics;
       true);
@@ -284,7 +288,7 @@ let add_vnic t vnic ruleset =
   else Admission.no_memory
 
 let release_sessions t e =
-  Flow_table.iter e.sessions (fun _ v -> Smartnic.mem_release t.nic (session_bytes t.params v));
+  Flow_table.iter_values e.sessions (fun v -> Smartnic.mem_release t.nic (session_bytes t.params v));
   Flow_table.clear e.sessions
 
 (* Crash semantics: everything living in the dataplane process's memory

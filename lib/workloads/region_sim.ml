@@ -309,40 +309,62 @@ let run cfg =
             auto_fallback = false; placement = Placement.Least_loaded };
       pushing = []; down = false; takeovers = 0; pending_readverts = [] }
   in
-  (* --- per-server demand ticks and flow churn ---------------------- *)
+  (* --- demand ticks, flow churn and reports ------------------------- *)
   let pps_per_unit = 1e6 in
+  let tick (srv : srv) now =
+    srv.ticks <- srv.ticks + 1;
+    if srv.down then begin
+      (* Nobody home: the server's demand is blackholed, not served
+         (and not an overload — there is no vSwitch to overload). *)
+      srv.blackholed <- srv.blackholed + 1;
+      if now > convergence_deadline then srv.late_blackholed <- srv.late_blackholed + 1;
+      srv.over <- false
+    end
+    else begin
+      let eff = effective srvs srv now in
+      srv.tally.packets <- srv.tally.packets +. (eff *. pps_per_unit *. cfg.tick);
+      if eff > Policy.overload_level then begin
+        srv.over_ticks <- srv.over_ticks + 1;
+        if not srv.over then begin
+          srv.over <- true;
+          srv.episodes <- srv.episodes + 1
+        end
+      end
+      else srv.over <- false
+    end
+  in
+  (* First ticks are staggered over 64 phases so 2,000 servers don't
+     land on one instant.  The servers of one shard that share a phase
+     share every tick instant, so one loop ticks them all, in id order.
+     A tick touches only its own server and setup-frozen data, so this
+     is the same run as a loop per server. *)
+  let phases = 64 in
+  let groups = Array.make (cfg.shards * phases) [] and on_shard = Array.make cfg.shards [] in
+  for sid = n - 1 downto 0 do
+    let g = (shard_of sid * phases) + (sid mod phases) in
+    groups.(g) <- srvs.(sid) :: groups.(g);
+    on_shard.(shard_of sid) <- srvs.(sid) :: on_shard.(shard_of sid)
+  done;
+  Array.iteri
+    (fun g members ->
+      match Array.of_list members with
+      | [||] -> ()
+      | members ->
+        let offset = cfg.tick *. float_of_int (g mod phases) /. float_of_int phases in
+        ignore
+          (Sim.timeout members.(0).sim ~delay:offset (fun sim ->
+               let now = Sim.now sim in
+               for i = 0 to Array.length members - 1 do
+                 tick members.(i) now
+               done;
+               if now +. cfg.tick <= cfg.duration then Some cfg.tick else None)
+            : Sim.timer))
+    groups;
+  (* Flow churn: [flow_timers] concurrent lifetimes per server, each
+     re-arming with an exponential draw from the server's private
+     stream. *)
   Array.iter
     (fun (srv : srv) ->
-      let tick sim =
-        let now = Sim.now sim in
-        srv.ticks <- srv.ticks + 1;
-        if srv.down then begin
-          (* Nobody home: the server's demand is blackholed, not served
-             (and not an overload — there is no vSwitch to overload). *)
-          srv.blackholed <- srv.blackholed + 1;
-          if now > convergence_deadline then
-            srv.late_blackholed <- srv.late_blackholed + 1;
-          srv.over <- false
-        end
-        else begin
-          let eff = effective srvs srv now in
-          srv.tally.packets <- srv.tally.packets +. (eff *. pps_per_unit *. cfg.tick);
-          if eff > Policy.overload_level then begin
-            srv.over_ticks <- srv.over_ticks + 1;
-            if not srv.over then begin
-              srv.over <- true;
-              srv.episodes <- srv.episodes + 1
-            end
-          end
-          else srv.over <- false
-        end;
-        if now +. cfg.tick <= cfg.duration then Some cfg.tick else None
-      in
-      (* Stagger first ticks so 2,000 servers don't land on one instant. *)
-      let offset = cfg.tick *. float_of_int (srv.sid mod 64) /. 64.0 in
-      ignore (Sim.timeout srv.sim ~delay:offset tick : Sim.timer);
-      (* Flow churn: [flow_timers] concurrent lifetimes, each re-arming
-         with an exponential draw from the server's private stream. *)
       for _ = 1 to cfg.flow_timers do
         let delay0 = Rng.exponential srv.rng ~mean:flow_mean in
         let act sim =
@@ -351,18 +373,28 @@ let run cfg =
           if Sim.now sim +. d <= cfg.duration then Some d else None
         in
         ignore (Sim.timeout srv.sim ~delay:delay0 act : Sim.timer)
-      done;
-      (* Utilization reports up to the controller shard (a crashed
-         server reports nothing — the controller keeps the last one). *)
-      Sim.every srv.sim ~period:cfg.report_interval (fun sim ->
-          let now = Sim.now sim in
-          if not srv.down then begin
-            let eff = effective srvs srv now in
-            Sim.Sharded.send sim ~dst:0 ~delay:ctl_latency (fun _ ->
-                ctl.reported.(srv.sid) <- eff)
-          end;
-          now < cfg.duration))
+      done)
     srvs;
+  (* Utilization reports up to the controller shard, one loop per shard
+     sending its servers' reports in id order (a crashed server reports
+     nothing — the controller keeps the last one). *)
+  Array.iter
+    (fun members ->
+      match Array.of_list members with
+      | [||] -> ()
+      | members ->
+        Sim.every members.(0).sim ~period:cfg.report_interval (fun sim ->
+            let now = Sim.now sim in
+            Array.iter
+              (fun (srv : srv) ->
+                if not srv.down then begin
+                  let eff = effective srvs srv now in
+                  Sim.Sharded.send sim ~dst:0 ~delay:ctl_latency (fun _ ->
+                      ctl.reported.(srv.sid) <- eff)
+                end)
+              members;
+            now < cfg.duration))
+    on_shard;
   (* --- fleet controller on shard 0: an effect layer over Policy --- *)
   let step input = let view, intents = Policy.step ctl.view input in ctl.view <- view; intents in
   let share fes = (1.0 -. keep_share) /. float_of_int (List.length fes) in
@@ -604,7 +636,7 @@ let before_after cfg =
   { before; after }
 
 (* ------------------------------------------------------------------ *)
-(* SLO-tracking run (ROADMAP item 4): a diurnal offered-load ramp (×10
+(* SLO-tracking run (DESIGN.md §15): a diurnal offered-load ramp (×10
    trough->peak) served by an elastic FE pool whose size is driven by
    the real {!Nezha_core.Slo} decision core over a modeled remote-hop
    P99, with FE placement through the real power-of-two-choices policy

@@ -15,10 +15,13 @@
     activate completes.  This replaces the closed-form
     {!Region.daily_overloads} race model with a measured one.
 
-    Each server's demand tick and each of its flow-churn timers is one
-    {!Nezha_engine.Sim.timeout} loop on the timer wheel: the closure
-    returns its next delay, and one wheel node serves every firing.  The host cost of a run is measured by the
-    [region_day] workload of [perfbench/], not here.
+    Demand ticks run one {!Nezha_engine.Sim.timeout} loop per shard and
+    stagger phase, ticking that group's servers in id order; each
+    flow-churn timer is a loop of its own, and utilization reports one
+    {!Nezha_engine.Sim.every} per shard.  A loop's closure returns its
+    next delay, and one wheel node serves every firing.  The host cost
+    of a run is measured by the [region_day] workload of [perfbench/],
+    not here.
 
     Determinism: for a fixed seed the result {!result.digest} is
     identical for any shard count (all cross-shard interaction is
@@ -67,7 +70,7 @@ type result = {
   vnics_modeled : int;
   flows_modeled : int;
   hotspots : int;
-  events : int;  (** simulation events executed, cluster-wide *)
+  events : int;  (** simulation events executed, cluster-wide; varies with the shard count *)
   messages : int;  (** cross-shard mailbox deliveries *)
   ticks : int;
   flow_expiries : int;
@@ -103,7 +106,7 @@ val before_after : config -> before_after
     the identical report/scan cadence (the "before" scan is a no-op), so
     event counts stay comparable. *)
 
-(** {1 SLO-tracking run (ROADMAP item 4)}
+(** {1 SLO-tracking run (DESIGN.md §15)}
 
     A diurnal offered-load ramp (×[ramp_ratio] trough→peak) served by an
     elastic FE pool sized by the {e real} {!Nezha_core.Slo} decision

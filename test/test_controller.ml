@@ -197,7 +197,7 @@ let test_update_rules_during_dual_running () =
       (Controller.offload_fe_servers o)
 
 (* ------------------------------------------------------------------ *)
-(* p2c placement policy and the SLO loop (ROADMAP item 4) *)
+(* p2c placement policy and the SLO loop (DESIGN.md §15) *)
 
 let test_p2c_policy_places_offload () =
   let cfg =

@@ -189,6 +189,104 @@ let test_region_before_after () =
     (ba.Region_sim.before.Region_sim.activations)
 
 (* ------------------------------------------------------------------ *)
+(* Known answers: every simulated output of two seeded regions, pinned
+   bit for bit.  How the engine executes a run (how many events, how
+   many queue slots) may change; what the run computes may not, so
+   [events] and the pool counters are the only fields left out. *)
+
+let kat_cfg = { Region_sim.default_config with Region_sim.racks = 24; seed = 3 }
+let kat_storm = { kat_cfg with Region_sim.crash_rate = 2.0; ctl_crash_at = Some 12.0 }
+
+type known = {
+  k_vnics : int;
+  k_flows : int;
+  k_hotspots : int;
+  k_messages : int;
+  k_ticks : int;
+  k_expiries : int;
+  k_overloads : int;
+  k_overload_ticks : int;
+  k_detections : int;
+  k_activations : int;
+  k_packets : int64;  (** bits of [packets_modeled] *)
+  k_crashes : int;
+  k_restarts : int;
+  k_mttr : int64 * int64;  (** bits of P50, P99 *)
+  k_blackholed : int;
+  k_takeovers : int;
+  k_digest : int;
+}
+
+let check_known name (k : known) (r : Region_sim.result) =
+  let what s = name ^ ": " ^ s and bits = Int64.bits_of_float in
+  let check_bits = Alcotest.(check int64) in
+  check_int (what "servers") 192 r.Region_sim.servers;
+  check_int (what "vswitches") 192 r.vswitches;
+  check_int (what "vnics modeled") k.k_vnics r.vnics_modeled;
+  check_int (what "flows modeled") k.k_flows r.flows_modeled;
+  check_int (what "hotspots") k.k_hotspots r.hotspots;
+  check_int (what "messages") k.k_messages r.messages;
+  check_int (what "ticks") k.k_ticks r.ticks;
+  check_int (what "flow expiries") k.k_expiries r.flow_expiries;
+  check_int (what "overloads") k.k_overloads r.overloads;
+  check_int (what "overload ticks") k.k_overload_ticks r.overload_ticks;
+  check_int (what "detections") k.k_detections r.detections;
+  check_int (what "activations") k.k_activations r.activations;
+  check_bits (what "packets modeled") k.k_packets (bits r.packets_modeled);
+  check_int (what "crashes") k.k_crashes r.crashes;
+  check_int (what "restarts") k.k_restarts r.restarts;
+  check_bits (what "MTTR P50") (fst k.k_mttr) (bits r.mttr_p50);
+  check_bits (what "MTTR P99") (snd k.k_mttr) (bits r.mttr_p99);
+  check_int (what "blackholed ticks") k.k_blackholed r.blackholed_ticks;
+  check_int (what "late blackholed") 0 r.late_blackholed;
+  check_int (what "takeovers") k.k_takeovers r.ctl_takeovers;
+  check_int (what "digest") k.k_digest r.digest
+
+let test_region_known_answer () =
+  check_known "plain"
+    {
+      k_vnics = 810;
+      k_flows = 2239827;
+      k_hotspots = 5;
+      k_messages = 20353;
+      k_ticks = 239088;
+      k_expiries = 91842;
+      k_overloads = 2;
+      k_overload_ticks = 282;
+      k_detections = 5;
+      k_activations = 5;
+      k_packets = 4734015056095166297L;
+      k_crashes = 0;
+      k_restarts = 0;
+      k_mttr = (0L, 0L);
+      k_blackholed = 0;
+      k_takeovers = 0;
+      k_digest = 3995599925359677699;
+    }
+    (Region_sim.run kat_cfg);
+  check_known "storm"
+    {
+      k_vnics = 810;
+      k_flows = 2239827;
+      k_hotspots = 5;
+      k_messages = 19771;
+      k_ticks = 239088;
+      k_expiries = 91929;
+      k_overloads = 6;
+      k_overload_ticks = 302;
+      k_detections = 5;
+      k_activations = 5;
+      k_packets = 4733705800454775840L;
+      k_crashes = 343;
+      k_restarts = 343;
+      k_mttr = (4607722850755301864L, 4611624403564280392L);
+      k_blackholed = 14478;
+      k_takeovers = 1;
+      k_digest = -2748609289297473537;
+    }
+    (Region_sim.run kat_storm)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sharded"
@@ -199,5 +297,6 @@ let () =
         [
           Alcotest.test_case "shard-count invariance" `Quick test_region_shard_invariance;
           Alcotest.test_case "before/after overloads" `Quick test_region_before_after;
+          Alcotest.test_case "known answers" `Quick test_region_known_answer;
         ] );
     ]

@@ -291,6 +291,30 @@ let prop_ft_memory_consistent =
       Flow_table.iter t (fun _ sz -> sum := !sum + 10 + sz);
       !sum = Flow_table.memory_bytes t)
 
+(* The value-only sweeps see the same bindings, in the same order, as the
+   keyed ones. *)
+let test_ft_value_only_sweeps () =
+  let fill () =
+    let t = mk_table ~aging:8.0 () in
+    for i = 0 to 39 do
+      let aging = if i mod 4 = 0 then Some 2.0 else None in
+      ignore (Flow_table.insert t ~now:0.0 ?aging (key "10.0.0.1" "10.0.0.2" ~sport:(1000 + i)) (string_of_int i) : Admission.t)
+    done;
+    t
+  in
+  let a = fill () and b = fill () in
+  let keyed = ref [] and plain = ref [] in
+  Flow_table.iter a (fun _ v -> keyed := v :: !keyed);
+  Flow_table.iter_values b (fun v -> plain := v :: !plain);
+  Alcotest.(check (list string)) "iter" !keyed !plain;
+  keyed := [];
+  plain := [];
+  let na = Flow_table.expire a ~now:3.0 ~on_expire:(fun _ v -> keyed := v :: !keyed) in
+  let nb = Flow_table.expire_values b ~now:3.0 ~on_expire:(fun v -> plain := v :: !plain) in
+  check_int "same count" na nb;
+  check_int "the short-aged ones" 10 nb;
+  Alcotest.(check (list string)) "expire" !keyed !plain;
+  check_int "same memory" (Flow_table.memory_bytes a) (Flow_table.memory_bytes b)
 
 (* Handles: refresh and replace act on the binding without a lookup, and
    every way out of the table kills the handle. *)
@@ -1305,6 +1329,7 @@ let () =
           Alcotest.test_case "touch extends life" `Quick test_ft_touch_extends;
           Alcotest.test_case "short aging override" `Quick test_ft_short_aging_override;
           Alcotest.test_case "remove cancels timer" `Quick test_ft_remove;
+          Alcotest.test_case "value-only sweeps" `Quick test_ft_value_only_sweeps;
           Alcotest.test_case "update in place" `Quick test_ft_update;
           Alcotest.test_case "handles" `Quick test_ft_handles;
           Alcotest.test_case "touch re-arms nothing" `Quick test_ft_touch_no_churn;

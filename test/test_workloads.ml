@@ -286,7 +286,7 @@ let test_sirius_requires_even_cards () =
       ignore (Sirius.create ~fabric:d.fabric ~cards:[ 4; 5; 6 ] () : Sirius.t))
 
 (* ------------------------------------------------------------------ *)
-(* SLO-tracking ramp (ROADMAP item 4), at the check.sh --smoke scale so
+(* SLO-tracking ramp (DESIGN.md §15), at the check.sh --smoke scale so
    it fits the tier-1 budget. *)
 
 let slo_smoke_cfg =
