@@ -10,17 +10,28 @@ The head side is the tree this script runs from, uncommitted edits
 included.  The base side is REV, checked out with `git worktree add
 --detach` under ${TMPDIR:-/tmp} and removed on exit, as bench/ab.py
 does.  Both sides are built once (DUNE_CACHE=disabled), then each side
-writes the same three simulation outputs:
+writes the same four simulation outputs:
 
-    paper   bench/main.exe paper --json        compared outside `meta`
-    macro   bench/main.exe macro --json        compared outside `meta`
+    paper      bench/main.exe paper --json     compared outside `meta`
+    macro      bench/main.exe macro --json     compared outside `meta`
                                                and `peak_rss_bytes`
-    chaos   nezha_sim chaos --loss 0.005 --json
+    chaos      nezha_sim chaos --loss 0.005 --json
+    perfbench  perfbench/run.py --workload W --seed 11 --seconds 4
+               --trace 1, W = crr_local and offload_mix, run twice per
+               side; compared on the keys both runs of a side reproduce
+               exactly, outside the host-memory keys (HOST_MEMORY)
+
+A perfbench result mixes simulated counts with host timings, so the
+second run on each side sorts them: a key whose two runs differ was
+moved by the host, and is not compared.  A key one side reproduces and
+the other does not is reported.  The host-memory keys reproduce too,
+but they measure the OCaml heap that runs the simulation, and any code
+change moves them; the lines that name them are informational.
 
 Every simulation in the repository is seeded, so a change that claims
-to keep behaviour must leave all three identical.  Prints one line per
+to keep behaviour must leave all four identical.  Prints one line per
 output, `identical` or every differing key path with both values, and
-exits non-zero unless all three are identical.
+exits non-zero unless all four are identical.
 """
 
 import argparse
@@ -43,6 +54,12 @@ OUTPUTS = {
     "macro": (BENCH_EXE, ["macro", "--json"], {"meta", "peak_rss_bytes"}),
     "chaos": (SIM_EXE, ["chaos", "--loss", "0.005", "--json"], {"meta"}),
 }
+
+PERFBENCH_WORKLOADS = ["crr_local", "offload_mix"]
+PERFBENCH_ARGS = ["--seed", "11", "--seconds", "4", "--trace", "1"]
+# Deterministic, but figures of the host heap, not of the simulation.
+HOST_MEMORY = {"gc.minor_words_per_pkt", "gc.promoted_words_per_pkt",
+               "gc.major_collections", "vswitch.host_bytes_per_session"}
 
 
 # ---- comparison --------------------------------------------------------------
@@ -75,6 +92,24 @@ def differences(a, b, ignore, path="$"):
     return []
 
 
+def flatten(result):
+    """A perfbench result line as {key: value}: its top-level scalars, and
+    each metric under its own name."""
+    out = {k: v for k, v in result.items() if k != "metrics"}
+    out.update((name, m["value"]) for name, m in result.get("metrics", {}).items())
+    return out
+
+
+def reproduced(first, second):
+    """The keys of two flattened runs of one tree that hold the same value in
+    both, split into (simulated, host_memory) dicts."""
+    same = {k: v for k, v in first.items()
+            if k in second and type(v) is type(second[k]) and v == second[k]}
+    sim = {k: v for k, v in same.items() if k not in HOST_MEMORY}
+    host = {k: v for k, v in same.items() if k in HOST_MEMORY}
+    return sim, host
+
+
 # ---- trees and runs ------------------------------------------------------------
 
 
@@ -99,6 +134,33 @@ def produce(tree, name, scratch, side):
         return json.load(f)
 
 
+def perfbench_run(tree, workload):
+    r = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"),
+                        "--workload", workload] + PERFBENCH_ARGS,
+                       cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    lines = r.stdout.strip().splitlines()
+    if r.returncode != 0 or not lines:
+        raise RuntimeError("perfbench %s failed in %s: %s"
+                           % (workload, tree, r.stderr.strip()[-500:]))
+    return flatten(json.loads(lines[-1]))
+
+
+def perfbench_docs(trees):
+    """side -> (simulated, host_memory) docs, each {workload: {key: value}}
+    over the keys that side's two runs reproduce; the sides alternate so
+    neither always runs on a warmer host."""
+    runs = {side: {w: [] for w in PERFBENCH_WORKLOADS} for side in trees}
+    for w in PERFBENCH_WORKLOADS:
+        for _ in range(2):
+            for side in trees:
+                runs[side][w].append(perfbench_run(trees[side], w))
+    docs = {}
+    for side in trees:
+        split = {w: reproduced(*runs[side][w]) for w in PERFBENCH_WORKLOADS}
+        docs[side] = ({w: split[w][0] for w in split}, {w: split[w][1] for w in split})
+    return docs
+
+
 def identity(base_rev):
     root = git("rev-parse", "--show-toplevel")
     base_sha = git("rev-parse", "--short", base_rev + "^{commit}", cwd=root)
@@ -115,6 +177,10 @@ def identity(base_rev):
             print("== %s" % name, file=sys.stderr, flush=True)
             docs = {side: produce(trees[side], name, scratch, side) for side in trees}
             verdicts[name] = differences(docs["base"], docs["head"], ignore)
+        print("== perfbench", file=sys.stderr, flush=True)
+        docs = perfbench_docs(trees)
+        verdicts["perfbench"] = differences(docs["base"][0], docs["head"][0], set())
+        host_moves = differences(docs["base"][1], docs["head"][1], set())
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", base_tree], cwd=root,
                        capture_output=True)
@@ -122,11 +188,13 @@ def identity(base_rev):
         shutil.rmtree(scratch, ignore_errors=True)
     for name, ds in verdicts.items():
         if not ds:
-            print("%-6s identical" % name)
+            print("%-9s identical" % name)
             continue
-        print("%-6s differs at %d key path(s):" % (name, len(ds)))
+        print("%-9s differs at %d key path(s):" % (name, len(ds)))
         for d in ds:
-            print("       " + d)
+            print("          " + d)
+    for d in host_moves:
+        print("host-memory key, not compared: " + d)
     return 0 if not any(verdicts.values()) else 1
 
 
@@ -165,6 +233,30 @@ def selftest():
     check("ignored keys are skipped at any depth",
           differences({"a": {"peak_rss_bytes": 1}}, {"a": {"peak_rss_bytes": 2}},
                       {"peak_rss_bytes"}) == [])
+    first = {"correct": True, "attempted": 10, "metrics": {
+        "be.retx": {"value": 3, "unit": "count"},
+        "fe.self_ns_per_pkt": {"value": 601.5, "unit": "ns/pkt"},
+        "gc.minor_words_per_pkt": {"value": 353.4, "unit": "words/pkt"}}}
+    second = json.loads(json.dumps(first))
+    second["metrics"]["fe.self_ns_per_pkt"]["value"] = 598.2
+    flat = flatten(first)
+    check("a result flattens to its scalars and metric values",
+          flat == {"correct": True, "attempted": 10, "be.retx": 3,
+                   "fe.self_ns_per_pkt": 601.5, "gc.minor_words_per_pkt": 353.4})
+    sim, host = reproduced(flat, flatten(second))
+    check("a key the two runs disagree on is not compared",
+          "fe.self_ns_per_pkt" not in sim and "fe.self_ns_per_pkt" not in host)
+    check("reproduced simulated keys are compared",
+          sim == {"correct": True, "attempted": 10, "be.retx": 3})
+    check("a reproduced host-memory key is set apart",
+          host == {"gc.minor_words_per_pkt": 353.4})
+    retyped = flatten(second)
+    retyped["be.retx"] = 3.0
+    check("an int and an equal float do not reproduce",
+          "be.retx" not in reproduced(flat, retyped)[0])
+    check("a key reproduced on one side only is reported",
+          differences({"w": sim}, {"w": {"correct": True, "attempted": 10}}, set())
+          == ["$.w.be.retx (only in base)"])
     for name, ok in checks:
         print("selftest %-60s %s" % (name, "ok" if ok else "FAIL"))
     failed = [n for n, ok in checks if not ok]

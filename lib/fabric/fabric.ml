@@ -8,6 +8,7 @@ type drop_reason = No_vxlan | No_such_server | No_vswitch | Fault_injected
 type t = {
   sim : Sim.t; (* gateway / control shard *)
   sims : Sim.t array; (* per-server simulation (shard); defaults to [sim] *)
+  endpoints : Faults.endpoint array; (* [Faults.Server sid], made once *)
   topology : Topology.t;
   gateway : Gateway.t;
   switches : Vswitch.t option array;
@@ -40,7 +41,7 @@ let sim_of_ep t = function
   | Faults.Gateway -> t.sim
   | Faults.Server sid -> t.sims.(sid)
 
-(* Wire transits are the only place underlay time passes, so each
+(* Wire crossings are the only place underlay time passes, so each
    surviving hop emits one [Wire] span covering schedule-to-delivery —
    fault-injected extra delay included.  A hop still carrying NSH
    metadata exists only because of load sharing (the BE↔FE legs), so it
@@ -64,54 +65,131 @@ let trace_fault_drop t ~src ~dst pkt =
       ~now:(Sim.now (sim_of_ep t src)) ()
   | Some _ | None -> ()
 
-(* One traversal of the [src -> dst] hop: consult the impairment plane,
-   then schedule [deliver] on the surviving packet(s).  Duplication
-   delivers a fresh copy — downstream processing mutates packets in
-   place, so the twin must not alias the original.  The twin also leaves
-   the trace: keeping it would double-count every stage downstream of
-   the duplication against the one measured end-to-end interval. *)
-let transit t ~src ~dst ~delay pkt deliver =
-  let ssim = sim_of_ep t src and dsim = sim_of_ep t dst in
-  match t.faults with
-  | None ->
-    trace_wire t ~src ~dst ~dur:delay pkt;
-    Sim.cross ssim dsim ~delay (fun _ -> deliver pkt)
-  | Some f -> (
-    match Faults.consult f ~src ~dst with
-    | Faults.Drop ->
-      trace_fault_drop t ~src ~dst pkt;
-      count_lost t Fault_injected
-    | Faults.Pass ->
-      trace_wire t ~src ~dst ~dur:delay pkt;
-      Sim.cross ssim dsim ~delay (fun _ -> deliver pkt)
-    | Faults.Delay extra ->
-      trace_wire t ~src ~dst ~dur:(delay +. extra) pkt;
-      Sim.cross ssim dsim ~delay:(delay +. extra) (fun _ -> deliver pkt)
-    | Faults.Duplicate extra ->
-      let twin = Packet.copy pkt in
-      twin.Packet.trace_id <- 0;
-      trace_wire t ~src ~dst ~dur:delay pkt;
-      Sim.cross ssim dsim ~delay (fun _ -> deliver pkt);
-      Sim.cross ssim dsim ~delay:(delay +. extra) (fun _ -> deliver twin))
-
 let vm_of t sid vid =
   if sid < 0 || sid >= Array.length t.vms then None
   else match t.vms.(sid) with Some vms -> Vnic.Id_table.find_opt vms vid | None -> None
 
-let deliver_at_server t target pkt =
+(* The impairment plane's verdict on one crossing of [src -> dst], by a
+   packet or a probe: the one place the plane is read.  Without a plane
+   every hop passes, at zero rng cost. *)
+let verdict t ~src ~dst =
+  match t.faults with None -> Faults.Pass | Some f -> Faults.consult f ~src ~dst
+
+let deliver_batch_at_server t target batch =
   match t.switches.(target) with
-  | Some vs -> Vswitch.from_net vs pkt
-  | None -> count_lost t No_vswitch
+  | Some vs -> Vswitch.from_net_batch vs batch
+  | None ->
+    Pbatch.iter batch (fun _ -> count_lost t No_vswitch);
+    Pbatch.recycle batch
+
+(* The run a burst has open: packets bound for one server under one
+   delay.  While every packet so far belongs to it, the run is that
+   prefix of the burst and nothing is copied. *)
+type run = No_run | Prefix of int * float | Run of int * float * Pbatch.t
+
+let send_run t ~src ~target ~delay rb =
+  Sim.cross (sim_of_ep t src) t.sims.(target) ~delay (fun _ ->
+      deliver_batch_at_server t target rb)
+
+(* A packet that crosses alone: the gateway handles it, a server takes
+   it as a burst of one. *)
+let send_one t ~src ~dst ~delay pkt =
+  match dst with
+  | Faults.Server target -> send_run t ~src ~target ~delay (Pbatch.singleton pkt)
+  | Faults.Gateway ->
+    Sim.cross (sim_of_ep t src) t.sim ~delay (fun _ -> Gateway.handle t.gateway pkt)
+
+(* The open run as a batch of its own, [i] being the current position:
+   needed once a packet at [i] leaves the prefix. *)
+let detach batch i = function
+  | Prefix (target, delay) -> Run (target, delay, Pbatch.sub batch 0 i)
+  | (No_run | Run _) as run -> run
+
+let flush_run t ~src batch i run =
+  match detach batch i run with
+  | Run (target, delay, rb) -> send_run t ~src ~target ~delay rb
+  | No_run | Prefix _ -> ()
+
+(* Add packet [i] to the open run when it shares the destination and
+   delay; otherwise flush the run and open a new one. *)
+let join_run t ~src batch i run ~target ~delay =
+  match run with
+  | No_run when i = 0 -> Prefix (target, delay)
+  | Prefix (tgt, d) when tgt = target && d = delay -> run
+  | Run (tgt, d, rb) when tgt = target && d = delay ->
+    Pbatch.push rb (Pbatch.get batch i);
+    run
+  | No_run | Prefix _ | Run _ ->
+    flush_run t ~src batch i run;
+    Run (target, delay, Pbatch.singleton (Pbatch.get batch i))
+
+(* Packet [i] goes on at the nominal delay: toward a server it joins
+   the open run, toward the gateway it crosses alone. *)
+let on_time t ~src ~dst ~delay batch i run =
+  match dst with
+  | Faults.Server target -> join_run t ~src batch i run ~target ~delay
+  | Faults.Gateway ->
+    send_one t ~src ~dst ~delay (Pbatch.get batch i);
+    run
+
+(* Packet [i] of [batch] crosses [src -> dst] after [delay], the one
+   body of every underlay hop; [run] is the burst's open run, and the
+   result the run left open.  A gateway-bound packet flushes the run
+   first: the gateway takes packets one at a time.  Then the plane's
+   verdict: a drop leaves the run, a delayed packet flushes it and
+   crosses alone, a duplicate goes on and its twin crosses alone — so
+   arrival order and times match a packet-at-a-time burst.  The twin is
+   a fresh copy (downstream mutates packets in place) and leaves the
+   trace, which would otherwise count every later stage twice. *)
+let hop t ~src ~dst ~delay batch i run =
+  let pkt = Pbatch.get batch i in
+  let run =
+    match dst with
+    | Faults.Gateway ->
+      flush_run t ~src batch i run;
+      No_run
+    | Faults.Server _ -> run
+  in
+  match verdict t ~src ~dst with
+  | Faults.Drop ->
+    trace_fault_drop t ~src ~dst pkt;
+    count_lost t Fault_injected;
+    detach batch i run
+  | Faults.Pass ->
+    trace_wire t ~src ~dst ~dur:delay pkt;
+    on_time t ~src ~dst ~delay batch i run
+  | Faults.Delay extra ->
+    flush_run t ~src batch i run;
+    trace_wire t ~src ~dst ~dur:(delay +. extra) pkt;
+    send_one t ~src ~dst ~delay:(delay +. extra) pkt;
+    No_run
+  | Faults.Duplicate extra ->
+    let twin = Packet.copy pkt in
+    twin.Packet.trace_id <- 0;
+    trace_wire t ~src ~dst ~dur:delay pkt;
+    let run = on_time t ~src ~dst ~delay batch i run in
+    send_one t ~src ~dst ~delay:(delay +. extra) twin;
+    run
+
+(* Ship the run a burst left open; a run that spans the whole burst
+   crosses as the burst itself.  Owns [batch]. *)
+let close_burst t ~src batch = function
+  | Prefix (target, delay) -> send_run t ~src ~target ~delay batch
+  | (No_run | Run _) as run ->
+    flush_run t ~src batch (Pbatch.length batch) run;
+    Pbatch.recycle batch
 
 let create ~sim ~topology =
+  let n = Topology.server_count topology in
   let t =
     {
       sim;
-      sims = Array.make (Topology.server_count topology) sim;
+      sims = Array.make n sim;
+      endpoints = Array.init n (fun sid -> Faults.Server sid);
       topology;
       gateway = Gateway.create ();
-      switches = Array.make (Topology.server_count topology) None;
-      vms = Array.make (Topology.server_count topology) None;
+      switches = Array.make n None;
+      vms = Array.make n None;
       delivered_to_vms = 0;
       lost_no_vxlan = 0;
       lost_no_such_server = 0;
@@ -123,13 +201,15 @@ let create ~sim ~topology =
       lifecycle = [];
     }
   in
+  (* A gateway forward is a burst of one. *)
   Gateway.set_forward t.gateway (fun ~dst pkt ->
       match Topology.server_of_ip topology dst with
       | None -> count_lost t No_such_server
       | Some target ->
+        let batch = Pbatch.singleton pkt in
         let delay = Topology.latency_to_gateway topology target in
-        transit t ~src:Faults.Gateway ~dst:(Faults.Server target) ~delay pkt
-          (deliver_at_server t target));
+        close_burst t ~src:Faults.Gateway batch
+          (hop t ~src:Faults.Gateway ~dst:t.endpoints.(target) ~delay batch 0 No_run));
   t
 
 let sim t = t.sim
@@ -171,79 +251,14 @@ let faults t = t.faults
 let set_tracer t tr = t.tracer <- tr
 let tracer t = t.tracer
 
-let deliver_to_server t ~src pkt =
-  (match t.tap with Some tap -> tap ~time:(Sim.now t.sims.(src)) pkt | None -> ());
-  match pkt.Packet.vxlan with
-  | None -> count_lost t No_vxlan
-  | Some v ->
-    let outer_dst = v.Packet.outer_dst in
-    if Ipv4.equal outer_dst (Topology.gateway_ip t.topology) then begin
-      let delay = Topology.latency_to_gateway t.topology src in
-      transit t ~src:(Faults.Server src) ~dst:Faults.Gateway ~delay pkt (fun pkt ->
-          Gateway.handle t.gateway pkt)
-    end
-    else begin
-      match Topology.server_of_ip t.topology outer_dst with
-      | None -> count_lost t No_such_server
-      | Some target ->
-        let delay = Topology.latency t.topology src target in
-        transit t ~src:(Faults.Server src) ~dst:(Faults.Server target) ~delay pkt
-          (deliver_at_server t target)
-    end
-
-let deliver_batch_at_server t target batch =
-  match t.switches.(target) with
-  | Some vs -> Vswitch.from_net_batch vs batch
-  | None ->
-    Pbatch.iter batch (fun _ -> count_lost t No_vswitch);
-    Pbatch.recycle batch
-
-(* The run [deliver_batch_to_server] has open: packets bound for one
-   server under one delay.  While every packet so far belongs to it,
-   the run is that prefix of the burst and nothing is copied. *)
-type run = No_run | Prefix of int * float | Run of int * float * Pbatch.t
-
-let send_run t ~src ~target ~delay rb =
-  Sim.cross t.sims.(src) t.sims.(target) ~delay (fun _ -> deliver_batch_at_server t target rb)
-
-(* The open run as a batch of its own, [i] being the current position:
-   needed once a packet at [i] leaves the prefix. *)
-let detach batch i = function
-  | Prefix (target, delay) -> Run (target, delay, Pbatch.sub batch 0 i)
-  | (No_run | Run _) as run -> run
-
-let flush_run t ~src batch i run =
-  match detach batch i run with
-  | Run (target, delay, rb) -> send_run t ~src ~target ~delay rb
-  | No_run | Prefix _ -> ()
-
-(* Add packet [i] to the open run when it shares the destination and
-   delay; otherwise flush the run and open a new one. *)
-let join_run t ~src batch i run ~target ~delay =
-  match run with
-  | No_run when i = 0 -> Prefix (target, delay)
-  | Prefix (tgt, d) when tgt = target && d = delay -> run
-  | Run (tgt, d, rb) when tgt = target && d = delay ->
-    Pbatch.push rb (Pbatch.get batch i);
-    run
-  | No_run | Prefix _ | Run _ ->
-    flush_run t ~src batch i run;
-    Run (target, delay, Pbatch.singleton (Pbatch.get batch i))
-
-let trace_hop t ~src ~target ~dur pkt =
-  if pkt.Packet.trace_id <> 0 then
-    trace_wire t ~src:(Faults.Server src) ~dst:(Faults.Server target) ~dur pkt
-
-(* Batched egress: one pass in arrival order carves the burst into
+(* Server egress: one pass in arrival order carves the burst into
    maximal consecutive runs bound for the same server under the same
    delay; each run crosses the wire as one scheduled delivery into
-   [Vswitch.from_net_batch], and a run that is the whole burst crosses
-   as the burst itself.  The impairment plane is consulted per packet,
-   in order — fault RNG draws line up exactly with a packet-at-a-time
-   burst — and any packet it deflects (drop, extra delay, duplicate
-   twin) flushes or bypasses the run so arrival order and delivery
-   times match a packet-at-a-time burst.  Owns [batch]. *)
+   [Vswitch.from_net_batch].  The impairment plane is read per packet,
+   in order, so fault RNG draws line up exactly with a packet-at-a-time
+   burst.  Owns [batch]. *)
 let deliver_batch_to_server t ~src batch =
+  let ep = t.endpoints.(src) in
   let run = ref No_run in
   for i = 0 to Pbatch.length batch - 1 do
     let pkt = Pbatch.get batch i in
@@ -254,52 +269,25 @@ let deliver_batch_to_server t ~src batch =
       count_lost t No_vxlan
     | Some v -> (
       let outer_dst = v.Packet.outer_dst in
-      if Ipv4.equal outer_dst (Topology.gateway_ip t.topology) then begin
-        flush_run t ~src batch i !run;
-        run := No_run;
-        let delay = Topology.latency_to_gateway t.topology src in
-        transit t ~src:(Faults.Server src) ~dst:Faults.Gateway ~delay pkt (fun pkt ->
-            Gateway.handle t.gateway pkt)
-      end
+      if Ipv4.equal outer_dst (Topology.gateway_ip t.topology) then
+        run :=
+          hop t ~src:ep ~dst:Faults.Gateway
+            ~delay:(Topology.latency_to_gateway t.topology src)
+            batch i !run
       else
         match Topology.server_of_ip t.topology outer_dst with
         | None ->
           run := detach batch i !run;
           count_lost t No_such_server
-        | Some target -> (
-          let delay = Topology.latency t.topology src target in
-          let outcome =
-            match t.faults with
-            | None -> Faults.Pass
-            | Some f -> Faults.consult f ~src:(Faults.Server src) ~dst:(Faults.Server target)
-          in
-          match outcome with
-          | Faults.Drop ->
-            run := detach batch i !run;
-            trace_fault_drop t ~src:(Faults.Server src) ~dst:(Faults.Server target) pkt;
-            count_lost t Fault_injected
-          | Faults.Pass ->
-            trace_hop t ~src ~target ~dur:delay pkt;
-            run := join_run t ~src batch i !run ~target ~delay
-          | Faults.Delay extra ->
-            flush_run t ~src batch i !run;
-            run := No_run;
-            trace_hop t ~src ~target ~dur:(delay +. extra) pkt;
-            Sim.cross t.sims.(src) t.sims.(target) ~delay:(delay +. extra) (fun _ ->
-                deliver_at_server t target pkt)
-          | Faults.Duplicate extra ->
-            let twin = Packet.copy pkt in
-            twin.Packet.trace_id <- 0;
-            trace_hop t ~src ~target ~dur:delay pkt;
-            run := join_run t ~src batch i !run ~target ~delay;
-            Sim.cross t.sims.(src) t.sims.(target) ~delay:(delay +. extra) (fun _ ->
-                deliver_at_server t target twin)))
+        | Some target ->
+          run :=
+            hop t ~src:ep ~dst:t.endpoints.(target)
+              ~delay:(Topology.latency t.topology src target)
+              batch i !run)
   done;
-  match !run with
-  | Prefix (target, delay) -> send_run t ~src ~target ~delay batch
-  | No_run | Run _ ->
-    flush_run t ~src batch (Pbatch.length batch) !run;
-    Pbatch.recycle batch
+  close_burst t ~src:ep batch !run
+
+let deliver_to_server t ~src pkt = deliver_batch_to_server t ~src (Pbatch.singleton pkt)
 
 (* Liveness probe (§4.4), as a wire round-trip through the monitor's
    vantage point (the gateway side): request leg, vSwitch check at the
@@ -307,15 +295,12 @@ let deliver_batch_to_server t ~src batch =
    partition or lossy link produces genuinely missed probes. *)
 let ping t ~dst ~reply =
   let leg ~src ~dst =
-    match t.faults with
-    | None -> Some 0.0
-    | Some f -> (
-      match Faults.consult f ~src ~dst with
-      | Faults.Drop -> None
-      | Faults.Pass -> Some 0.0
-      | Faults.Delay extra -> Some extra
-      (* A duplicated probe is still one probe; ignore the twin. *)
-      | Faults.Duplicate _ -> Some 0.0)
+    match verdict t ~src ~dst with
+    | Faults.Drop -> None
+    | Faults.Pass -> Some 0.0
+    | Faults.Delay extra -> Some extra
+    (* A duplicated probe is still one probe; ignore the twin. *)
+    | Faults.Duplicate _ -> Some 0.0
   in
   if dst >= 0 && dst < Array.length t.switches then begin
     match leg ~src:Faults.Gateway ~dst:(Faults.Server dst) with

@@ -89,16 +89,19 @@ val set_tap : t -> (time:float -> Nezha_net.Packet.t -> unit) option -> unit
 
 val deliver_to_server : t -> src:Topology.server_id -> Nezha_net.Packet.t -> unit
 (** Inject an encapsulated packet into the underlay as if [src]'s
-    vSwitch had transmitted it.  Normally called via the vSwitch
-    transmit hook; exposed for tests and custom sources. *)
+    vSwitch had transmitted it: {!deliver_batch_to_server} on a burst of
+    one.  The vSwitch's control sends arrive here; exposed for tests and
+    custom sources. *)
 
 val deliver_batch_to_server :
   t -> src:Topology.server_id -> Nezha_net.Pbatch.t -> unit
-(** Batched form of {!deliver_to_server} (the sink installed on every
-    vSwitch): takes ownership of the burst, consults the fault plane per
-    packet in arrival order, and ships maximal same-destination runs as
-    single scheduled deliveries into [Vswitch.from_net_batch] (a run
-    spanning the whole burst travels as the burst itself). *)
+(** The underlay's one path (the sink installed on every vSwitch):
+    takes ownership of the burst, reads the fault plane per packet in
+    arrival order, and ships maximal same-destination runs as single
+    scheduled deliveries into [Vswitch.from_net_batch] (a run spanning
+    the whole burst travels as the burst itself).  A gateway-bound
+    packet, a delayed packet and a duplicate's twin cross alone; what
+    the gateway forwards reaches its server as a burst of one. *)
 
 val ping : t -> dst:Topology.server_id -> reply:(unit -> unit) -> unit
 (** A liveness probe round-trip from the gateway side: request leg,

@@ -876,7 +876,8 @@ let local_vnic t pkt =
   | None -> None
 
 (* A decapped underlay packet for [local], the inner destination's vNIC
-   entry on this server (if any), once the net hook has had its turn. *)
+   entry on this server (if any), that no vectored lane took.  With no
+   local vNIC, the single net hook may claim non-NSH traffic. *)
 let rx_local t pkt ~outer local =
   match local with
   | Some e -> (
@@ -896,67 +897,50 @@ let rx_local t pkt ~outer local =
       match hook pkt ~outer with `Handled -> () | `Continue -> count_drop t Nf.No_vnic)
     | Some _, Some _ | None, _ -> count_drop t Nf.No_vnic)
 
-(* One underlay packet, outside any vectored run. *)
-let from_net_one t pkt =
-  let outer = Packet.decap_vxlan pkt in
-  (* NSH-bearing packets are Nezha-internal workflow traffic: the net
-     hook gets first refusal even when the inner destination is hosted
-     locally — an FE may share a server with a session's peer, and its
-     half of the split pipeline must still run. *)
-  let hooked =
-    match (t.net_hook, pkt.Packet.nsh) with
-    | Some hook, Some _ -> ( match hook pkt ~outer with `Handled -> true | `Continue -> false)
-    | Some _, None | None, _ -> false
-  in
-  if not hooked then rx_local t pkt ~outer (local_vnic t pkt)
-
-let from_net t pkt =
-  Stats.Counter.incr t.counters.rx_packets;
-  from_net_one t pkt
-
 (* The lanes [from_net_batch] keeps vectored: NSH workflow traffic for
    the batch net hook, and tenant traffic for one un-intercepted vNIC.
-   Both lanes hand their runs over still encapsulated.  Any other packet
-   goes on its own: NSH traffic offered to the single net hook first, or
-   the rest with its destination vNIC already looked up. *)
-type lane = Nsh_lane | Vnic_lane of vnic_entry | Hook_first | Local of vnic_entry option
+   Both lanes hand their runs over still encapsulated.  NSH-bearing
+   packets are Nezha-internal workflow traffic: the batch hook gets
+   first refusal even when the inner destination is hosted locally — an
+   FE may share a server with a session's peer, and its half of the
+   split pipeline must still run.  Any other packet goes on its own,
+   with its destination vNIC already looked up. *)
+type lane = Nsh_lane | Vnic_lane of vnic_entry | Local of vnic_entry option
 
 let lane_of t pkt =
-  match (t.net_hook_batch, t.net_hook, pkt.Packet.nsh) with
-  | Some _, _, Some _ -> Nsh_lane
-  | None, Some _, Some _ -> Hook_first
-  | _, _, _ -> (
+  match (t.net_hook_batch, pkt.Packet.nsh) with
+  | Some _, Some _ -> Nsh_lane
+  | _, _ -> (
     match local_vnic t pkt with
     | Some ({ intercept = None; _ } as e) -> Vnic_lane e
     | local -> Local local)
 
 let flush_lane t lane run =
   match lane with
-  | Hook_first | Local _ -> Pbatch.recycle run (* these lanes never hold a run *)
+  | Local _ -> Pbatch.recycle run (* this lane never holds a run *)
   | Vnic_lane e -> local_batch t e ~dir:Packet.Rx run
   | Nsh_lane -> (
     (* The lane only opens when a batch hook is installed; if it vanished
-       mid-burst, everything is leftover. *)
+       mid-burst, everything is leftover.  The hook has had its one
+       offer, so what it declines takes local RX. *)
     let leftover = match t.net_hook_batch with Some h -> h run | None -> Some run in
     match leftover with
     | None -> ()
     | Some lb ->
-      for i = 0 to Pbatch.length lb - 1 do
-        from_net_one t (Pbatch.get lb i)
-      done;
+      Pbatch.iter lb (fun pkt ->
+          rx_local t pkt ~outer:(Packet.decap_vxlan pkt) (local_vnic t pkt));
       Pbatch.recycle lb)
 
 (* Net RX burst.  The pass keeps packets in arrival order and carves the
    burst into maximal consecutive runs of one lane; a run that spans
    the whole burst is handed over as the burst itself.  A packet that
-   fits no lane ends the open run and takes [from_net_one], so side
-   effects interleave exactly as a packet-at-a-time burst.  Owns
-   [batch]. *)
+   fits no lane ends the open run and takes [rx_local], so side effects
+   interleave exactly as a packet-at-a-time burst.  Owns [batch]. *)
 let from_net_batch t batch =
   let n = Pbatch.length batch in
   Stats.Counter.add t.counters.rx_packets n;
-  (* The open run is [start, i) in [lane]. *)
-  let lane = ref Hook_first and start = ref 0 in
+  (* The open run is [start, i) in [lane]; [Local] holds none. *)
+  let lane = ref (Local None) and start = ref 0 in
   for i = 0 to n - 1 do
     let pkt = Pbatch.get batch i in
     let next = lane_of t pkt in
@@ -966,20 +950,21 @@ let from_net_batch t batch =
     | open_lane, _ -> (
       (match open_lane with
       | Nsh_lane | Vnic_lane _ -> flush_lane t open_lane (Pbatch.sub batch !start (i - !start))
-      | Hook_first | Local _ -> ());
+      | Local _ -> ());
       lane := next;
       start := i;
       match next with
-      | Hook_first -> from_net_one t pkt
       | Local local -> rx_local t pkt ~outer:(Packet.decap_vxlan pkt) local
       | Nsh_lane | Vnic_lane _ -> ())
   done;
   match !lane with
-  | Hook_first | Local _ -> Pbatch.recycle batch
+  | Local _ -> Pbatch.recycle batch
   | (Nsh_lane | Vnic_lane _) as l when !start = 0 -> flush_lane t l batch
   | l ->
     flush_lane t l (Pbatch.sub batch !start (n - !start));
     Pbatch.recycle batch
+
+let from_net t pkt = from_net_batch t (Pbatch.singleton pkt)
 
 let set_flow_log_sink t sink = t.flow_log <- sink
 

@@ -29,7 +29,8 @@ type output =
 type sink = {
   on_output : output -> unit;
       (** one packet at a time: every [To_vm], plus the control sends
-          (acks, notifies, bounces, mirrors) the BE and FE emit *)
+          (acks, notifies, bounces, mirrors) the BE and FE emit, which
+          the fabric ships as bursts of one *)
   on_net_batch : Pbatch.t -> unit;
       (** an encapsulated net burst; the sink takes ownership and
           recycles the batch *)
@@ -234,13 +235,17 @@ val from_vnic_batch : t -> Vnic.id -> Pbatch.t -> unit
     charging the SmartNIC once for the whole burst. *)
 
 val from_net : t -> Packet.t -> unit
-(** The underlay delivered a packet to this server.  Hook and intercept
-    declines reach the local RX path as a one-slot batch. *)
+(** The underlay delivered a packet to this server: {!from_net_batch}
+    on a one-slot batch. *)
 
 val from_net_batch : t -> Pbatch.t -> unit
 (** The underlay delivered a burst.  Takes ownership; carves the burst
-    into maximal in-order vectored runs (batch net hook, per-vNIC local
-    RX) and hands each packet between them to {!from_net}'s path. *)
+    into maximal in-order vectored runs (NSH traffic for the batch net
+    hook, tenant traffic for one un-intercepted local vNIC) and sends
+    each packet between them, and each NSH packet the batch hook
+    declines, to local RX on its own: the vNIC's intercept and local
+    path, the single net hook for non-NSH traffic with no local vNIC,
+    or a [No_vnic] drop. *)
 
 (** {1 Nezha integration hooks} *)
 
@@ -265,17 +270,18 @@ val set_mapping_learner :
 
 val set_net_hook :
   t -> (Packet.t -> outer:Packet.vxlan option -> [ `Handled | `Continue ]) option -> unit
-(** The hook receives the decapsulated packet together with its original
-    outer header — an FE must preserve the outer source for stateful
-    decapsulation (§5.2). *)
+(** The hook for non-NSH underlay traffic with no local vNIC (a Sirius
+    card's pool datapath, an FE's first-hop RX); it never sees NSH
+    traffic.  It receives the decapsulated packet together with its
+    original outer header — an FE must preserve the outer source for
+    stateful decapsulation (§5.2). *)
 
 val set_net_hook_batch : t -> (Pbatch.t -> Pbatch.t option) option -> unit
-(** Vectored companion to {!set_net_hook}: receives a run of
-    still-encapsulated NSH-bearing packets (ownership included) and
-    returns the still-encapsulated leftover it declined — or [None] when
-    it consumed everything.  The leftover transfers back to the caller,
-    which offers each packet to the single hook and then the local
-    vNIC. *)
+(** The hook for NSH-bearing underlay traffic, which it alone is
+    offered: receives a run of still-encapsulated NSH packets (ownership
+    included) and returns the still-encapsulated leftover it declined —
+    or [None] when it consumed everything.  The leftover transfers back
+    to the caller, which sends each packet to local RX. *)
 
 val vnic_slow_execs : t -> Vnic.id -> int
 (** Slow-path executions attributed to this vNIC — the controller's

@@ -6,11 +6,13 @@ module Controller = Nezha_core.Controller
 module Placement = Nezha_core.Placement
 module Policy = Nezha_core.Policy
 
-(* Region-scale bridge: thousands of real vSwitches (one per server,
-   rack-aligned onto the shards of a [Sim.Sharded] cluster) driven by
-   Region-sampled demand profiles, with a fleet controller on shard 0 —
-   a second effect layer over [Policy] (DESIGN.md §16) — placing
-   offloads against them.  The headline output is Fig. 13's "overloads
+(* Region-scale bridge: thousands of servers, rack-aligned onto the
+   shards of a [Sim.Sharded] cluster, each with a Region-sampled demand
+   profile whose load is modeled per server, and a fleet controller on
+   shard 0 — a second effect layer over [Policy] (DESIGN.md §16) —
+   placing offloads against them.  Each server also gets a real vSwitch
+   and SmartNIC at setup, but they carry no traffic: nothing after setup
+   reads them.  The headline output is Fig. 13's "overloads
    before/after Nezha", measured from the event simulation — an
    overload *occurs* only when a demand spike outruns report -> detect
    -> place -> push -> activate.

@@ -508,7 +508,10 @@ let test_batch_loss_differential () =
    carries no state, is not FE work: the FE hands it back with its
    header intact, and the vSwitch carries on with it — local delivery
    when the inner destination is hosted here, a No_vnic drop otherwise.
-   The single path and the burst must agree on that outcome. *)
+   The single path and the burst must agree on that outcome.  NSH
+   traffic belongs to the batch net hook alone: counting wrappers around
+   both FE hooks show each packet offered to it once, and never to the
+   single hook. *)
 
 let test_declined_nsh_differential () =
   let run batch =
@@ -518,6 +521,17 @@ let test_declined_nsh_differential () =
     (match Fe.serve fe ~vnic:served ~ruleset:(Ruleset.create ~vni:5 ()) ~be:(ip "192.168.0.9") with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "served vnic must fit");
+    let batch_offers = ref 0 and single_offers = ref 0 in
+    Vswitch.set_net_hook_batch w.lvs
+      (Some
+         (fun b ->
+           batch_offers := !batch_offers + Pbatch.length b;
+           Fe.process_batch fe b));
+    Vswitch.set_net_hook w.lvs
+      (Some
+         (fun pkt ~outer ->
+           incr single_offers;
+           Fe.process fe pkt ~outer));
     let declined dst =
       let p =
         Packet.create ~vpc:(Vpc.make 5)
@@ -535,12 +549,16 @@ let test_declined_nsh_differential () =
     else List.iter (Vswitch.from_net w.lvs) pkts;
     Sim.run w.lsim ~until:1.0;
     let c = Fe.counters fe in
-    ( local_observed w,
-      List.map Stats.Counter.value [ c.Fe.rule_lookups; c.Fe.rx_forwarded; c.Fe.tx_finalized ],
-      Vswitch.drop_count w.lvs Nf.No_vnic )
+    ( ( local_observed w,
+        List.map Stats.Counter.value [ c.Fe.rule_lookups; c.Fe.rx_forwarded; c.Fe.tx_finalized ],
+        Vswitch.drop_count w.lvs Nf.No_vnic ),
+      (!batch_offers, !single_offers) )
   in
-  let single = run false and burst = run true in
+  let single, single_offers = run false and burst, burst_offers = run true in
   check_bool "declined NSH packet: same outcome" true (single = burst);
+  let offers = Alcotest.(check (pair int int)) in
+  offers "burst: (batch hook, single hook) offers" (2, 0) burst_offers;
+  offers "singles: (batch hook, single hook) offers" (2, 0) single_offers;
   let (_, to_vm, _, _, _), fe_work, no_vnic = single in
   check_bool "no FE work done" true (List.for_all (( = ) 0) fe_work);
   (match to_vm with

@@ -144,6 +144,78 @@ let test_fabric_per_reason_drops () =
   check_int "total is the sum" (Fabric.lost_by fabric Fabric.Fault_injected + 2)
     (Fabric.lost fabric)
 
+(* One burst through [deliver_batch_to_server] against the same packets
+   one by one through [deliver_to_server], with the server 0 -> 1 link
+   impaired by loss, jitter and duplication.  The burst holds a
+   gateway-bound packet, an unknown-server packet and packets that draw
+   every verdict, the first drop while the open run is still a prefix
+   of the burst.  The arrivals at server 1's vSwitch (time and packet,
+   in order), the per-reason losses and the tap's order must agree, and
+   every batch taken from the arena must come back. *)
+let test_fabric_burst_equals_singles () =
+  let reasons = Fabric.[ No_vxlan; No_such_server; No_vswitch; Fault_injected ] in
+  let run burst =
+    let sim, topo, fabric, faults = mk_fabric () in
+    Faults.set_link faults ~src:(Faults.Server 0) ~dst:(Faults.Server 1)
+      (Faults.impair ~loss:0.3 ~dup:0.3 ~reorder:0.5 ());
+    let detour = Ipv4.of_octets 10 0 0 7 in
+    Gateway.set_route (Fabric.gateway fabric)
+      { Vnic.Addr.vpc = Vpc.make 9; ip = detour }
+      [| Topology.underlay_ip topo 1 |];
+    let port pkt = pkt.Packet.flow.Five_tuple.src_port in
+    let arrivals = ref [] and tapped = ref [] in
+    Vswitch.set_net_hook (Fabric.vswitch fabric 1)
+      (Some
+         (fun pkt ~outer:_ ->
+           arrivals := (Sim.now sim, port pkt) :: !arrivals;
+           `Handled));
+    Fabric.set_tap fabric (Some (fun ~time pkt -> tapped := (time, port pkt) :: !tapped));
+    let pkt i =
+      let dst, outer_dst =
+        match i with
+        | 14 -> (detour, Topology.gateway_ip topo)
+        | 17 -> (Ipv4.of_octets 10 0 0 2, Ipv4.of_octets 99 9 9 9)
+        | _ -> (Ipv4.of_octets 10 0 0 2, Topology.underlay_ip topo 1)
+      in
+      let flow =
+        Five_tuple.make ~src:(Ipv4.of_octets 10 0 0 1) ~dst ~src_port:(1000 + i) ~dst_port:80
+          ~proto:Five_tuple.Udp
+      in
+      let p = Packet.create ~vpc:(Vpc.make 9) ~flow ~direction:Packet.Tx ~payload_len:64 () in
+      Packet.encap_vxlan p ~vni:9 ~outer_src:(Topology.underlay_ip topo 0) ~outer_dst;
+      p
+    in
+    let pkts = List.init 24 pkt in
+    let taken0, reused0, recycled0 = Pbatch.pool_stats () in
+    (if burst then begin
+       let b = Pbatch.alloc () in
+       List.iter (Pbatch.push b) pkts;
+       Fabric.deliver_batch_to_server fabric ~src:0 b
+     end
+     else List.iter (Fabric.deliver_to_server fabric ~src:0) pkts);
+    Sim.run sim ~until:1.0;
+    let taken1, reused1, recycled1 = Pbatch.pool_stats () in
+    ( List.rev !arrivals,
+      List.rev !tapped,
+      List.map (Fabric.lost_by fabric) reasons,
+      (Faults.drops_injected faults, Faults.reorders_injected faults, Faults.dups_injected faults),
+      taken1 - taken0 + (reused1 - reused0) - (recycled1 - recycled0) )
+  in
+  let arrivals, tapped, lost, (drops, delays, dups), outstanding = run false in
+  let burst = run true in
+  check_bool "the draws include a drop, a delay and a duplicate" true
+    (drops > 0 && delays > 0 && dups > 0);
+  check_bool "the gateway-bound packet arrives" true (List.exists (fun (_, p) -> p = 1014) arrivals);
+  check_int "the unknown server is a loss" 1 (List.nth lost 1);
+  check_int "every packet is tapped" 24 (List.length tapped);
+  check_int "singles: no batch outstanding" 0 outstanding;
+  let b_arrivals, b_tapped, b_lost, b_draws, b_outstanding = burst in
+  check_bool "same arrivals, times and order" true (b_arrivals = arrivals);
+  check_bool "same losses per reason" true (b_lost = lost);
+  check_bool "same draws" true (b_draws = (drops, delays, dups));
+  check_bool "same tap order" true (b_tapped = tapped);
+  check_int "burst: no batch outstanding" 0 b_outstanding
+
 let test_ping_respects_partitions () =
   let sim, _, fabric, faults = mk_fabric () in
   let got = ref 0 in
@@ -366,6 +438,8 @@ let () =
         [
           Alcotest.test_case "per-reason drops" `Quick test_fabric_per_reason_drops;
           Alcotest.test_case "ping respects partitions" `Quick test_ping_respects_partitions;
+          Alcotest.test_case "burst equals singles under faults" `Quick
+            test_fabric_burst_equals_singles;
           Alcotest.test_case "faults telemetry registered" `Quick
             test_faults_telemetry_registered;
         ] );
