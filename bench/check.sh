@@ -276,8 +276,8 @@ assert doc["schema"] == "nezha-bench/1", doc.get("schema")
 macro = doc["experiments"]["macro"]
 region = macro["region"]
 before, after = region["before"], region["after"]
-assert before["vswitches"] >= 2000, \
-    "region too small: %d vswitches < 2000" % before["vswitches"]
+assert before["servers"] >= 2000, \
+    "region too small: %d servers < 2000" % before["servers"]
 assert before["events"] >= 1_000_000, \
     "region too quiet: %d events < 1e6" % before["events"]
 assert after["overloads"] < before["overloads"], \
@@ -292,9 +292,9 @@ assert macro["shard_equivalent"] is True, \
     % {p["shards"]: p["digest"] for p in macro["sweep"]}
 rss = macro["peak_rss_bytes"]
 assert rss <= 160 << 20, "peak heap %d bytes > 160 MB ceiling" % rss
-print("ok: %d vswitches, %d events; overloads %d -> %d (%.1f%% resolved); "
+print("ok: %d servers, %d events; overloads %d -> %d (%.1f%% resolved); "
       "peak heap %.0f MB (gate <= 160 MB)"
-      % (before["vswitches"], before["events"], before["overloads"],
+      % (before["servers"], before["events"], before["overloads"],
          after["overloads"], region["resolved_pct"], rss / 1048576))
 PY
 else

@@ -965,7 +965,7 @@ let registry =
       "Microbenchmarks — ns per call (paper §2.3: classification bounds the CPS ceiling), classifier index memory, batch-size sweep in ns per packet"
       micro;
     entry "macro"
-      "Macro — region-scale engine (2,000 vSwitches; paper Fig. 13: >99.9% of overloads resolved), crash-storm MTTR chaos (DESIGN.md §13), SLO elastic control plane"
+      "Macro — region-scale engine (2,000 servers; paper Fig. 13: >99.9% of overloads resolved), crash-storm MTTR chaos (DESIGN.md §13), SLO elastic control plane"
       macro;
     entry "slo_smoke" "SLO elastic control plane at reduced scale (bench/check.sh --smoke)"
       (fun () ->

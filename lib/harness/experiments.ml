@@ -917,7 +917,7 @@ let ablation_notify_rate ?(seed = 1) () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 13 at region scale, measured.  [Region.daily_overloads] answers
    the same question with a closed-form race model; this runs the race
-   in the event simulation — thousands of real vSwitches on a sharded
+   in the event simulation — thousands of modeled servers on a sharded
    cluster, demand spikes vs the report/detect/place/push pipeline. *)
 
 type region_overloads = {
@@ -1246,7 +1246,6 @@ let json_of_region_result (r : Region_sim.result) =
   Json.Obj
     [
       ("servers", Json.Int r.Region_sim.servers);
-      ("vswitches", Json.Int r.Region_sim.vswitches);
       ("vnics_modeled", Json.Int r.Region_sim.vnics_modeled);
       ("flows_modeled", Json.Int r.Region_sim.flows_modeled);
       ("hotspots", Json.Int r.Region_sim.hotspots);

@@ -10,12 +10,11 @@ module Policy = Nezha_core.Policy
    shards of a [Sim.Sharded] cluster, each with a Region-sampled demand
    profile whose load is modeled per server, and a fleet controller on
    shard 0 — a second effect layer over [Policy] (DESIGN.md §16) —
-   placing offloads against them.  Each server also gets a real vSwitch
-   and SmartNIC at setup, but they carry no traffic: nothing after setup
-   reads them.  The headline output is Fig. 13's "overloads
-   before/after Nezha", measured from the event simulation — an
-   overload *occurs* only when a demand spike outruns report -> detect
-   -> place -> push -> activate.
+   placing offloads against them.  A server is its demand model alone:
+   the region builds no vSwitch, SmartNIC or fabric.  The headline
+   output is Fig. 13's "overloads before/after Nezha", measured from
+   the event simulation — an overload *occurs* only when a demand spike
+   outruns report -> detect -> place -> push -> activate.
 
    Shard-isolation contract (DESIGN.md §10): every cross-server
    interaction is a [Sharded.send] with delay >= the cluster lookahead,
@@ -82,7 +81,6 @@ let rpc_rtt = 0.002 (* one control-plane RPC round trip, s *)
 
 type result = {
   servers : int;
-  vswitches : int;
   vnics_modeled : int;
   flows_modeled : int;
   hotspots : int;
@@ -201,11 +199,9 @@ let run cfg =
   in
   let shard_of sid = Topology.rack_of topo sid mod cfg.shards in
   let ctl_sim = Sim.Sharded.shard cluster 0 in
-  let fabric = Fabric.create ~sim:ctl_sim ~topology:topo in
   let setup_rng = Rng.create cfg.seed in
   let profiles = Region.sample_fleet setup_rng ~n in
   let hotspot_cut = Region.cps_demand_quantile cfg.hotspot_quantile in
-  let params = Params.default in
   let hotspots = ref 0 in
   let srvs =
     Array.init n (fun sid ->
@@ -281,27 +277,6 @@ let run cfg =
       last +. cfg.reboot_delay +. cfg.resync_delay +. cfg.ctl_failover
       +. (4.0 *. ctl_latency) +. 0.5
   in
-  (* Real vSwitch + SmartNIC per server, placed on its rack's shard; one
-     concrete vNIC with a ruleset (memory admission included), with the
-     remaining modeled vNICs reserved against SmartNIC memory. *)
-  let vnic_of sid =
-    Vnic.make ~id:1
-      ~vpc:(Vpc.make (sid + 1))
-      ~ip:(Ipv4.of_octets 10 (sid lsr 16) ((sid lsr 8) land 255) (sid land 255))
-      ~mac:(Mac.of_int64 (Int64.of_int (sid + 1)))
-  in
-  Array.iter
-    (fun (srv : srv) ->
-      let vs = Fabric.add_server fabric ~sim:srv.sim srv.sid ~params in
-      let rs = Ruleset.create ~vni:(srv.sid + 1) () in
-      (match Vswitch.add_vnic vs (vnic_of srv.sid) rs with
-      | Ok () -> ()
-      | Error _ -> failwith "Region_sim: vNIC ruleset does not fit");
-      ignore
-        (Smartnic.mem_reserve (Vswitch.nic vs)
-           ((srv.vnics_modeled - 1) * Params.be_residual_bytes_per_vnic)
-          : bool))
-    srvs;
   let ctl =
     { reported = Array.map (fun s -> s.base_cpu) srvs;
       rngs = Array.init n (fun sid -> Rng.create (cfg.seed lxor (0x85ebca6b * (sid + 1))));
@@ -429,6 +404,12 @@ let run cfg =
       peek = (ctl.reported.(s), srvs.(s).mem); fe_served = None; suspect = false }
   in
   let candidates = Array.init n candidate in
+  (* A server offloads its vNIC 1 (the key [find_key] looks up), at
+     this overlay address. *)
+  let addr_of sid =
+    { Vnic.Addr.vpc = Vpc.make (sid + 1);
+      ip = Ipv4.of_octets 10 (sid lsr 16) ((sid lsr 8) land 255) (sid land 255) }
+  in
   let scan () =
     let moved s (c : Policy.candidate) = if fst c.peek <> ctl.reported.(s) then candidates.(s) <- candidate s in
     let fresh = lazy (Array.iteri moved candidates) in
@@ -441,10 +422,10 @@ let run cfg =
         (* An FE takes one duty: without Fig. 8's scale-out (off here) a
            second could only overload it.  No intent: no idle FE this
            scan (retried next period). *)
-        let vnic = vnic_of sid and be_rack = Topology.rack_of topo sid in
+        let be_rack = Topology.rack_of topo sid in
         step
           (Policy.Offload
-             { server = sid; vnic = vnic.id; addr = Vnic.addr vnic; num_fes = Policy.initial_fes;
+             { server = sid; vnic = Vnic.id_of_int 1; addr = addr_of sid; num_fes = Policy.initial_fes;
                avoid = Policy.fe_pool ctl.view @ ctl.pushing; version_ok = (fun _ -> true); node = ();
                pool = { now = Sim.now ctl_sim; draw = ctl.rngs.(sid); be_rack; candidates } })
         |> List.iter (function Policy.Push { o; fes } -> push o fes | _ -> ())
@@ -602,7 +583,6 @@ let run cfg =
   in
   {
     servers = n;
-    vswitches = n;
     vnics_modeled = !vnics;
     flows_modeled = !flows;
     hotspots = !hotspots;

@@ -1,8 +1,8 @@
 (** Region-scale event-simulated overload study (Fig. 13 headline).
 
-    Instantiates thousands of {e real} vSwitches — one per server, with
-    a SmartNIC, a vNIC and a ruleset admitted against NIC memory — on a
-    {!Nezha_engine.Sim.Sharded} cluster, rack-aligned onto shards.
+    Models thousands of servers on a {!Nezha_engine.Sim.Sharded}
+    cluster, rack-aligned onto shards.  A server is its demand model
+    alone: the region builds no vSwitch, SmartNIC or fabric.
     Demand comes from {!Region.sample_fleet} profiles; the top CPS
     fraction are hotspots that receive Poisson-many demand spikes over
     one compressed "day".  A fleet controller on shard 0 receives
@@ -54,7 +54,7 @@ type config = {
 }
 
 val default_config : config
-(** 250 racks x 8 servers = 2,000 vSwitches, 8 shards, 30 s
+(** 250 racks x 8 = 2,000 servers, 8 shards, 30 s
     compressed day.  The offload policy is not configured here: the
     fleet controller steps {!Nezha_core.Policy} and uses its threshold,
     FE count ([initial_fes]), FE ceilings and overload level, and
@@ -66,7 +66,6 @@ val default_config : config
 
 type result = {
   servers : int;
-  vswitches : int;
   vnics_modeled : int;
   flows_modeled : int;
   hotspots : int;
