@@ -159,8 +159,31 @@ for side in ("without", "with"):
     for k in ("count", "p50", "p99", "p9999"):
         assert k in s, \
             "latency_us[%s] missing %r (has %s)" % (side, k, sorted(s))
+# Every histogram summary answers ranks in order, and the P9999 rank
+# of fewer than 10,000 samples is the largest one, which the histogram
+# keeps exactly (at 10,000 it is the second largest).
+def summaries(x, path):
+    if isinstance(x, dict):
+        if all(k in x for k in ("count", "p50", "p99", "p9999", "max")):
+            yield path, x
+        for k, v in x.items():
+            yield from summaries(v, path + "." + k)
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from summaries(v, "%s[%d]" % (path, i))
+hists = list(summaries(doc["experiments"], ""))
+assert hists, "no histogram summaries found"
+for path, s in hists:
+    assert s["p50"] <= s["p99"] <= s["p9999"] <= s["max"], \
+        "%s: p50 %r, p99 %r, p9999 %r, max %r out of order" \
+        % (path, s["p50"], s["p99"], s["p9999"], s["max"])
+    if s["count"] < 10000:
+        assert s["p9999"] == s["max"], \
+            "%s: p9999 %r != max %r with %d samples" \
+            % (path, s["p9999"], s["max"], s["count"])
 print("ok: %d paper sections;" % len(paper), len(fig9["gains"]),
-      "fig9 gain rows; latency summaries present")
+      "fig9 gain rows; latency summaries present;", len(hists),
+      "histogram summaries ordered")
 PY
 else
   echo "python3 not found; relying on the bench's built-in round-trip check"

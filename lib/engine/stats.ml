@@ -8,39 +8,22 @@ module Counter = struct
   let reset t = t.v <- 0
 end
 
-let percentile_sorted sorted p =
-  let n = Array.length sorted in
-  if n = 1 then sorted.(0)
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = min (lo + 1) (n - 1) in
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-  end
-
 let check_p p =
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p outside [0,100]"
-
-let percentile samples p =
-  if Array.length samples = 0 then invalid_arg "Stats.percentile: empty samples";
-  check_p p;
-  let sorted = Array.copy samples in
-  Array.sort compare sorted;
-  percentile_sorted sorted p
-
-let percentiles samples ps =
-  if Array.length samples = 0 then invalid_arg "Stats.percentiles: empty samples";
-  List.iter check_p ps;
-  let sorted = Array.copy samples in
-  Array.sort compare sorted;
-  List.map (fun p -> (p, percentile_sorted sorted p)) ps
 
 let nearest_rank n p =
   if n < 1 then invalid_arg "Stats.nearest_rank: no samples";
   check_p p;
   let i = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
   max 0 (min (n - 1) i)
+
+let percentile samples p =
+  let n = Array.length samples in
+  if n = 0 then invalid_arg "Stats.percentile: empty samples";
+  let i = nearest_rank n p in
+  let sorted = Array.copy samples in
+  Array.sort compare sorted;
+  sorted.(i)
 
 let mean samples =
   let n = Array.length samples in
@@ -60,36 +43,26 @@ module Histogram = struct
      stores unboxed doubles: no allocation and no write barrier. *)
   type sums = { mutable total : float; mutable min_v : float; mutable max_v : float }
 
-  (* Values are mapped to buckets on a log scale: bucket index =
-     floor (log_base value) shifted so that sub-1.0 values share bucket 0
-     region.  With [significant_digits] = d, the base is chosen so relative
-     error <= 10^-d.  Values below [tiny] all land in bucket 0. *)
-  type t = {
-    base_log : float; (* log of bucket growth factor *)
-    tiny : float; (* values below this collapse into bucket 0 *)
-    mutable counts : int array;
-    mutable count : int;
-    sums : sums;
-  }
+  (* Values are mapped to buckets on a log scale: bucket i >= 1 holds
+     [tiny · 1.01^(i-1), tiny · 1.01^i), two significant digits, so its
+     geometric midpoint lies within 0.5% of every value in it.  Values
+     below [tiny] all land in bucket 0. *)
+  let base_log = log 1.01
+  let tiny = 1e-12
 
-  let create ?(significant_digits = 2) () =
-    let digits = max 1 (min 5 significant_digits) in
-    let growth = 1.0 +. (10.0 ** float_of_int (-digits)) in
+  type t = { mutable counts : int array; mutable count : int; sums : sums }
+
+  let create () =
     {
-      base_log = log growth;
-      tiny = 1e-12;
       counts = Array.make 256 0;
       count = 0;
       sums = { total = 0.0; min_v = infinity; max_v = neg_infinity };
     }
 
-  let bucket_of t v =
-    if v <= t.tiny then 0
-    else 1 + int_of_float (Float.floor (log (v /. t.tiny) /. t.base_log))
+  let bucket_of v =
+    if v <= tiny then 0 else 1 + int_of_float (Float.floor (log (v /. tiny) /. base_log))
 
-  let value_of t i =
-    if i = 0 then 0.0
-    else t.tiny *. exp ((float_of_int (i - 1) +. 0.5) *. t.base_log)
+  let value_of i = if i = 0 then 0.0 else tiny *. exp ((float_of_int (i - 1) +. 0.5) *. base_log)
 
   let ensure t i =
     let cap = Array.length t.counts in
@@ -102,7 +75,7 @@ module Histogram = struct
 
   let record_n t v n =
     let v = if v < 0.0 then 0.0 else v in
-    let i = bucket_of t v in
+    let i = bucket_of v in
     ensure t i;
     t.counts.(i) <- t.counts.(i) + n;
     t.count <- t.count + n;
@@ -123,21 +96,22 @@ module Histogram = struct
     check_p p;
     if t.count = 0 then 0.0
     else begin
-      (* The bucket holding the nearest-rank sample (1-based). *)
-      let target = nearest_rank t.count p + 1 in
-      let rec scan i acc =
-        if i >= Array.length t.counts then t.sums.max_v
-        else begin
+      let rank = nearest_rank t.count p in
+      (* The smallest and largest samples are kept exactly. *)
+      if rank = 0 then t.sums.min_v
+      else if rank = t.count - 1 then t.sums.max_v
+      else begin
+        (* The bucket holding the sample at [rank], 1-based [target]. *)
+        let target = rank + 1 in
+        let rec scan i acc =
           let acc = acc + t.counts.(i) in
-          if acc >= target then begin
-            let v = value_of t i in
+          if acc >= target then
             (* Clamp the bucket midpoint estimate into the observed range. *)
-            Float.min t.sums.max_v (Float.max t.sums.min_v v)
-          end
+            Float.min t.sums.max_v (Float.max t.sums.min_v (value_of i))
           else scan (i + 1) acc
-        end
-      in
-      scan 0 0
+        in
+        scan 0 0
+      end
     end
 
   let merge_into ~dst ~src =
@@ -154,23 +128,6 @@ module Histogram = struct
       if s.min_v < d.min_v then d.min_v <- s.min_v;
       if s.max_v > d.max_v then d.max_v <- s.max_v
     end
-
-  let reset t =
-    Array.fill t.counts 0 (Array.length t.counts) 0;
-    t.count <- 0;
-    let s = t.sums in
-    s.total <- 0.0;
-    s.min_v <- infinity;
-    s.max_v <- neg_infinity
-
-  let pp_summary ppf t =
-    if t.count = 0 then Format.fprintf ppf "(empty)"
-    else
-      Format.fprintf ppf
-        "n=%d mean=%.4g p50=%.4g p90=%.4g p99=%.4g p999=%.4g p9999=%.4g max=%.4g"
-        t.count (mean t) (percentile t 50.0) (percentile t 90.0)
-        (percentile t 99.0) (percentile t 99.9) (percentile t 99.99)
-        (max_value t)
 end
 
 module Series = struct

@@ -18,23 +18,23 @@ module Counter : sig
   val reset : t -> unit
 end
 
-(** {1 Percentile summaries over raw samples} *)
+(** {1 Percentiles}
 
-val percentile : float array -> float -> float
-(** [percentile samples p] with [p] in \[0,100\]: linear-interpolated
-    percentile of the (unsorted; copied and sorted internally) samples.
-    @raise Invalid_argument on an empty array or [p] outside \[0,100\]. *)
-
-val percentiles : float array -> float list -> (float * float) list
-(** Batch version sorting only once: returns [(p, value)] pairs. *)
+    One rule throughout: the nearest rank.  A percentile always names one
+    recorded sample, never a value between two. *)
 
 val nearest_rank : int -> float -> int
 (** [nearest_rank n p] with [p] in \[0,100\]: the index of the
-    nearest-rank percentile in a sorted array of [n] samples,
-    [ceil (p/100 · n) − 1] clamped to \[0, n−1\] — always one of the
-    samples (p = 0 names the smallest), where {!percentile} interpolates
-    between two.
+    [p]-th percentile in a sorted array of [n] samples,
+    [ceil (p/100 · n) − 1] clamped to \[0, n−1\], so [p = 0] names the
+    smallest sample and [p = 100] the largest.
     @raise Invalid_argument when [n < 1] or [p] is outside \[0,100\]. *)
+
+val percentile : float array -> float -> float
+(** [percentile samples p] with [p] in \[0,100\]: the sample at
+    [nearest_rank n p] of the (unsorted; copied and sorted internally)
+    samples.  With an even [n], [p = 50] is the lower middle sample.
+    @raise Invalid_argument on an empty array or [p] outside \[0,100\]. *)
 
 val mean : float array -> float
 val stddev : float array -> float
@@ -44,9 +44,8 @@ val stddev : float array -> float
 module Histogram : sig
   type t
 
-  val create : ?significant_digits:int -> unit -> t
-  (** [significant_digits] (default 2) bounds the relative error of
-      recorded values: 2 gives <1% error with modest memory. *)
+  val create : unit -> t
+  (** Buckets grow by 1% (two significant digits). *)
 
   val record : t -> float -> unit
   (** Record a non-negative sample.  Negative samples are clamped to 0. *)
@@ -61,14 +60,15 @@ module Histogram : sig
   val max_value : t -> float
 
   val percentile : t -> float -> float
-  (** Estimated percentile (within the configured relative error).
-      Returns 0 when empty. *)
+  (** The sample at {!nearest_rank}[ (count t) p], the same rank that
+      {!Stats.percentile} takes.  Rank 0 answers {!min_value} and rank
+      [count − 1] answers {!max_value} exactly; any other rank answers the
+      midpoint of the bucket holding that sample, clamped to
+      \[{!min_value}, {!max_value}\], within 0.5% of the sample.
+      Returns 0 when empty.
+      @raise Invalid_argument when [p] is outside \[0,100\]. *)
 
   val merge_into : dst:t -> src:t -> unit
-  val reset : t -> unit
-
-  val pp_summary : Format.formatter -> t -> unit
-  (** One-line summary: count, mean, P50/P90/P99/P999/P9999, max. *)
 end
 
 (** {1 Time series} *)

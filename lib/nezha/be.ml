@@ -686,8 +686,6 @@ let pinned_count t = Flow_key.Table.length t.pins
 
 let outstanding t = Int_table.length t.outstanding
 
-let hop_latency_hist t = t.hop_hist
-
 let drain_hop_latencies t =
   let samples = t.hop_window in
   t.hop_window <- [];

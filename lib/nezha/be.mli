@@ -142,11 +142,6 @@ val outstanding : t -> int
     invariant: [tracked = acked + local_fallback + offload_dropped +
     outstanding]. *)
 
-val hop_latency_hist : t -> Nezha_engine.Stats.Histogram.t
-(** Cumulative remote-hop latency (send → hop ack), seconds.  A
-    retransmitted offload records the latency of the attempt that was
-    finally acked. *)
-
 val drain_hop_latencies : t -> float list
 (** Remote-hop latency samples since the previous drain (bounded
     window; newest first).  The controller's SLO tick drains every BE

@@ -184,11 +184,6 @@ type ctl = {
       (** (server, incarnation, crash time) arrived while down *)
 }
 
-(* MTTR percentiles name one recovery, so they use nearest rank. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0 else sorted.(Stats.nearest_rank n p)
-
 let run cfg =
   if cfg.shards < 1 then invalid_arg "Region_sim.run: shards must be >= 1";
   let n = cfg.racks * cfg.servers_per_rack in
@@ -568,11 +563,7 @@ let run cfg =
   digest := mix !digest detections;
   digest := mix !digest activations;
   digest := mix !digest ctl.takeovers;
-  let mttr_sorted =
-    let a = Array.of_list !mttr_samples in
-    Array.sort compare a;
-    a
-  in
+  let mttr = Array.of_list !mttr_samples in
   let reused, fresh =
     Array.fold_left
       (fun (r, f) i ->
@@ -599,8 +590,8 @@ let run cfg =
     pool_fresh = fresh;
     crashes = !crashes;
     restarts = !restarts;
-    mttr_p50 = percentile mttr_sorted 50.0;
-    mttr_p99 = percentile mttr_sorted 99.0;
+    mttr_p50 = (if mttr = [||] then 0.0 else Stats.percentile mttr 50.0);
+    mttr_p99 = (if mttr = [||] then 0.0 else Stats.percentile mttr 99.0);
     blackholed_ticks = !blackholed;
     late_blackholed = !late_blackholed;
     ctl_takeovers = ctl.takeovers;

@@ -199,15 +199,12 @@ let test_percentile_simple () =
   check_float "p100" 100.0 (Stats.percentile xs 100.0);
   check_float "p25" 25.0 (Stats.percentile xs 25.0)
 
-let test_percentile_interpolates () =
-  let xs = [| 10.0; 20.0 |] in
-  check_float "p50 midpoint" 15.0 (Stats.percentile xs 50.0)
-
-let test_percentiles_batch () =
-  let xs = Array.init 11 (fun i -> float_of_int (10 - i)) in
-  let out = Stats.percentiles xs [ 0.0; 100.0 ] in
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "batch" [ (0.0, 0.0); (100.0, 10.0) ] out
+(* Nearest rank never interpolates: with an even count, P50 is the lower
+   middle sample. *)
+let test_percentile_even_n () =
+  let xs = [| 20.0; 10.0 |] in
+  check_float "p50 lower middle" 10.0 (Stats.percentile xs 50.0);
+  check_float "p51 upper middle" 20.0 (Stats.percentile xs 51.0)
 
 let test_percentile_errors () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile: empty samples")
@@ -269,6 +266,25 @@ let test_histogram_negative_clamped () =
   Stats.Histogram.record h (-3.0);
   check_float "clamped to 0" 0.0 (Stats.Histogram.max_value h)
 
+(* The histogram keeps the smallest and largest samples exactly: a rank
+   naming either answers it, not its bucket's midpoint. *)
+let test_histogram_extreme_ranks () =
+  let h = Stats.Histogram.create () in
+  List.iter (Stats.Histogram.record h) [ 1.004; 5.0; 1003.9 ];
+  check_float "p0 is the min" 1.004 (Stats.Histogram.percentile h 0.0);
+  check_float "p100 is the max" 1003.9 (Stats.Histogram.percentile h 100.0);
+  check_float "p9999 of 3 is the max" 1003.9 (Stats.Histogram.percentile h 99.99)
+
+let prop_percentile_names_a_sample =
+  QCheck.Test.make ~name:"percentile returns one of its samples" ~count:200
+    QCheck.(
+      pair
+        (make Gen.(list_size (int_range 1 50) (float_range (-1e3) 1e3)))
+        (make Gen.(float_range 0.0 100.0)))
+    (fun (xs, p) ->
+      let arr = Array.of_list xs in
+      Array.mem (Stats.percentile arr p) arr)
+
 let prop_histogram_percentile_close =
   QCheck.Test.make ~name:"histogram percentile tracks exact percentile" ~count:50
     QCheck.(make Gen.(list_size (int_range 100 1000) (float_range 0.1 1e6)))
@@ -280,10 +296,10 @@ let prop_histogram_percentile_close =
         (fun p ->
           let exact = Stats.percentile arr p in
           let est = Stats.Histogram.percentile h p in
-          (* With 2 significant digits the bucket error is ~1%; allow 3%
-             plus interpolation slack between neighbouring samples. *)
-          exact = 0.0 || Float.abs (est -. exact) /. exact < 0.05)
-        [ 50.0; 90.0; 99.0 ])
+          (* Both take the same rank, so the only error left is the
+             bucket's: its midpoint lies within 0.5% of the sample. *)
+          Float.abs (est -. exact) /. exact <= 0.005)
+        [ 0.0; 50.0; 90.0; 99.0; 99.9; 100.0 ])
 
 let test_series () =
   let s = Stats.Series.create ~name:"cpu" in
@@ -1393,19 +1409,19 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "percentile simple" `Quick test_percentile_simple;
-          Alcotest.test_case "percentile interpolation" `Quick test_percentile_interpolates;
-          Alcotest.test_case "percentiles batch" `Quick test_percentiles_batch;
+          Alcotest.test_case "percentile even n" `Quick test_percentile_even_n;
           Alcotest.test_case "percentile errors" `Quick test_percentile_errors;
           Alcotest.test_case "nearest rank" `Quick test_nearest_rank;
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "histogram accuracy" `Quick test_histogram_accuracy;
           Alcotest.test_case "histogram merge" `Quick test_histogram_empty_and_merge;
           Alcotest.test_case "histogram clamps negatives" `Quick test_histogram_negative_clamped;
+          Alcotest.test_case "histogram extreme ranks" `Quick test_histogram_extreme_ranks;
           Alcotest.test_case "histogram record allocates nothing" `Quick
             test_histogram_record_allocates_nothing;
           Alcotest.test_case "series" `Quick test_series;
         ]
-        @ qsuite [ prop_histogram_percentile_close ] );
+        @ qsuite [ prop_percentile_names_a_sample; prop_histogram_percentile_close ] );
       ( "sim",
         [
           Alcotest.test_case "time ordering" `Quick test_sim_ordering;
